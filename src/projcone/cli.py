@@ -24,11 +24,13 @@ from .kernels import (
     KernelGrid,
     KernelPatternError,
     builtin_kernel,
+    discretize,
     factorization_certificate,
     kernel_contraction_estimate,
     tabulate_kernel,
 )
 from .matrices import (
+    _check_cone_preserving,
     contraction_coeff,
     contraction_coeff_formula,
     first_zero_column,
@@ -67,7 +69,6 @@ def _format_float(x: float) -> str:
 def _emit(obj, out: list, indent: int | None, depth: int) -> None:
     pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
     end = "" if indent is None else "\n" + " " * (indent * depth)
-    sep = "," if indent is None else ","
     if obj is None:
         out.append("null")
     elif isinstance(obj, str):
@@ -85,7 +86,7 @@ def _emit(obj, out: list, indent: int | None, depth: int) -> None:
         out.append("{")
         for k, (key, val) in enumerate(obj.items()):
             if k:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             out.append(json.dumps(str(key)) + ": ")
             _emit(val, out, indent, depth + 1)
@@ -98,7 +99,7 @@ def _emit(obj, out: list, indent: int | None, depth: int) -> None:
         out.append("[")
         for k, val in enumerate(items):
             if k:
-                out.append(sep)
+                out.append(",")
             out.append(pad)
             _emit(val, out, indent, depth + 1)
         out.append(end + "]")
@@ -170,11 +171,15 @@ def read_matrix(path: str) -> np.ndarray:
             for j, v in enumerate(row):
                 if isinstance(v, bool) or not isinstance(v, (int, float)):
                     raise CliError("parse_error", f"entry ({i},{j}) is not a number", path)
-                if math.isnan(v) or math.isinf(v):
+                try:
+                    x = float(v)  # an integer literal beyond the double range overflows here
+                except OverflowError:
+                    raise CliError("parse_error", f"entry ({i},{j}) is out of the double range", path) from None
+                if not math.isfinite(x):
                     raise CliError("parse_error", f"entry ({i},{j}) is not finite", path)
-                if v < 0:
+                if x < 0:
                     raise CliError("negative_entry", f"negative entry {v} at ({i},{j})", path)
-                parsed.append(float(v))
+                parsed.append(x)
             rows.append(parsed)
         return _matrix_from_rows(rows, path)
     rows = []
@@ -210,7 +215,7 @@ def read_kernel_grid(path: str) -> KernelGrid:
         raise CliError("parse_error", 'expected a JSON object with "nodes", "weights" and "values"', path)
     try:
         return KernelGrid(nodes=obj["nodes"], weights=obj["weights"], values=obj["values"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise CliError("invalid_grid", str(exc), path) from None
 
 
@@ -376,9 +381,11 @@ def cmd_kernel(args) -> dict:
         except ValueError as exc:
             raise CliError("bad_flags", str(exc), "kernel") from None
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
+    # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans
     try:
-        report = kernel_contraction_estimate(grid, zt)
+        _check_cone_preserving(discretize(grid), zt)
         cert = factorization_certificate(grid, zt)
+        report = kernel_contraction_estimate(grid, zt)
     except KernelPatternError as exc:
         raise CliError("pattern_failure", str(exc), f"values[{exc.row}][{exc.col}]") from None
     except ValueError as exc:

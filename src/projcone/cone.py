@@ -54,13 +54,28 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("cone vector must be a 1-d sequence with at least one entry")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("cone vector entries must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("cone vector entries must be nonnegative")
-    if not np.any(arr > zero_tol):
+    if not (arr > zero_tol).any():
         raise ValueError("cone vector must have at least one positive entry")
     return arr
+
+
+def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two cone vectors and require equal shapes."""
+    f = as_cone_vector(f, zero_tol)
+    g = as_cone_vector(g, zero_tol)
+    if f.shape != g.shape:
+        raise ValueError(f"dimension mismatch: {f.size} vs {g.size}")
+    return f, g
+
+
+def _aleph(f: np.ndarray, g: np.ndarray, zero_tol: float) -> float:
+    """Unchecked :func:`aleph` on validated cone vectors of equal shape."""
+    support = f > zero_tol
+    return float((g[support] / f[support]).min())
 
 
 def aleph(f, g, zero_tol: float = 0.0) -> float:
@@ -73,12 +88,8 @@ def aleph(f, g, zero_tol: float = 0.0) -> float:
 
     Scaling behaves as ``aleph(a*f, b*g) == (b/a) * aleph(f, g)``.
     """
-    f = as_cone_vector(f, zero_tol)
-    g = as_cone_vector(g, zero_tol)
-    if f.shape != g.shape:
-        raise ValueError(f"dimension mismatch: {f.size} vs {g.size}")
-    support = f > zero_tol
-    return float(np.min(g[support] / f[support]))
+    f, g = _cone_pair(f, g, zero_tol)
+    return _aleph(f, g, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -100,8 +111,9 @@ def m_ratio(f, g, zero_tol: float = 0.0) -> RatioPair:
     The product is clamped to 1.0 to absorb last-ulp overshoot on exactly
     proportional pairs; mathematically it never exceeds 1.
     """
-    a_fg = aleph(f, g, zero_tol)
-    a_gf = aleph(g, f, zero_tol)
+    f, g = _cone_pair(f, g, zero_tol)
+    a_fg = _aleph(f, g, zero_tol)
+    a_gf = _aleph(g, f, zero_tol)
     return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(a_fg * a_gf, 1.0))
 
 

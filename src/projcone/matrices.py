@@ -15,6 +15,7 @@ all-zero rows, equivalently when ``M`` admits a sandwich certificate
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -101,22 +102,61 @@ class ContractionReport:
     method: str
 
 
+# Rows of M divided per step of the aleph scan.  Each thread owns one
+# _SCAN_BLOCK_ROWS x n quotient buffer (512 KB at n = 1024), so the block of
+# M and the buffer stay in cache while every column of the thread's range is
+# divided into it, and nothing n x n is allocated per column.
+_SCAN_BLOCK_ROWS = 64
+
+
+def _check_cone_preserving(M: np.ndarray, zero_tol: float) -> None:
+    """Raise ``ValueError`` naming the first column of the validated ``M`` with no entry above ``zero_tol``."""
+    dead = ~(M > zero_tol).any(axis=0)
+    if dead.any():
+        raise ValueError(f"matrix is not cone-preserving: column {int(np.argmax(dead))} has no positive entry")
+
+
 def _aleph_columns(M: np.ndarray, zero_tol: float, workers: int | None = None) -> np.ndarray:
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
-    Row ``i`` is computed as the columnwise minimum of ``M[s, :] / M[s, i]``
-    over the support ``s`` of column ``i`` - the same divisions and the same
-    reduction as :func:`projcone.cone.aleph` on the column pair, so results
-    agree bitwise with the scalar route.  Rows are independent, which makes
-    the optional thread fan-out deterministic.
+    ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
+    the support ``M[k, i] > zero_tol`` of column ``i``.  The scan walks row
+    blocks of ``_SCAN_BLOCK_ROWS`` rows on the outside and the columns ``i``
+    on the inside, dividing each block into one reusable per-thread buffer
+    and folding the block's minimum into ``out[i]``.  Rows outside the
+    support are excluded without copies: when some entry is at or below
+    ``zero_tol``, the denominators come from one copy of ``M`` with those
+    entries zeroed, so excluded rows yield ``inf`` or NaN, which the
+    NaN-ignoring ``np.fmin`` passes over (a support row never yields NaN:
+    its denominator is positive and its numerator finite).
+
+    Every quotient is the same correctly rounded division as in
+    :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
+    in any grouping, so the result is bitwise identical to the scalar route.
+    Extra memory is ``out``, at most one n x n denominator copy, and one
+    block buffer per thread.  Threads split the columns ``i`` and write
+    disjoint rows of ``out``, which keeps the fan-out deterministic.
     """
     n = M.shape[1]
-    out = np.empty((n, n))
+    out = np.full((n, n), np.inf)
+    outside = M <= zero_tol
+    if outside.any():
+        denom, fold = np.where(outside, 0.0, M), np.fmin
+    else:
+        denom, fold = M, np.minimum
+    rows = min(_SCAN_BLOCK_ROWS, n)
 
     def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            sup = M[:, i] > zero_tol
-            out[i, :] = (M[sup, :] / M[sup, i, None]).min(axis=0)
+        buf = np.empty((rows, n))
+        block_min = np.empty(n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k0 in range(0, n, rows):
+                chunk = M[k0:k0 + rows]
+                quot = buf[: chunk.shape[0]]
+                for i in range(lo, hi):
+                    np.divide(chunk, denom[k0:k0 + rows, i, None], out=quot)
+                    fold.reduce(quot, axis=0, out=block_min)
+                    fold(out[i], block_min, out=out[i])
 
     if workers is None or workers <= 1 or n < 4:
         fill(0, n)
@@ -129,38 +169,59 @@ def _aleph_columns(M: np.ndarray, zero_tol: float, workers: int | None = None) -
     return out
 
 
+def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest ``phi(min(al[i, j] * al[j, i], 1))`` over pairs ``i < j``, and its first pair.
+
+    One row of pairs at a time, through two length-n buffers.  The strict
+    comparison across rows and ``argmax`` within a row keep the
+    lexicographically smallest attaining pair.  A NaN distance (an
+    ``inf * 0`` product at the ends of the double range) wins at its first
+    occurrence, as a NaN does under ``argmax``.
+    """
+    n = al.shape[0]
+    m_buf = np.empty(n - 1)
+    d_buf = np.empty(n - 1)
+    best, witness = -1.0, (0, 1)
+    for i in range(n - 1):
+        m = m_buf[: n - 1 - i]
+        d = d_buf[: n - 1 - i]
+        np.multiply(al[i, i + 1:], al[i + 1:, i], out=m)
+        np.minimum(m, 1.0, out=m)
+        np.subtract(1.0, m, out=d)
+        np.add(1.0, m, out=m)
+        np.divide(d, m, out=d)
+        k = int(np.argmax(d))
+        v = float(d[k])
+        if math.isnan(v):
+            return v, (i, i + 1 + k)
+        if v > best:
+            best, witness = v, (i, i + 1 + k)
+    return best, witness
+
+
 def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> ContractionReport:
     """Contraction coefficient ``c(M)``: the best Lipschitz constant on rays.
 
     Computed definitionally as the maximum bounded-metric distance between
-    column rays, scanning all column pairs in O(d^3).  The witness is the
-    lexicographically smallest attaining pair.  Passing ``workers`` fans the
-    scan over threads; the result (including the witness) is bitwise
-    identical to the serial run.
+    column rays, scanning all column pairs in O(d^3) (see
+    :func:`_aleph_columns`), then reducing the pairs row by row in O(d)
+    extra memory.  The witness is the lexicographically smallest attaining
+    pair.  Passing ``workers`` fans the scan over threads; the result
+    (including the witness) is bitwise identical to the serial run.
 
     For a 1x1 matrix there is a single ray, so ``c = 0``.
     """
     M = as_nonneg_matrix(M)
-    if not is_cone_preserving(M, zero_tol):
-        j = first_zero_column(M, zero_tol)
-        raise ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
-    n = M.shape[1]
-    if n == 1:
+    _check_cone_preserving(M, zero_tol)
+    if M.shape[1] == 1:
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
-    al = _aleph_columns(M, zero_tol, workers)
-    m = al * al.T
-    np.minimum(m, 1.0, out=m)
-    dist = (1.0 - m) / (1.0 + m)
-    rows, cols = np.triu_indices(n, k=1)
-    vals = dist[rows, cols]
-    k = int(np.argmax(vals))  # first occurrence = lexicographically smallest pair
-    c = float(vals[k])
+    c, witness = _max_pair_distance(_aleph_columns(M, zero_tol, workers))
     is_strict = c < 1.0
     return ContractionReport(
         c=c,
         is_strict=is_strict,
         a_star=psi_inverse(c) if is_strict else None,
-        witness=(int(rows[k]), int(cols[k])),
+        witness=witness,
         method="definitional",
     )
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import aleph, as_cone_vector, normalize, pseudo_distance
-from .matrices import as_nonneg_matrix, contraction_coeff, first_zero_column, is_cone_preserving
+from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff, is_cone_preserving
 
 __all__ = [
     "PerronResult",
@@ -111,9 +111,7 @@ def perron_iterate(
         error bound is attached.
     """
     M = as_nonneg_matrix(M)
-    if not is_cone_preserving(M, zero_tol):
-        j = first_zero_column(M, zero_tol)
-        raise ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
+    _check_cone_preserving(M, zero_tol)
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:

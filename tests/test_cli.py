@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,15 @@ def test_json_matrix_errors(tmp_path, capsys):
     assert run_error(capsys, "coeff", str(path))["code"] == "parse_error"
     path.write_text('{"matrix": [[1, -2], [3, 4]]}')
     assert run_error(capsys, "coeff", str(path))["code"] == "negative_entry"
+
+
+def test_json_integer_beyond_double_range(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": [[1, 2], [3, 1' + "0" * 400 + "]]}")
+    payload = run_error(capsys, "coeff", str(path))
+    assert payload["code"] == "parse_error"
+    assert "(1,1)" in payload["message"]
+    assert payload["location"] == str(path)
 
 
 def test_missing_file(capsys):
@@ -298,6 +308,32 @@ def test_kernel_pattern_failure_is_structured(tmp_path, capsys):
     assert payload["location"] == "values[0][2]"
 
 
+def test_kernel_pattern_failure_precedes_the_scan(capsys):
+    # at this size the scan overflows in divide; the O(n^2) pattern check
+    # rejects the grid first, so the error object is all that is printed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "kernel", "--builtin", "gaussian", "--param", "sigma=1e-4", "--n", "96")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err)["code"] == "pattern_failure"
+
+
+def test_kernel_cone_check_precedes_pattern_check(tmp_path, capsys):
+    # under --zero-tol 0.05 the weighted column 1 (0.1/3) vanishes, and the
+    # value grid also has a pattern failure at (0, 2): the cone check wins
+    grid = {
+        "nodes": [0.1, 0.5, 0.9],
+        "weights": [1 / 3, 1 / 3, 1 / 3],
+        "values": [[1.0, 0.1, 0.0], [1.0, 0.1, 1.0], [1.0, 0.1, 1.0]],
+    }
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.05")
+    assert payload["code"] == "invalid_input"
+    assert "column 1" in payload["message"]
+
+
 def test_kernel_flag_validation(capsys):
     assert run_error(capsys, "kernel")["code"] == "bad_flags"
     assert run_error(capsys, "kernel", "--builtin", "nosuch", "--n", "4")["code"] == "bad_flags"
@@ -308,6 +344,14 @@ def test_invalid_grid_file(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"nodes": [0.5, 0.25], "weights": [0.5, 0.5], "values": [[1, 1], [1, 1]]}))
     assert run_error(capsys, "kernel", "--file", str(path))["code"] == "invalid_grid"
+
+
+def test_grid_integer_beyond_double_range(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text('{"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1], [1, 1' + "0" * 400 + "]]}")
+    payload = run_error(capsys, "kernel", "--file", str(path))
+    assert payload["code"] == "invalid_grid"
+    assert payload["location"] == str(path)
 
 
 # ---------------------------------------------------------------------------

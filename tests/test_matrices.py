@@ -21,6 +21,7 @@ from projcone import (
     psi,
     uniform_positivity_certificate,
 )
+from projcone.matrices import _SCAN_BLOCK_ROWS, _aleph_columns
 
 from _util import assert_batch_matches_scalar, batch_pseudo_distance, random_cone_preserving_matrix, random_cone_vector
 
@@ -273,3 +274,84 @@ def test_psi_roundtrip_on_random_matrices():
         M = rng.uniform(0.1, 10.0, size=(dim, dim))
         rep = contraction_coeff(M)
         assert abs(psi(rep.a_star) - rep.c) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the blocked aleph scan against the per-row formula it replaces
+
+
+def _aleph_columns_per_row(M, zero_tol):
+    """One support copy and one quotient block per column, reduced at once."""
+    out = np.empty(M.shape)
+    for i in range(M.shape[1]):
+        sup = M[:, i] > zero_tol
+        out[i, :] = (M[sup, :] / M[sup, i, None]).min(axis=0)
+    return out
+
+
+def _max_pair_distance_dense(al):
+    """The n x n reduction: m, distance and argmax over the upper triangle."""
+    m = np.minimum(al * al.T, 1.0)
+    dist = (1.0 - m) / (1.0 + m)
+    rows, cols = np.triu_indices(al.shape[0], k=1)
+    vals = dist[rows, cols]
+    k = int(np.argmax(vals))
+    return float(vals[k]), (int(rows[k]), int(cols[k]))
+
+
+def _scan_corpus(rng, n):
+    """(label, matrix, zero_tol) for each kind of input the scan must reproduce."""
+    dense = rng.uniform(0.1, 10.0, size=(n, n))
+    zeros = random_cone_preserving_matrix(rng, n, zero_prob=0.3)
+    # zeros confined to all-zero rows keep c < 1, so the witness is informative
+    zero_rows = dense.copy()
+    zero_rows[rng.random(n) < 0.3] = 0.0
+    zero_rows[0] = 1.0
+    tol = rng.uniform(0.0, 1.0, size=(n, n))
+    tol[0] = 0.9
+    wide = 10.0 ** rng.uniform(-300.0, 300.0, size=(n, n))
+    tiny = rng.uniform(0.0, 1e-310, size=(n, n))
+    tiny[rng.random((n, n)) < 0.3] = 1.0
+    tiny[0] = 5e-324
+    return [
+        ("dense", dense, 0.0),
+        ("30% zeros", zeros, 0.0),
+        ("all-zero rows", zero_rows, 0.0),
+        ("zero_tol 0.5", tol, 0.5),
+        ("1e+-300", wide, 0.0),
+        ("subnormal", tiny, 0.0),
+    ]
+
+
+def _same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 203])
+def test_blocked_scan_is_bitwise_the_per_row_formula(n):
+    rng = np.random.default_rng(1000 + n)
+    for label, M, zt in _scan_corpus(rng, n):
+        al = _aleph_columns_per_row(M, zt)
+        assert np.array_equal(_aleph_columns(M, zt), al), label
+        reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
+        if n > 1:
+            c, witness = _max_pair_distance_dense(al)
+            assert _same(reports[0].c, c) and reports[0].witness == witness, label
+        for rep in reports[1:]:
+            assert _same(rep.c, reports[0].c), label
+            assert rep.witness == reports[0].witness, label
+            assert rep.a_star == reports[0].a_star, label
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_blocked_scan_nan_distance_wins_at_first_occurrence():
+    # pairs (1, 2) and (2, 3) have m = inf * 0 = NaN; the dense argmax picks
+    # the first NaN even though the finite pair (0, 1) comes earlier
+    M = np.tile([1.0, 1e-310, 1e300, 1e-310], (4, 1))
+    al = _aleph_columns_per_row(M, 0.0)
+    c, witness = _max_pair_distance_dense(al)
+    rep = contraction_coeff(M)
+    assert math.isnan(c) and witness == (1, 2)
+    assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None
