@@ -31,15 +31,16 @@ from .kernels import (
 )
 from .matrices import (
     _check_cone_preserving,
+    _first_dead_column,
+    as_nonneg_matrix,
     contraction_coeff,
     contraction_coeff_formula,
-    first_zero_column,
     is_cone_preserving,
     is_strictly_contracting,
     is_uniformly_positive,
     uniform_positivity_certificate,
 )
-from .perron import perron_iterate
+from .perron import _CONTRACTION_DIM_LIMIT, perron_iterate
 
 __all__ = ["CliError", "dumps", "main", "matrix_to_csv", "matrix_to_json", "read_kernel_grid", "read_matrix"]
 
@@ -228,8 +229,8 @@ def _report(command: str, inputs: dict, results: dict, warnings: list[str]) -> d
 
 
 def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> None:
-    if not is_cone_preserving(M, zero_tol):
-        j = first_zero_column(M, zero_tol)
+    j = _first_dead_column(as_nonneg_matrix(M), zero_tol)
+    if j is not None:
         raise CliError("not_cone_preserving", f"column {j} has no positive entry", f"{location}: column {j}")
 
 
@@ -341,8 +342,8 @@ def cmd_perron(args) -> dict:
     if not res.converged:
         warnings.append(f"max-iter {args.max_iter} reached before the step distance fell below tol")
     if res.error_bound is None:
-        if M.shape[1] > 512:
-            warnings.append("contraction coefficient skipped for dimension > 512; error bound unavailable")
+        if M.shape[1] > _CONTRACTION_DIM_LIMIT:
+            warnings.append(f"contraction coefficient skipped for dimension > {_CONTRACTION_DIM_LIMIT}; error bound unavailable")
         else:
             warnings.append("no contraction certificate (c = 1); error bound unavailable")
     results = {

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cone import psi
 from .matrices import ContractionReport, contraction_coeff
+from .matrices import _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich_constant
 
 __all__ = [
     "FactorizationCertificate",
@@ -90,8 +91,8 @@ class KernelGrid:
             raise ValueError(f"values must be a finite {n}x{n} grid")
         if np.any(values < 0.0):
             raise ValueError("kernel values must be nonnegative")
-        if not np.all((values > 0.0).any(axis=0)):
-            j = int(np.argmax(~(values > 0.0).any(axis=0)))
+        j = _first_dead_column(values, 0.0)
+        if j is not None:
             raise ValueError(f"column {j} of the value grid is identically zero")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -216,32 +217,27 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     :class:`KernelPatternError` identifies an offending grid point.
     """
     V = grid.values
-    pos = V > zero_tol
-    row_zero = ~pos.any(axis=1)
-    col_zero = ~pos.any(axis=0)
-    bad = ~pos & ~row_zero[:, None] & ~col_zero[None, :]
-    if bad.any():
-        k, j = (int(v) for v in np.argwhere(bad)[0])
-        raise KernelPatternError(k, j)
-    k0, j0 = (int(v) for v in np.unravel_index(int(np.argmax(V)), V.shape))
+    offender = _first_pattern_offender(V, zero_tol)
+    if offender is not None:
+        raise KernelPatternError(*offender)
+    k0, j0 = _first_argmax(V)
     g1 = V[:, j0].copy()
     g2 = V[k0, :] / V[k0, j0]
-    ratios = V[pos] / np.outer(g1, g2)[pos]
-    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    A = _sandwich_constant(V, g1, g2, zero_tol)
     cert = FactorizationCertificate(g1=g1, g2=g2, A=A, reference_row=k0, reference_col=j0)
     if not factorization_is_valid(V, cert):
         raise ArithmeticError("constructed factorization certificate failed validation; this should be unreachable")
     return cert
 
 
-def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0, workers: int | None = None) -> ContractionReport:
+def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> ContractionReport:
     """Contraction coefficient of the discretized operator.
 
     Invariant under the quadrature weights (scaling columns by positive
     numbers fixes every ray distance), so the estimate depends only on the
     sampled values and the node placement.
     """
-    return contraction_coeff(discretize(grid), zero_tol, workers=workers)
+    return contraction_coeff(discretize(grid), zero_tol)
 
 
 def relate_certificate_to_coefficient(grid: KernelGrid, zero_tol: float = 0.0) -> tuple[float, float]:

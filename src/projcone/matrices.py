@@ -51,13 +51,29 @@ def as_nonneg_matrix(M) -> np.ndarray:
     return arr
 
 
-def first_zero_column(M, zero_tol: float = 0.0) -> int | None:
-    """Index of the first column with no entry above ``zero_tol``, or None."""
-    M = as_nonneg_matrix(M)
+def _first_dead_column(M: np.ndarray, zero_tol: float) -> int | None:
+    """Index of the first column of the validated ``M`` with no entry above ``zero_tol``, or None."""
     dead = ~(M > zero_tol).any(axis=0)
-    if not dead.any():
-        return None
-    return int(np.argmax(dead))
+    return int(np.argmax(dead)) if dead.any() else None
+
+
+def _check_cone_preserving(M: np.ndarray, zero_tol: float) -> None:
+    """Raise ``ValueError`` naming the first column of the validated ``M`` with no entry above ``zero_tol``."""
+    j = _first_dead_column(M, zero_tol)
+    if j is not None:
+        raise ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
+
+
+def _first_argmax(V: np.ndarray) -> tuple[int, int]:
+    """Row and column of the first largest entry of ``V`` in row-major order."""
+    return tuple(int(k) for k in np.unravel_index(int(np.argmax(V)), V.shape))
+
+
+def _first_pattern_offender(M: np.ndarray, zero_tol: float) -> tuple[int, int] | None:
+    """First ``(row, col)`` in row-major order of a zero (at most ``zero_tol``) in a nonzero row and column, or None."""
+    pos = M > zero_tol
+    bad = ~pos & pos.any(axis=1)[:, None] & pos.any(axis=0)[None, :]
+    return _first_argmax(bad) if bad.any() else None
 
 
 def is_cone_preserving(M, zero_tol: float = 0.0) -> bool:
@@ -66,8 +82,7 @@ def is_cone_preserving(M, zero_tol: float = 0.0) -> bool:
     That is exactly the condition for ``M @ f`` to stay in the cone for
     every cone vector ``f``: no basis ray is annihilated.
     """
-    M = as_nonneg_matrix(M)
-    return bool(np.all((M > zero_tol).any(axis=0)))
+    return _first_dead_column(as_nonneg_matrix(M), zero_tol) is None
 
 
 def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
@@ -109,13 +124,6 @@ class ContractionReport:
 _SCAN_BLOCK_ROWS = 64
 
 
-def _check_cone_preserving(M: np.ndarray, zero_tol: float) -> None:
-    """Raise ``ValueError`` naming the first column of the validated ``M`` with no entry above ``zero_tol``."""
-    dead = ~(M > zero_tol).any(axis=0)
-    if dead.any():
-        raise ValueError(f"matrix is not cone-preserving: column {int(np.argmax(dead))} has no positive entry")
-
-
 def _aleph_columns(M: np.ndarray, zero_tol: float, workers: int | None = None) -> np.ndarray:
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
@@ -139,6 +147,8 @@ def _aleph_columns(M: np.ndarray, zero_tol: float, workers: int | None = None) -
     """
     n = M.shape[1]
     out = np.full((n, n), np.inf)
+    # Pool threads start from numpy's default error state: carry the caller's into every fill.
+    errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
     outside = M <= zero_tol
     if outside.any():
         denom, fold = np.where(outside, 0.0, M), np.fmin
@@ -149,7 +159,7 @@ def _aleph_columns(M: np.ndarray, zero_tol: float, workers: int | None = None) -
     def fill(lo: int, hi: int) -> None:
         buf = np.empty((rows, n))
         block_min = np.empty(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(**errstate):
             for k0 in range(0, n, rows):
                 chunk = M[k0:k0 + rows]
                 quot = buf[: chunk.shape[0]]
@@ -261,11 +271,7 @@ def is_uniformly_positive(M, zero_tol: float = 0.0) -> bool:
     submatrix is strictly positive.  For cone-preserving ``M`` this is
     exactly strict contraction, ``c(M) < 1``.
     """
-    M = as_nonneg_matrix(M)
-    pos = M > zero_tol
-    row_zero = ~pos.any(axis=1)
-    col_zero = ~pos.any(axis=0)
-    return bool(np.all(pos | row_zero[:, None] | col_zero[None, :]))
+    return _first_pattern_offender(as_nonneg_matrix(M), zero_tol) is None
 
 
 def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
@@ -276,11 +282,15 @@ def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
     :func:`is_uniformly_positive` on its domain.)
     """
     M = as_nonneg_matrix(M)
-    if not is_cone_preserving(M, zero_tol):
-        raise ValueError("matrix is not cone-preserving")
-    pos = M > zero_tol
-    row_zero = ~pos.any(axis=1)
-    return bool(np.all(pos | row_zero[:, None]))
+    _check_cone_preserving(M, zero_tol)
+    return _first_pattern_offender(M, zero_tol) is None
+
+
+def _sandwich_constant(V: np.ndarray, h: np.ndarray, b: np.ndarray, zero_tol: float) -> float:
+    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` wherever ``V > zero_tol`` (Birkhoff)."""
+    pos = V > zero_tol
+    r = V[pos] / np.outer(h, b)[pos]
+    return float(max(r.max(), (1.0 / r).max()))
 
 
 @dataclass(frozen=True)
@@ -325,22 +335,20 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     (first occurrence in row-major order), which necessarily lie in a
     nonzero row and column; ``h`` is the reference column, ``b`` the
     reference row, and ``A`` the smallest constant making the sandwich hold
-    for this particular pair, scanned over all entries in nonzero rows.
+    for this particular pair, scanned over all entries above ``zero_tol``
+    (once the pattern test passes, these are all entries in nonzero rows).
 
     The returned ``A`` is always at least :func:`a_star`, the optimal
     constant over *all* admissible pairs, and in general exceeds it.
     """
     M = as_nonneg_matrix(M)
-    if not is_cone_preserving(M, zero_tol):
-        raise ValueError("matrix is not cone-preserving")
-    if not is_uniformly_positive(M, zero_tol):
+    _check_cone_preserving(M, zero_tol)
+    if _first_pattern_offender(M, zero_tol) is not None:
         raise ValueError("matrix is not uniformly positive: some zero entry lies in a nonzero row and a nonzero column")
-    i0, j0 = (int(k) for k in np.unravel_index(int(np.argmax(M)), M.shape))
+    i0, j0 = _first_argmax(M)
     h = M[:, j0].copy()
     b = M[i0, :].copy()
-    rows_pos = (M > zero_tol).any(axis=1)
-    ratios = M[rows_pos, :] / np.outer(h[rows_pos], b)
-    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    A = _sandwich_constant(M, h, b, zero_tol)
     cert = UniformPositivityCertificate(h=h, b=b, A=A, reference_row=i0, reference_col=j0)
     if not certificate_is_valid(M, cert, zero_tol=zero_tol):
         raise ArithmeticError("constructed certificate failed validation; this should be unreachable")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import aleph, as_cone_vector, normalize, pseudo_distance
-from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff, is_cone_preserving
+from .cone import _aleph, as_cone_vector, normalize, phi
+from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff
 
 __all__ = [
     "PerronResult",
@@ -29,6 +29,8 @@ __all__ = [
     "perron_iterate",
     "product_contraction_bound",
 ]
+
+_CONTRACTION_DIM_LIMIT = 512  # default dimension above which perron_iterate skips the O(d^3) c(M)
 
 
 @dataclass(frozen=True)
@@ -52,10 +54,10 @@ class PerronResult:
 
 
 def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
-    """Extreme ratios (Mp)/p via the cone functionals; tolerant of boundary zeros."""
-    Mp = M @ p
-    lower = aleph(p, Mp, zero_tol)
-    a = aleph(Mp, p, zero_tol)
+    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is validated."""
+    Mp = as_cone_vector(M @ p, zero_tol)
+    lower = _aleph(p, Mp, zero_tol)
+    a = _aleph(Mp, p, zero_tol)
     upper = math.inf if a == 0.0 else 1.0 / a
     return lower, upper
 
@@ -75,8 +77,7 @@ def collatz_wielandt(M, f, zero_tol: float = 0.0) -> tuple[float, float]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
     if np.any(f <= 0.0):
         raise ValueError("collatz_wielandt requires a strictly positive vector")
-    if not is_cone_preserving(M, zero_tol):
-        raise ValueError("matrix is not cone-preserving")
+    _check_cone_preserving(M, zero_tol)
     return _eigenvalue_bracket(M, f, zero_tol)
 
 
@@ -86,8 +87,7 @@ def perron_iterate(
     tol: float = 1e-12,
     max_iter: int = 10000,
     zero_tol: float = 0.0,
-    contraction_dim_limit: int = 512,
-    workers: int | None = None,
+    contraction_dim_limit: int = _CONTRACTION_DIM_LIMIT,
 ) -> PerronResult:
     """Iterate ``p -> normalize(M @ p)`` until successive rays are within ``tol``.
 
@@ -119,26 +119,19 @@ def perron_iterate(
     n = M.shape[1]
     if f0 is None:
         f0 = np.ones(n)
-    p = as_cone_vector(f0, zero_tol)
+    p = normalize(f0, zero_tol)
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
-    p = normalize(p, zero_tol)
 
-    c = None
-    if n <= contraction_dim_limit:
-        c = contraction_coeff(M, zero_tol, workers=workers).c
-
-    step = math.inf
-    iterations = 0
-    converged = False
-    for _ in range(max_iter):
+    c = contraction_coeff(M, zero_tol).c if n <= contraction_dim_limit else None
+    for iterations in range(1, max_iter + 1):
+        # pseudo_distance(p, q) on vectors already validated (q by normalize: M @ p can overflow or vanish)
         q = normalize(M @ p, zero_tol)
-        step = pseudo_distance(p, q, zero_tol)
+        step = phi(min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0))
         p = q
-        iterations += 1
         if step <= tol:
-            converged = True
             break
+    converged = step <= tol
 
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)
     error_bound = c / (1.0 - c) * step if c is not None and c < 1.0 else None

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -355,3 +356,18 @@ def test_blocked_scan_nan_distance_wins_at_first_occurrence():
     rep = contraction_coeff(M)
     assert math.isnan(c) and witness == (1, 2)
     assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_scan_runs_under_the_callers_error_state(workers):
+    # column 1 divides row 0 into 1e300 / 1e-10, which overflows
+    M = np.ones((4, 4))
+    M[0, 0], M[0, 1] = 1e300, 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore"):
+            report = contraction_coeff(M, workers=workers)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            contraction_coeff(M, workers=workers)
+    with np.errstate(over="ignore"):
+        assert report == contraction_coeff(M)

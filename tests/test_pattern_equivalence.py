@@ -1,0 +1,162 @@
+"""Zero-pattern predicates and sandwich certificates against reference formulas.
+
+The library computes the zero pattern, the cone check and the sandwich
+constant once and shares them between matrices and kernels.  The reference
+formulas below are the separate per-function versions they replaced; every
+verdict, every offending grid point and every certificate must agree with
+them bit for bit.
+"""
+
+import itertools
+import struct
+
+import numpy as np
+import pytest
+
+from projcone import (
+    FactorizationCertificate,
+    KernelGrid,
+    KernelPatternError,
+    UniformPositivityCertificate,
+    certificate_is_valid,
+    factorization_certificate,
+    factorization_is_valid,
+    is_strictly_contracting,
+    is_uniformly_positive,
+    uniform_grid,
+    uniform_positivity_certificate,
+)
+
+
+def _ref_uniformly_positive(M, zt):
+    pos = M > zt
+    row_zero = ~pos.any(axis=1)
+    col_zero = ~pos.any(axis=0)
+    return bool(np.all(pos | row_zero[:, None] | col_zero[None, :]))
+
+
+def _ref_strictly_contracting(M, zt):
+    pos = M > zt
+    row_zero = ~pos.any(axis=1)
+    return bool(np.all(pos | row_zero[:, None]))
+
+
+def _ref_dead_column(M, zt):
+    dead = ~(M > zt).any(axis=0)
+    return int(np.argmax(dead)) if dead.any() else None
+
+
+def _ref_offender(V, zt):
+    pos = V > zt
+    row_zero = ~pos.any(axis=1)
+    col_zero = ~pos.any(axis=0)
+    bad = ~pos & ~row_zero[:, None] & ~col_zero[None, :]
+    return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
+
+
+def _ref_uniform_certificate(M, zt):
+    i0, j0 = (int(k) for k in np.unravel_index(int(np.argmax(M)), M.shape))
+    h = M[:, j0].copy()
+    b = M[i0, :].copy()
+    rows_pos = (M > zt).any(axis=1)
+    ratios = M[rows_pos, :] / np.outer(h[rows_pos], b)
+    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    return UniformPositivityCertificate(h=h, b=b, A=A, reference_row=i0, reference_col=j0)
+
+
+def _ref_factorization(V, zt):
+    pos = V > zt
+    k0, j0 = (int(v) for v in np.unravel_index(int(np.argmax(V)), V.shape))
+    g1 = V[:, j0].copy()
+    g2 = V[k0, :] / V[k0, j0]
+    ratios = V[pos] / np.outer(g1, g2)[pos]
+    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    return FactorizationCertificate(g1=g1, g2=g2, A=A, reference_row=k0, reference_col=j0)
+
+
+def _bits(cert):
+    """Every field of a certificate: arrays and floats by their IEEE bits, ints as they are."""
+    out = []
+    for x in vars(cert).values():
+        if isinstance(x, np.ndarray):
+            out.append(x.tobytes())
+        elif isinstance(x, float):
+            out.append(struct.pack("<d", x))
+        else:
+            out.append(x)
+    return out
+
+
+def _corpus():
+    rng = np.random.default_rng(71)
+    for d in (1, 2, 3):
+        for bits in itertools.product((0.0, 1.0), repeat=d * d):
+            pattern = np.array(bits).reshape(d, d)
+            for M in (pattern, pattern * rng.uniform(0.1, 3.0, size=(d, d))):
+                for zt in (0.0, 0.5):
+                    yield f"d={d} {bits} zt={zt}", M, zt
+    for k in range(300):
+        d = int(rng.integers(2, 10))
+        M = 10.0 ** rng.uniform(-3.0, 1.0, size=(d, d))
+        M[rng.random(d) < 0.3, :] = 0.0
+        M[:, rng.random(d) < 0.2] = 0.0
+        if k % 3 == 0:
+            M[rng.random((d, d)) < 0.1] = 0.0
+        if not M.any():
+            M[0, 0] = 1.0
+        for zt in (0.0, 0.01, 0.5):
+            yield f"random {k} zt={zt}", M, zt
+
+
+def test_zero_pattern_and_sandwich_match_reference_formulas():
+    # A certificate that fails its own validator raises ArithmeticError; with
+    # zero_tol > 0 that happens when a row's positive entries all lie at or
+    # below zero_tol, and the library must fail on exactly those inputs.
+    certified = factorized = unvalidated = 0
+    for label, M, zt in _corpus():
+        dead = _ref_dead_column(M, zt)
+        assert is_uniformly_positive(M, zt) == _ref_uniformly_positive(M, zt), label
+        if dead is None:
+            assert is_strictly_contracting(M, zt) == _ref_strictly_contracting(M, zt), label
+        else:
+            with pytest.raises(ValueError, match="not cone-preserving"):
+                is_strictly_contracting(M, zt)
+
+        if dead is None and _ref_uniformly_positive(M, zt):
+            ref = _ref_uniform_certificate(M, zt)
+            if certificate_is_valid(M, ref, zero_tol=zt):
+                assert _bits(uniform_positivity_certificate(M, zt)) == _bits(ref), label
+                certified += 1
+            else:
+                with pytest.raises(ArithmeticError):
+                    uniform_positivity_certificate(M, zt)
+                unvalidated += 1
+        else:
+            with pytest.raises(ValueError):
+                uniform_positivity_certificate(M, zt)
+
+        nodes, weights = uniform_grid(M.shape[0])
+        dead_at_zero = _ref_dead_column(M, 0.0)
+        if dead_at_zero is not None:
+            with pytest.raises(ValueError, match=f"^column {dead_at_zero} of the value grid is identically zero$"):
+                KernelGrid(nodes=nodes, weights=weights, values=M)
+            continue
+        grid = KernelGrid(nodes=nodes, weights=weights, values=M)
+        offender = _ref_offender(M, zt)
+        if offender is not None:
+            with pytest.raises(KernelPatternError) as info:
+                factorization_certificate(grid, zt)
+            assert (info.value.row, info.value.col) == offender, label
+        elif (M > zt).any():
+            ref = _ref_factorization(M, zt)
+            if factorization_is_valid(M, ref):
+                assert _bits(factorization_certificate(grid, zt)) == _bits(ref), label
+                factorized += 1
+            else:
+                with pytest.raises(ArithmeticError):
+                    factorization_certificate(grid, zt)
+                unvalidated += 1
+        else:
+            with pytest.raises(ValueError):
+                factorization_certificate(grid, zt)
+    assert certified > 100 and factorized > 100 and unvalidated > 0

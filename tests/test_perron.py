@@ -1,9 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from projcone import (
+    PerronResult,
+    aleph,
     collatz_wielandt,
     contraction_coeff,
     normalize,
@@ -171,3 +174,82 @@ def test_large_dimension_skips_error_bound():
     M = rng.uniform(0.5, 1.5, size=(20, 20))
     res = perron_iterate(M, contraction_dim_limit=10, max_iter=500)
     assert res.converged and res.error_bound is None
+
+
+def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0, contraction_dim_limit=512):
+    """The loop through the public, validating functions: normalize, pseudo_distance, aleph."""
+    M = np.asarray(M, dtype=float)
+    n = M.shape[1]
+    p = normalize(np.ones(n) if f0 is None else f0, zero_tol)
+    c = contraction_coeff(M, zero_tol).c if n <= contraction_dim_limit else None
+    step, iterations, converged = math.inf, 0, False
+    for _ in range(max_iter):
+        q = normalize(M @ p, zero_tol)
+        step = pseudo_distance(p, q, zero_tol)
+        p = q
+        iterations += 1
+        if step <= tol:
+            converged = True
+            break
+    lower, upper = _validating_bracket(M, p, zero_tol)
+    error_bound = c / (1.0 - c) * step if c is not None and c < 1.0 else None
+    return PerronResult(p, lower, upper, iterations, step, error_bound, converged)
+
+
+def _validating_bracket(M, p, zero_tol=0.0):
+    Mp = M @ p
+    a = aleph(Mp, p, zero_tol)
+    return aleph(p, Mp, zero_tol), math.inf if a == 0.0 else 1.0 / a
+
+
+def _bits(res):
+    """Every field of a PerronResult, floats and arrays by their IEEE bits."""
+    return [x.tobytes() if isinstance(x, np.ndarray) else struct.pack("<d", x) if isinstance(x, float) else x
+            for x in vars(res).values()]
+
+
+def _slowly_mixing(rng, n):
+    return np.eye(n) + 0.02 * rng.uniform(0.1, 1.0, size=(n, n))
+
+
+def test_loop_is_bitwise_the_validating_route():
+    rng = np.random.default_rng(36)
+    cases = [(f"slow n={n}", _slowly_mixing(rng, n), {}) for n in (2, 5, 16, 64)]
+    M = rng.uniform(0.0, 1.0, size=(6, 6))
+    cases.append(("zero_tol 0.2", M, {"zero_tol": 0.2}))
+    cases.append(("zero_tol 0.2, start with zeros", M, {"zero_tol": 0.2, "f0": [0, 1, 0, 0.1, 0, 2]}))
+    for n in (3, 8):
+        f0 = rng.uniform(0.5, 2.0, size=n)
+        f0[: n // 2] = 0.0
+        cases.append((f"start with zeros n={n}", random_cone_preserving_matrix(rng, n), {"f0": f0}))
+    cases.append(("c = 1, max_iter", [[0.0, 1.0], [1.0, 0.0]], {"f0": [1.0, 2.0], "max_iter": 37}))
+    cases.append(("block diagonal, max_iter", np.kron(np.eye(2), np.ones((2, 2))), {"f0": [1, 2, 3, 4], "max_iter": 5}))
+    cases.append(("dimension limit", _slowly_mixing(rng, 12), {"contraction_dim_limit": 10, "tol": 1e-9}))
+    M = _slowly_mixing(rng, 4)
+    cases.append(("tol equal to the third step", M, {"tol": _validating_route(M, max_iter=3).final_step_distance}))
+    for label, M, kwargs in cases:
+        res = perron_iterate(M, **kwargs)
+        assert _bits(res) == _bits(_validating_route(M, **kwargs)), label
+    assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
+
+
+def test_collatz_wielandt_is_bitwise_the_validating_route():
+    rng = np.random.default_rng(37)
+    for n in (1, 2, 7, 30):
+        for M in (rng.uniform(0.1, 5.0, size=(n, n)), random_cone_preserving_matrix(rng, n)):
+            f = rng.uniform(0.01, 3.0, size=n)
+            for zt in (0.0, 0.5):
+                if not (M > zt).any(axis=0).all():
+                    continue
+                got = struct.pack("<2d", *collatz_wielandt(M, f, zt))
+                assert got == struct.pack("<2d", *_validating_bracket(M, f, zt)), (n, zt)
+
+
+def test_bracket_rejects_an_image_outside_the_cone():
+    # the last iterate is valid, but its image overflows
+    M = np.array([[1e308, 1e308], [1e308, 1e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            collatz_wielandt(M, [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            _validating_bracket(M, np.array([1.0, 1.0]))
