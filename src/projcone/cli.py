@@ -36,11 +36,10 @@ from .matrices import (
     contraction_coeff,
     contraction_coeff_formula,
     is_cone_preserving,
-    is_strictly_contracting,
     is_uniformly_positive,
     uniform_positivity_certificate,
 )
-from .perron import _CONTRACTION_DIM_LIMIT, perron_iterate
+from .perron import perron_iterate
 
 __all__ = ["CliError", "dumps", "main", "matrix_to_csv", "matrix_to_json", "read_kernel_grid", "read_matrix"]
 
@@ -80,30 +79,23 @@ def _emit(obj, out: list, indent: int | None, depth: int) -> None:
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_format_float(float(obj)))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{")
-        for k, (key, val) in enumerate(obj.items()):
-            if k:
-                out.append(",")
-            out.append(pad)
-            out.append(json.dumps(str(key)) + ": ")
-            _emit(val, out, indent, depth + 1)
-        out.append(end + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        is_dict = isinstance(obj, dict)
+        items = list(obj.items() if is_dict else obj)
+        brackets = "{}" if is_dict else "[]"
         if not items:
-            out.append("[]")
+            out.append(brackets)
             return
-        out.append("[")
-        for k, val in enumerate(items):
+        out.append(brackets[0])
+        for k, item in enumerate(items):
             if k:
                 out.append(",")
             out.append(pad)
-            _emit(val, out, indent, depth + 1)
-        out.append(end + "]")
+            if is_dict:
+                key, item = item
+                out.append(json.dumps(str(key)) + ": ")
+            _emit(item, out, indent, depth + 1)
+        out.append(end + brackets[1])
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -159,7 +151,7 @@ def read_matrix(path: str) -> np.ndarray:
     if path.endswith(".json"):
         try:
             obj = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the parser's stack
             raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise CliError("parse_error", 'expected a JSON object with a "matrix" key', path)
@@ -210,7 +202,7 @@ def read_kernel_grid(path: str) -> KernelGrid:
             obj = json.load(fh)
     except OSError as exc:
         raise CliError("file_not_found", str(exc), path) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
     if not isinstance(obj, dict) or not {"nodes", "weights", "values"} <= set(obj):
         raise CliError("parse_error", 'expected a JSON object with "nodes", "weights" and "values"', path)
@@ -300,15 +292,17 @@ def cmd_check(args) -> dict:
     warnings: list[str] = []
     cone_preserving = is_cone_preserving(M, zt)
     uniformly_positive = is_uniformly_positive(M, zt)
-    strictly_contracting = None
-    if cone_preserving:
-        strictly_contracting = is_strictly_contracting(M, zt)
-    else:
+    # for a cone-preserving matrix the pattern test decides strict contraction
+    strictly_contracting = uniformly_positive if cone_preserving else None
+    if not cone_preserving:
         warnings.append("matrix is not cone-preserving; strictly_contracting is undefined and reported as null")
     certificate = None
     if cone_preserving and uniformly_positive:
-        cert = uniform_positivity_certificate(M, zt)
-        certificate = {"h": cert.h, "b": cert.b, "A": cert.A, "i0": cert.reference_row, "j0": cert.reference_col}
+        try:
+            cert = uniform_positivity_certificate(M, zt)
+            certificate = {"h": cert.h, "b": cert.b, "A": cert.A, "i0": cert.reference_row, "j0": cert.reference_col}
+        except ArithmeticError:
+            warnings.append("certificate omitted: the constructed sandwich failed validation")
     elif uniformly_positive:
         warnings.append("certificate omitted: matrix is not cone-preserving")
     results = {
@@ -328,12 +322,10 @@ def cmd_perron(args) -> dict:
         raise CliError("bad_flags", f"--tol must be positive, got {args.tol}", "perron")
     if args.max_iter < 1:
         raise CliError("bad_flags", f"--max-iter must be at least 1, got {args.max_iter}", "perron")
+    inputs = {"file": args.file, "tol": args.tol, "max_iter": args.max_iter, "zero_tol": zt}
     f0 = None
     if args.start is not None:
-        f0 = parse_vector_literal(args.start, "--start")
-    inputs = {"file": args.file, "tol": args.tol, "max_iter": args.max_iter, "zero_tol": zt}
-    if f0 is not None:
-        inputs["start"] = f0
+        f0 = inputs["start"] = parse_vector_literal(args.start, "--start")
     try:
         res = perron_iterate(M, f0, tol=args.tol, max_iter=args.max_iter, zero_tol=zt)
     except ValueError as exc:
@@ -341,11 +333,8 @@ def cmd_perron(args) -> dict:
     warnings = []
     if not res.converged:
         warnings.append(f"max-iter {args.max_iter} reached before the step distance fell below tol")
-    if res.error_bound is None:
-        if M.shape[1] > _CONTRACTION_DIM_LIMIT:
-            warnings.append(f"contraction coefficient skipped for dimension > {_CONTRACTION_DIM_LIMIT}; error bound unavailable")
-        else:
-            warnings.append("no contraction certificate (c = 1); error bound unavailable")
+    if res.no_bound_reason is not None:
+        warnings.append(res.no_bound_reason)
     results = {
         "eigenvector": res.eigenvector,
         "eigenvalue_lower": res.eigenvalue_lower,
@@ -391,6 +380,8 @@ def cmd_kernel(args) -> dict:
         raise CliError("pattern_failure", str(exc), f"values[{exc.row}][{exc.col}]") from None
     except ValueError as exc:
         raise CliError("invalid_input", str(exc), "kernel") from None
+    except ArithmeticError:
+        raise CliError("certificate_failure", "the constructed factorization certificate failed validation", "kernel") from None
     c_values_only = contraction_coeff(grid.values, zt).c
     deviation = abs(report.c - c_values_only)
     results = {

@@ -30,7 +30,7 @@ __all__ = [
     "product_contraction_bound",
 ]
 
-_CONTRACTION_DIM_LIMIT = 512  # default dimension above which perron_iterate skips the O(d^3) c(M)
+_CONTRACTION_DIM_LIMIT = 512  # above this dimension perron_iterate skips the O(d^3) c(M) and reports no error bound
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,8 @@ class PerronResult:
     ``eigenvector`` is the canonical (sup-norm 1) representative of the last
     iterate.  ``error_bound`` is the certified bounded-metric distance from
     it to the true fixed ray; present exactly when a contraction coefficient
-    ``c < 1`` was computed, absent otherwise (``c = 1``, or the dimension
-    exceeded the coefficient budget).
+    ``c < 1`` was computed.  Otherwise ``no_bound_reason`` says why it is
+    absent: ``c = 1``, or a dimension above 512, where ``c`` is not computed.
     """
 
     eigenvector: np.ndarray
@@ -51,6 +51,7 @@ class PerronResult:
     final_step_distance: float
     error_bound: float | None
     converged: bool
+    no_bound_reason: str | None = None
 
 
 def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
@@ -87,7 +88,6 @@ def perron_iterate(
     tol: float = 1e-12,
     max_iter: int = 10000,
     zero_tol: float = 0.0,
-    contraction_dim_limit: int = _CONTRACTION_DIM_LIMIT,
 ) -> PerronResult:
     """Iterate ``p -> normalize(M @ p)`` until successive rays are within ``tol``.
 
@@ -106,9 +106,6 @@ def perron_iterate(
         Iteration budget; hitting it is reported (``converged=False``), not
         an error, since matrices with ``c = 1`` may legitimately never
         settle.
-    contraction_dim_limit : int
-        ``c(M)`` costs O(d^3); above this dimension it is skipped and no
-        error bound is attached.
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(M, zero_tol)
@@ -123,7 +120,11 @@ def perron_iterate(
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
 
-    c = contraction_coeff(M, zero_tol).c if n <= contraction_dim_limit else None
+    if n > _CONTRACTION_DIM_LIMIT:
+        c, no_bound_reason = None, f"contraction coefficient skipped for dimension > {_CONTRACTION_DIM_LIMIT}; error bound unavailable"
+    else:
+        c = contraction_coeff(M, zero_tol).c
+        no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
     for iterations in range(1, max_iter + 1):
         # pseudo_distance(p, q) on vectors already validated (q by normalize: M @ p can overflow or vanish)
         q = normalize(M @ p, zero_tol)
@@ -134,7 +135,7 @@ def perron_iterate(
     converged = step <= tol
 
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)
-    error_bound = c / (1.0 - c) * step if c is not None and c < 1.0 else None
+    error_bound = None if no_bound_reason else c / (1.0 - c) * step
     return PerronResult(
         eigenvector=p,
         eigenvalue_lower=lower,
@@ -143,6 +144,7 @@ def perron_iterate(
         final_step_distance=step,
         error_bound=error_bound,
         converged=converged,
+        no_bound_reason=no_bound_reason,
     )
 
 

@@ -220,6 +220,22 @@ def test_check_non_preserving_warns(tmp_path, capsys):
     assert report["warnings"]
 
 
+@pytest.mark.parametrize("text, flags", [
+    ("1,1\n0.3,0\n", ["--zero-tol", "0.5"]),  # row 1's only positive entry is at or below zero_tol
+    ("1e-310,1e-310\n1e-310,2e-310\n", []),  # subnormal entries
+])
+def test_check_reports_a_failed_certificate(tmp_path, capsys, text, flags):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = run_report(capsys, "check", str(path), *flags)
+    res = report["results"]
+    assert res["cone_preserving"] and res["uniformly_positive"] and res["strictly_contracting"]
+    assert res["certificate"] is None
+    assert report["warnings"] == ["certificate omitted: the constructed sandwich failed validation"]
+
+
 # ---------------------------------------------------------------------------
 # perron
 
@@ -249,6 +265,14 @@ def test_perron_no_certificate_warning(tmp_path, capsys):
     assert any("no contraction certificate" in w for w in report["warnings"])
     assert any("max-iter" in w for w in report["warnings"])
     assert "error_bound" not in report["results"]
+
+
+def test_perron_skips_the_bound_above_dimension_512(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text(matrix_to_csv(np.random.default_rng(52).uniform(0.5, 1.5, size=(513, 513))))
+    report = run_report(capsys, "perron", str(path))
+    assert report["warnings"] == ["contraction coefficient skipped for dimension > 512; error bound unavailable"]
+    assert report["results"]["converged"] and "error_bound" not in report["results"]
 
 
 def test_perron_start_flag(tmp_path, capsys):
@@ -332,6 +356,23 @@ def test_kernel_cone_check_precedes_pattern_check(tmp_path, capsys):
     payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.05")
     assert payload["code"] == "invalid_input"
     assert "column 1" in payload["message"]
+
+
+def test_kernel_failed_certificate_is_structured(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1], [0.3, 0]]}))
+    payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.4")
+    assert payload["code"] == "certificate_failure"
+    assert payload["location"] == "kernel"
+
+
+@pytest.mark.parametrize("argv", [["coeff"], ["kernel", "--file"]])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    payload = run_error(capsys, *argv, str(path))
+    assert payload["code"] == "parse_error"
+    assert payload["location"] == str(path)
 
 
 def test_kernel_flag_validation(capsys):

@@ -171,17 +171,30 @@ def test_product_contraction_bound():
 
 def test_large_dimension_skips_error_bound():
     rng = np.random.default_rng(35)
-    M = rng.uniform(0.5, 1.5, size=(20, 20))
-    res = perron_iterate(M, contraction_dim_limit=10, max_iter=500)
+    M = rng.uniform(0.5, 1.5, size=(513, 513))
+    res = perron_iterate(M, max_iter=500)
     assert res.converged and res.error_bound is None
 
 
-def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0, contraction_dim_limit=512):
+_SKIPPED = "contraction coefficient skipped for dimension > 512; error bound unavailable"
+_NO_CERTIFICATE = "no contraction certificate (c = 1); error bound unavailable"
+
+
+def test_no_bound_reason():
+    res = perron_iterate([[2.0, 1.0], [1.0, 2.0]])
+    assert res.error_bound is not None and res.no_bound_reason is None
+    res = perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=10)
+    assert res.error_bound is None and res.no_bound_reason == _NO_CERTIFICATE
+    res = perron_iterate(np.random.default_rng(38).uniform(0.5, 1.5, size=(513, 513)))
+    assert res.error_bound is None and res.no_bound_reason == _SKIPPED
+
+
+def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
     """The loop through the public, validating functions: normalize, pseudo_distance, aleph."""
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     p = normalize(np.ones(n) if f0 is None else f0, zero_tol)
-    c = contraction_coeff(M, zero_tol).c if n <= contraction_dim_limit else None
+    c = contraction_coeff(M, zero_tol).c if n <= 512 else None
     step, iterations, converged = math.inf, 0, False
     for _ in range(max_iter):
         q = normalize(M @ p, zero_tol)
@@ -193,7 +206,8 @@ def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0, contr
             break
     lower, upper = _validating_bracket(M, p, zero_tol)
     error_bound = c / (1.0 - c) * step if c is not None and c < 1.0 else None
-    return PerronResult(p, lower, upper, iterations, step, error_bound, converged)
+    no_bound_reason = None if error_bound is not None else _SKIPPED if c is None else _NO_CERTIFICATE
+    return PerronResult(p, lower, upper, iterations, step, error_bound, converged, no_bound_reason)
 
 
 def _validating_bracket(M, p, zero_tol=0.0):
@@ -224,7 +238,7 @@ def test_loop_is_bitwise_the_validating_route():
         cases.append((f"start with zeros n={n}", random_cone_preserving_matrix(rng, n), {"f0": f0}))
     cases.append(("c = 1, max_iter", [[0.0, 1.0], [1.0, 0.0]], {"f0": [1.0, 2.0], "max_iter": 37}))
     cases.append(("block diagonal, max_iter", np.kron(np.eye(2), np.ones((2, 2))), {"f0": [1, 2, 3, 4], "max_iter": 5}))
-    cases.append(("dimension limit", _slowly_mixing(rng, 12), {"contraction_dim_limit": 10, "tol": 1e-9}))
+    cases.append(("dimension limit", _slowly_mixing(np.random.default_rng(39), 513), {"tol": 1e-9}))
     M = _slowly_mixing(rng, 4)
     cases.append(("tol equal to the third step", M, {"tol": _validating_route(M, max_iter=3).final_step_distance}))
     for label, M, kwargs in cases:
