@@ -148,6 +148,8 @@ def read_matrix(path: str) -> np.ndarray:
             text = fh.read()
     except OSError as exc:
         raise CliError("file_not_found", str(exc), path) from None
+    except UnicodeDecodeError as exc:
+        raise CliError("parse_error", f"not UTF-8 text: {exc}", path) from None
     if path.endswith(".json"):
         try:
             obj = json.loads(text)
@@ -202,6 +204,8 @@ def read_kernel_grid(path: str) -> KernelGrid:
             obj = json.load(fh)
     except OSError as exc:
         raise CliError("file_not_found", str(exc), path) from None
+    except UnicodeDecodeError as exc:
+        raise CliError("parse_error", f"not UTF-8 text: {exc}", path) from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
     if not isinstance(obj, dict) or not {"nodes", "weights", "values"} <= set(obj):

@@ -375,6 +375,15 @@ def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, argv):
     assert payload["location"] == str(path)
 
 
+@pytest.mark.parametrize("argv, name", [(["coeff"], "bad.csv"), (["kernel", "--file"], "bad.json")])
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, argv, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe1,2")
+    payload = run_error(capsys, *argv, str(path))
+    assert payload["code"] == "parse_error"
+    assert payload["location"] == str(path)
+
+
 def test_kernel_flag_validation(capsys):
     assert run_error(capsys, "kernel")["code"] == "bad_flags"
     assert run_error(capsys, "kernel", "--builtin", "nosuch", "--n", "4")["code"] == "bad_flags"

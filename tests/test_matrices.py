@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
+import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,9 +23,11 @@ from projcone import (
     phi,
     pseudo_distance,
     psi,
+    psi_inverse,
     uniform_positivity_certificate,
 )
-from projcone.matrices import _SCAN_BLOCK_ROWS, _aleph_columns
+from projcone import matrices
+from projcone.matrices import _SCAN_BLOCK_ROWS, _aleph_columns, _max_pair_distance, _usable_cpus
 
 from _util import assert_batch_matches_scalar, batch_pseudo_distance, random_cone_preserving_matrix, random_cone_vector
 
@@ -371,3 +376,166 @@ def test_scan_runs_under_the_callers_error_state(workers):
             contraction_coeff(M, workers=workers)
     with np.errstate(over="ignore"):
         assert report == contraction_coeff(M)
+
+
+# ---------------------------------------------------------------------------
+# c = 1 decided by the zero pattern, against the full scan
+
+
+_SHORTCUT_VALUES = np.array([1e-310, 1e-300, 1e-15, 0.3, 1.0, 2.0, 1e15, 1e300])
+
+
+def _shortcut_corpus(rng, count):
+    """(matrix, zero_tol) pairs: n = 2..70, 0-50% zeros, some zeros only in all-zero rows.
+
+    Entries come from _SHORTCUT_VALUES or uniform(0, 1).  zero_tol cycles
+    through 0, 0.5 with no entry in (0, 0.5], and 0.5 with such entries.
+    Every fifth matrix writes its zeros as -0.0.  The first matrix has its
+    zeros in an all-zero row, and c rounds to 1.0 on its pair (0, 1).
+    """
+    yield np.array([[1e-15, 1e15, 1.0], [1e15, 1e-15, 1.0], [0.0, 0.0, 0.0]]), 0.0
+    for k in range(count):
+        n = int(rng.integers(2, 71))
+        if k % 2:
+            M = rng.choice(_SHORTCUT_VALUES, size=(n, n))
+        else:
+            M = rng.uniform(0.0, 1.0, size=(n, n))
+        if k % 4 == 3:
+            M[rng.random(n) < 0.3] = 0.0
+        else:
+            M[rng.random((n, n)) < rng.uniform(0.0, 0.5)] = 0.0
+        zt = (0.0, 0.5, 0.5)[k % 3]
+        if k % 3 == 1:
+            M[(M > 0.0) & (M <= zt)] = 0.0
+        for j in np.flatnonzero(~(M > zt).any(axis=0)):
+            M[int(rng.integers(n)), j] = 1.0
+        if k % 5 == 0:
+            M[M == 0.0] = -0.0
+        yield M, zt
+
+
+def _pattern_decides(M, zero_tol):
+    """Whether c(M) = 1 may be settled without the scan."""
+    outside = M <= zero_tol
+    if not outside.any() or M[outside].any() or is_uniformly_positive(M, zero_tol):
+        return False
+    return math.isfinite(float(M.max()) / float(M[M > 0.0].min()))
+
+
+@pytest.fixture
+def full_scans(monkeypatch):
+    """Dimensions of the matrices contraction_coeff sends through the full scan."""
+    dims = []
+
+    def spy(M, *args, **kwargs):
+        dims.append(M.shape[0])
+        return _aleph_columns(M, *args, **kwargs)
+
+    monkeypatch.setattr(matrices, "_aleph_columns", spy)
+    return dims
+
+
+def test_pattern_shortcut_is_bitwise_the_full_scan(full_scans):
+    rng = np.random.default_rng(2024)
+    decided = inexact_zeros = refused = 0
+    for M, zt in _shortcut_corpus(rng, 600):
+        scans = len(full_scans)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = contraction_coeff(M, zt)
+            c, witness = _max_pair_distance(_aleph_columns(M, zt))
+        label = (M.tolist(), zt)
+        assert _same(rep.c, c) and rep.witness == witness, label
+        assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
+        decides = _pattern_decides(M, zt)
+        assert (len(full_scans) == scans) == decides, label
+        offender = not is_uniformly_positive(M, zt)
+        exact_zeros = not ((M > 0.0) & (M <= zt)).any()
+        decided += decides
+        inexact_zeros += offender and not exact_zeros
+        refused += offender and exact_zeros and not decides
+    # every route is exercised: the shortcut, entries in (0, zero_tol], and the overflow guard
+    assert decided >= 200 and inexact_zeros >= 50 and refused >= 10, (decided, inexact_zeros, refused)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_pattern_shortcut_keeps_the_overflow_verdicts():
+    rng = np.random.default_rng(2025)
+    raised = 0
+    for M, zt in _shortcut_corpus(rng, 300):
+        verdicts = []
+        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, zt))):
+            try:
+                with np.errstate(over="raise"):
+                    rep = route()
+                c, witness = rep if isinstance(rep, tuple) else (rep.c, rep.witness)
+                verdicts.append((repr(c), witness))
+            except FloatingPointError:
+                verdicts.append("overflow")
+        assert verdicts[0] == verdicts[1], (M.tolist(), zt)
+        raised += verdicts[0] == "overflow"
+    assert raised >= 20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+def test_pattern_shortcut_leaves_the_nan_coefficient(full_scans):
+    # row 0 of the pair table reaches 1.0 at (0, 1), but 1e300 / 1e-310
+    # overflows, so pair (1, 2) is inf * 0 = NaN, as at full scan
+    M = np.tile([1.0, 1e-310, 1e300, 1e-310], (4, 1))
+    M[3, 0] = 0.0
+    rep = contraction_coeff(M)
+    assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None
+    assert full_scans == [4]
+
+
+def test_pattern_shortcut_skips_the_scan_at_n_1024(full_scans):
+    M = random_cone_preserving_matrix(np.random.default_rng(2026), 1024, zero_prob=0.3)
+    start = time.perf_counter()
+    rep = contraction_coeff(M)
+    elapsed = time.perf_counter() - start
+    assert rep.c == 1.0 and rep.witness[0] == 0 and rep.a_star is None
+    assert full_scans == [] and elapsed < 1.0, elapsed
+
+
+# ---------------------------------------------------------------------------
+# threads for the scan: the process's CPUs from n = 512 on
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Thread counts of the pools the scan starts."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(matrices, "ThreadPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_scan_stays_serial_on_one_cpu_and_below_512(monkeypatch, pool_sizes):
+    M = np.random.default_rng(2027).uniform(0.5, 1.5, size=(512, 512))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    contraction_coeff(M)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    contraction_coeff(M[:511, :511])
+    assert pool_sizes == []
+
+
+def test_scan_uses_two_cpus_at_512_with_the_serial_report(monkeypatch, pool_sizes):
+    M = np.random.default_rng(2028).uniform(0.5, 1.5, size=(512, 512))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    threaded = contraction_coeff(M)
+    assert pool_sizes == [2]
+    assert threaded == contraction_coeff(M, workers=1)
+    assert pool_sizes == [2]
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert _usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _usable_cpus() == 1
