@@ -141,20 +141,23 @@ def _matrix_from_rows(rows: list[list[float]], location: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def read_matrix(path: str) -> np.ndarray:
-    """Read a nonnegative matrix from a CSV file or a JSON {"matrix": [[...]]} file."""
+def _load(path: str, as_json: bool):
+    """Text of the UTF-8 file ``path``, parsed when ``as_json``; file, encoding and JSON errors are ``CliError`` at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return json.load(fh) if as_json else fh.read()
     except OSError as exc:
         raise CliError("file_not_found", str(exc), path) from None
     except UnicodeDecodeError as exc:
         raise CliError("parse_error", f"not UTF-8 text: {exc}", path) from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the parser's stack
+        raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
+
+
+def read_matrix(path: str) -> np.ndarray:
+    """Read a nonnegative matrix from a CSV file or a JSON {"matrix": [[...]]} file."""
     if path.endswith(".json"):
-        try:
-            obj = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested deeper than the parser's stack
-            raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
+        obj = _load(path, as_json=True)
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise CliError("parse_error", 'expected a JSON object with a "matrix" key', path)
         raw = obj["matrix"]
@@ -178,7 +181,7 @@ def read_matrix(path: str) -> np.ndarray:
             rows.append(parsed)
         return _matrix_from_rows(rows, path)
     rows = []
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_load(path, as_json=False).splitlines(), 1):
         if line.strip() == "":
             continue
         rows.append([_parse_entry(cell.strip(), f"{path}:{lineno}") for cell in line.split(",")])
@@ -199,15 +202,7 @@ def matrix_to_json(M, indent: int | None = None) -> str:
 
 def read_kernel_grid(path: str) -> KernelGrid:
     """Read a kernel grid from a JSON {"nodes", "weights", "values"} file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CliError("file_not_found", str(exc), path) from None
-    except UnicodeDecodeError as exc:
-        raise CliError("parse_error", f"not UTF-8 text: {exc}", path) from None
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
+    obj = _load(path, as_json=True)
     if not isinstance(obj, dict) or not {"nodes", "weights", "values"} <= set(obj):
         raise CliError("parse_error", 'expected a JSON object with "nodes", "weights" and "values"', path)
     try:
@@ -410,9 +405,20 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("bad_flags", message, self.prog)
 
 
+def _zero_tol(text: str) -> float:
+    """``--zero-tol`` value: a finite number >= 0.  A malformed number gets argparse's own ``float`` message."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--zero-tol", type=float, default=0.0, metavar="T",
+    common.add_argument("--zero-tol", type=_zero_tol, default=0.0, metavar="T",
                         help="entries at or below T count as zero in pattern tests (default 0)")
     common.add_argument("--json-indent", type=int, default=None, metavar="N",
                         help="pretty-print the report with N-space indentation")

@@ -6,7 +6,8 @@ zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
 between column rays.  It is computable in O(d^3) by scanning all column
-pairs, and in O(d^2) whenever the zero pattern alone decides ``c(M) = 1``.
+pairs.  The metric is bounded by 1, so one pair at distance exactly 1
+settles ``c(M) = 1``; when column 0 has such a partner, O(d^2) suffices.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -199,8 +200,17 @@ def _aleph_columns(
     return out
 
 
+def _pair_distances(a: np.ndarray, b: np.ndarray, m: np.ndarray | None = None, d: np.ndarray | None = None) -> np.ndarray:
+    """Bounded-metric distances ``phi(min(a * b, 1))`` of aleph pairs, elementwise, into the optional buffers ``m`` and ``d``."""
+    m = np.multiply(a, b, out=m)
+    np.minimum(m, 1.0, out=m)
+    d = np.subtract(1.0, m, out=d)
+    np.add(1.0, m, out=m)
+    return np.divide(d, m, out=d)
+
+
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest ``phi(min(al[i, j] * al[j, i], 1))`` over pairs ``i < j``, and its first pair.
+    """Largest distance ``_pair_distances(al[i, j], al[j, i])`` over pairs ``i < j``, and its first pair.
 
     One row of pairs at a time, through two length-n buffers.  The strict
     comparison across rows and ``argmax`` within a row keep the
@@ -213,13 +223,7 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     d_buf = np.empty(n - 1)
     best, witness = -1.0, (0, 1)
     for i in range(n - 1):
-        m = m_buf[: n - 1 - i]
-        d = d_buf[: n - 1 - i]
-        np.multiply(al[i, i + 1:], al[i + 1:, i], out=m)
-        np.minimum(m, 1.0, out=m)
-        np.subtract(1.0, m, out=d)
-        np.add(1.0, m, out=m)
-        np.divide(d, m, out=d)
+        d = _pair_distances(al[i, i + 1:], al[i + 1:, i], m_buf[: n - 1 - i], d_buf[: n - 1 - i])
         k = int(np.argmax(d))
         v = float(d[k])
         if math.isnan(v):
@@ -229,32 +233,24 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
-def _pattern_witness(M: np.ndarray, outside: np.ndarray, zero_tol: float) -> tuple[int, int] | None:
-    """First pair attaining ``c(M) = 1`` when the zero pattern decides it, in O(d^2); else None.
+def _unit_distance_witness(M: np.ndarray, outside: np.ndarray) -> tuple[int, int] | None:
+    """First pair ``(0, j)`` at distance exactly 1.0, which settles ``c(M) = 1``, in O(d^2); else None.
 
     ``outside`` is the mask ``M <= zero_tol`` of the cone-preserving ``M``.
-    The pattern decides when every entry in ``outside`` is exactly zero, a
-    pattern offender exists, and ``max(M) / min(M[M > 0])`` is finite in
-    floating point.  The last condition bounds every quotient of the scan,
-    so every aleph is finite, no distance is NaN, and none exceeds 1.0.
-    The offender's row holds a positive entry, so column 0's support
-    differs from some column j's; one of ``aleph(col_0, col_j)`` and
-    ``aleph(col_j, col_0)`` is then 0, and row 0 of the pair table holds a
-    distance of exactly 1.0.  So ``c = 1.0``, and the full scan's witness
-    is ``(0, j)`` for the first j whose distance is 1.0.  Row 0 is computed
-    with the scan's divisions, ``fmin`` fold and distance formula, so
-    distances that round to 1.0 count as in the scan.
+    When ``max(M) / min(M[~outside])`` is finite and positive, no quotient
+    of the scan overflows and no distance is NaN, so the metric's bound
+    1.0, once reached in row 0 of the pair table, is the maximum.  Row 0 is
+    computed with the scan's divisions, ``fmin`` fold and distance formula,
+    so the witness is the scan's.
     """
-    if M[outside].any() or _first_pattern_offender(M, zero_tol) is None:
+    lo = float(M.min(initial=np.inf, where=~outside))
+    if not (lo > 0.0 and math.isfinite(float(M.max()) / lo)):
         return None
-    if not math.isfinite(float(M.max()) / float(M.min(initial=np.inf, where=~outside))):
-        return None
-    denom = np.where(outside, 0.0, M)
+    denom = np.where(outside, 0.0, M) if outside.any() else M
     with np.errstate(divide="ignore", invalid="ignore"):
         al_0j = np.fmin.reduce(M[:, 1:] / denom[:, :1], axis=0)
         al_j0 = np.fmin.reduce(M[:, :1] / denom[:, 1:], axis=0)
-    m = np.minimum(al_0j * al_j0, 1.0)
-    hits = np.flatnonzero((1.0 - m) / (1.0 + m) == 1.0)
+    hits = np.flatnonzero(_pair_distances(al_0j, al_j0) == 1.0)
     return (0, 1 + int(hits[0])) if hits.size else None
 
 
@@ -265,9 +261,9 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     column rays, scanning all column pairs in O(d^3) (see
     :func:`_aleph_columns`), then reducing the pairs row by row in O(d)
     extra memory.  The witness is the lexicographically smallest attaining
-    pair.  When some entry is at or below ``zero_tol`` and the zero pattern
-    decides ``c = 1`` (see :func:`_pattern_witness`), the scan is skipped
-    and the same ``c`` and witness come from 2 d^2 divisions.
+    pair.  When row 0 of the pair table already reaches the bound 1.0 and
+    no quotient overflows (see :func:`_unit_distance_witness`), the scan is
+    skipped and the same ``c`` and witness come from 2 d^2 divisions.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -282,20 +278,14 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     if n == 1:
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
     outside = M <= zero_tol
-    witness = _pattern_witness(M, outside, zero_tol) if outside.any() else None
+    witness = _unit_distance_witness(M, outside)
     if witness is not None:
         return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=witness, method="definitional")
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
     c, witness = _max_pair_distance(_aleph_columns(M, zero_tol, workers, outside))
-    is_strict = c < 1.0
-    return ContractionReport(
-        c=c,
-        is_strict=is_strict,
-        a_star=psi_inverse(c) if is_strict else None,
-        witness=witness,
-        method="definitional",
-    )
+    a = psi_inverse(c) if c < 1.0 else None
+    return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 
 
 def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:

@@ -384,6 +384,20 @@ def test_non_utf8_file_is_a_parse_error(tmp_path, capsys, argv, name):
     assert payload["location"] == str(path)
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_zero_tol_must_be_finite_and_nonnegative(tmp_path, capsys, value):
+    path = tmp_path / "m.csv"
+    path.write_text("1,0\n1,1\n")
+    for argv in (["coeff", str(path)], ["check", str(path)], ["perron", str(path)], ["dist", "1,0", "0,1"],
+                 ["kernel", "--builtin", "constant", "--n", "4"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            payload = run_error(capsys, *argv, "--zero-tol", value)
+        assert payload["code"] == "bad_flags", (argv, payload)
+        assert payload["location"] == f"projcone {argv[0]}"
+        assert "--zero-tol" in payload["message"] and repr(value) in payload["message"]
+
+
 def test_kernel_flag_validation(capsys):
     assert run_error(capsys, "kernel")["code"] == "bad_flags"
     assert run_error(capsys, "kernel", "--builtin", "nosuch", "--n", "4")["code"] == "bad_flags"

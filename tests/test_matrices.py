@@ -12,18 +12,21 @@ from projcone import (
     a_star,
     apply,
     as_nonneg_matrix,
+    builtin_kernel,
     certificate_is_valid,
     contraction_coeff,
     contraction_coeff_formula,
     is_cone_preserving,
     is_strictly_contracting,
     is_uniformly_positive,
+    kernel_contraction_estimate,
     m_ratio,
     normalize,
     phi,
     pseudo_distance,
     psi,
     psi_inverse,
+    tabulate_kernel,
     uniform_positivity_certificate,
 )
 from projcone import matrices
@@ -379,7 +382,7 @@ def test_scan_runs_under_the_callers_error_state(workers):
 
 
 # ---------------------------------------------------------------------------
-# c = 1 decided by the zero pattern, against the full scan
+# c = 1 decided from row 0 of the pair table, against the full scan
 
 
 _SHORTCUT_VALUES = np.array([1e-310, 1e-300, 1e-15, 0.3, 1.0, 2.0, 1e15, 1e300])
@@ -414,12 +417,18 @@ def _shortcut_corpus(rng, count):
         yield M, zt
 
 
-def _pattern_decides(M, zero_tol):
-    """Whether c(M) = 1 may be settled without the scan."""
-    outside = M <= zero_tol
-    if not outside.any() or M[outside].any() or is_uniformly_positive(M, zero_tol):
+def _quotients_are_finite(M, zero_tol):
+    """max(M) / min(M[M > zero_tol]) is finite and positive: no quotient of the scan overflows."""
+    lo = float(M[M > zero_tol].min())
+    return lo > 0.0 and math.isfinite(float(M.max()) / lo)
+
+
+def _row_0_decides(M, zero_tol, al):
+    """Whether c(M) = 1 may be settled without the scan, read off the full aleph table ``al``."""
+    if not _quotients_are_finite(M, zero_tol):
         return False
-    return math.isfinite(float(M.max()) / float(M[M > 0.0].min()))
+    m = np.minimum(al[0, 1:] * al[1:, 0], 1.0)
+    return bool(((1.0 - m) / (1.0 + m) == 1.0).any())
 
 
 @pytest.fixture
@@ -437,24 +446,26 @@ def full_scans(monkeypatch):
 
 def test_pattern_shortcut_is_bitwise_the_full_scan(full_scans):
     rng = np.random.default_rng(2024)
-    decided = inexact_zeros = refused = 0
+    decided = beyond_pattern = refused = 0
     for M, zt in _shortcut_corpus(rng, 600):
         scans = len(full_scans)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = contraction_coeff(M, zt)
-            c, witness = _max_pair_distance(_aleph_columns(M, zt))
+            al = _aleph_columns(M, zt)
+            c, witness = _max_pair_distance(al)
         label = (M.tolist(), zt)
         assert _same(rep.c, c) and rep.witness == witness, label
         assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
-        decides = _pattern_decides(M, zt)
+        decides = _row_0_decides(M, zt, al)
         assert (len(full_scans) == scans) == decides, label
         offender = not is_uniformly_positive(M, zt)
         exact_zeros = not ((M > 0.0) & (M <= zt)).any()
         decided += decides
-        inexact_zeros += offender and not exact_zeros
-        refused += offender and exact_zeros and not decides
-    # every route is exercised: the shortcut, entries in (0, zero_tol], and the overflow guard
-    assert decided >= 200 and inexact_zeros >= 50 and refused >= 10, (decided, inexact_zeros, refused)
+        beyond_pattern += decides and not (offender and exact_zeros)
+        refused += not _quotients_are_finite(M, zt)
+    # every route is exercised: the rule, the rule where the zero pattern alone
+    # does not decide (entries in (0, zero_tol], zeros only in all-zero rows), and the overflow guard
+    assert decided >= 200 and beyond_pattern >= 50 and refused >= 10, (decided, beyond_pattern, refused)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
@@ -495,6 +506,65 @@ def test_pattern_shortcut_skips_the_scan_at_n_1024(full_scans):
     elapsed = time.perf_counter() - start
     assert rep.c == 1.0 and rep.witness[0] == 0 and rep.a_star is None
     assert full_scans == [] and elapsed < 1.0, elapsed
+
+
+def test_negative_zero_tol_is_bitwise_the_full_scan(full_scans):
+    # every entry is in the support, so a zero entry makes the guard refuse
+    # (min(M[M > zero_tol]) is 0) instead of dividing by it
+    rng = np.random.default_rng(2029)
+    refused = 0
+    for M, _ in _shortcut_corpus(rng, 300):
+        scans = len(full_scans)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = contraction_coeff(M, -1.0)
+            al = _aleph_columns(M, -1.0)
+            c, witness = _max_pair_distance(al)
+        label = M.tolist()
+        assert _same(rep.c, c) and rep.witness == witness, label
+        assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
+        assert (len(full_scans) == scans) == _row_0_decides(M, -1.0, al), label
+        refused += not _quotients_are_finite(M, -1.0)
+    assert refused >= 250, refused
+
+
+def _saturated_pair_matrix(rng, n):
+    """uniform(1, 2) with one random column pair (i, j) at distance 1.0 and no other pair there.
+
+    Columns i and j each hold 1e-9 in a different row, so their m is about
+    1e-18 and (1 - m) / (1 + m) rounds to 1.0, while every other pair keeps
+    m above 1e-10.
+    """
+    M = rng.uniform(1.0, 2.0, size=(n, n))
+    i, j = rng.choice(n, size=2, replace=False)
+    k, l = rng.choice(n, size=2, replace=False)
+    M[k, i] = M[l, j] = 1e-9
+    return M
+
+
+def test_permutations_leave_c_bitwise_unchanged(full_scans):
+    rng = np.random.default_rng(2030)
+    routes = set()
+    for count in range(60):
+        n = int(rng.integers(3, 25))
+        M = _saturated_pair_matrix(rng, n) if count % 2 else random_cone_preserving_matrix(rng, n, zero_prob=0.3)
+        base = contraction_coeff(M)
+        for _ in range(6):
+            rows, cols = rng.permutation(n), rng.permutation(n)
+            scans = len(full_scans)
+            rep = contraction_coeff(M[rows][:, cols])
+            routes.add((count % 2, len(full_scans) == scans))
+            assert rep.c == base.c, (M.tolist(), rows, cols)
+            i, j = rep.witness
+            assert pseudo_distance(M[rows, cols[i]], M[rows, cols[j]]) == rep.c
+    # saturated pairs take the row-0 route under some permutations and the scan under others
+    assert {(1, True), (1, False)} <= routes, routes
+
+
+def test_narrow_gaussian_grid_runs_no_scan(full_scans):
+    grid = tabulate_kernel(builtin_kernel("gaussian", sigma=0.05), 512)
+    assert kernel_contraction_estimate(grid).c == 1.0
+    assert contraction_coeff(grid.values).c == 1.0
+    assert full_scans == []
 
 
 # ---------------------------------------------------------------------------
