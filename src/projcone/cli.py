@@ -12,10 +12,12 @@ report's elapsed field excepted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -154,8 +156,35 @@ def _load(path: str, as_json: bool):
         raise CliError("parse_error", f"invalid JSON: {exc}", path) from None
 
 
+def _first_non_number(rows) -> tuple[int, int] | None:
+    """``(i, j)`` of the first entry of a list row of the list ``rows`` that is not a JSON number (``bool`` is not one), or None."""
+    for i, row in enumerate(rows if isinstance(rows, list) else ()):
+        if isinstance(row, list) and not {int, float}.issuperset(map(type, row)):
+            return i, next(j for j, v in enumerate(row) if type(v) not in (int, float))
+    return None
+
+
+def _json_entry(v, i: int, j: int, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise CliError("parse_error", f"entry ({i},{j}) is not a number", path)
+    try:
+        x = float(v)  # an integer literal beyond the double range overflows here
+    except OverflowError:
+        raise CliError("parse_error", f"entry ({i},{j}) is out of the double range", path) from None
+    if not math.isfinite(x):
+        raise CliError("parse_error", f"entry ({i},{j}) is not finite", path)
+    if x < 0:
+        raise CliError("negative_entry", f"negative entry {v} at ({i},{j})", path)
+    return x
+
+
 def read_matrix(path: str) -> np.ndarray:
-    """Read a nonnegative matrix from a CSV file or a JSON {"matrix": [[...]]} file."""
+    """Read a nonnegative matrix from a CSV file or a JSON {"matrix": [[...]]} file.
+
+    A well-formed file takes one ``float()`` per CSV cell (or one ``np.array`` of the JSON numbers) and one vectorised
+    check; any failure reruns the per-cell route, whose first bad cell names the error.
+    """
+    M = None
     if path.endswith(".json"):
         obj = _load(path, as_json=True)
         if not isinstance(obj, dict) or "matrix" not in obj:
@@ -163,29 +192,20 @@ def read_matrix(path: str) -> np.ndarray:
         raw = obj["matrix"]
         if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
             raise CliError("parse_error", '"matrix" must be a list of rows', path)
-        rows = []
-        for i, row in enumerate(raw):
-            parsed = []
-            for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise CliError("parse_error", f"entry ({i},{j}) is not a number", path)
-                try:
-                    x = float(v)  # an integer literal beyond the double range overflows here
-                except OverflowError:
-                    raise CliError("parse_error", f"entry ({i},{j}) is out of the double range", path) from None
-                if not math.isfinite(x):
-                    raise CliError("parse_error", f"entry ({i},{j}) is not finite", path)
-                if x < 0:
-                    raise CliError("negative_entry", f"negative entry {v} at ({i},{j})", path)
-                parsed.append(x)
-            rows.append(parsed)
-        return _matrix_from_rows(rows, path)
-    rows = []
-    for lineno, line in enumerate(_load(path, as_json=False).splitlines(), 1):
-        if line.strip() == "":
-            continue
-        rows.append([_parse_entry(cell.strip(), f"{path}:{lineno}") for cell in line.split(",")])
-    return _matrix_from_rows(rows, path)
+        if raw and _first_non_number(raw) is None:
+            with contextlib.suppress(ValueError, OverflowError):  # ragged rows; an integer beyond the double range
+                M = np.array(raw, dtype=float)
+        rows = ([_json_entry(v, i, j, path) for j, v in enumerate(row)] for i, row in enumerate(raw))
+    else:
+        lines = [(lineno, line) for lineno, line in enumerate(_load(path, as_json=False).splitlines(), 1) if line.strip()]
+        if len({line.count(",") for _, line in lines}) == 1:
+            with contextlib.suppress(ValueError):  # a cell float() rejects
+                cells = chain.from_iterable(map(float, line.split(",")) for _, line in lines)  # a list of all cells would double the peak memory
+                M = np.fromiter(cells, float, len(lines) * (lines[0][1].count(",") + 1)).reshape(len(lines), -1)
+        rows = ([_parse_entry(cell.strip(), f"{path}:{lineno}") for cell in line.split(",")] for lineno, line in lines)
+    if M is not None and ((M >= 0.0) & (M < math.inf)).all():
+        return M
+    return _matrix_from_rows(list(rows), path)
 
 
 def matrix_to_csv(M) -> str:
@@ -201,10 +221,15 @@ def matrix_to_json(M, indent: int | None = None) -> str:
 
 
 def read_kernel_grid(path: str) -> KernelGrid:
-    """Read a kernel grid from a JSON {"nodes", "weights", "values"} file."""
+    """Read a kernel grid from a JSON {"nodes", "weights", "values"} file whose entries are JSON numbers."""
     obj = _load(path, as_json=True)
     if not isinstance(obj, dict) or not {"nodes", "weights", "values"} <= set(obj):
         raise CliError("parse_error", 'expected a JSON object with "nodes", "weights" and "values"', path)
+    for name in ("nodes", "weights", "values"):
+        bad = _first_non_number(obj[name] if name == "values" else [obj[name]])
+        if bad is not None:
+            index = list(bad) if name == "values" else [bad[1]]
+            raise CliError("invalid_grid", f"{name}{index} is not a number", path)
     try:
         return KernelGrid(nodes=obj["nodes"], weights=obj["weights"], values=obj["values"])
     except (ValueError, TypeError, OverflowError) as exc:

@@ -55,11 +55,20 @@ class PerronResult:
 
 
 def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
-    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is validated."""
+    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is validated.
+
+    Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is the largest ratio itself, and
+    both ends move one ulp outward.
+    """
     Mp = as_cone_vector(M @ p, zero_tol)
     lower = _aleph(p, Mp, zero_tol)
     a = _aleph(Mp, p, zero_tol)
     upper = math.inf if a == 0.0 else 1.0 / a
+    if not (lower <= upper):
+        support = Mp > zero_tol  # a > 0, so p is positive here
+        with np.errstate(over="ignore"):
+            upper = float((Mp[support] / p[support]).max())
+        lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
 
 

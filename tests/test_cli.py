@@ -418,6 +418,22 @@ def test_grid_integer_beyond_double_range(tmp_path, capsys):
     assert payload["location"] == str(path)
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ('{"nodes":[0.25,"0.75"],"weights":[0.5,0.5],"values":[["1",true],[1," 2 "]]}', "nodes[1] is not a number"),
+        ('{"nodes":[0.25,0.75],"weights":[true,0.5],"values":[[1,1],[1,1]]}', "weights[0] is not a number"),
+        ('{"nodes":[0.25,0.75],"weights":[0.5,0.5],"values":[[1,1],[1," 2 "]]}', "values[1, 1] is not a number"),
+        ('{"nodes":[0.25,0.75],"weights":[0.5,0.5],"values":[[1,false],[1,1]]}', "values[0, 1] is not a number"),
+        ('{"nodes":[0.25,0.75],"weights":[0.5,0.5],"values":[[1,[1]],[1,1]]}', "values[0, 1] is not a number"),
+    ],
+)
+def test_grid_entries_must_be_json_numbers(tmp_path, capsys, grid, message):
+    path = tmp_path / "grid.json"
+    path.write_text(grid)
+    assert run_error(capsys, "kernel", "--file", str(path)) == {"code": "invalid_grid", "message": message, "location": str(path)}
+
+
 # ---------------------------------------------------------------------------
 # report discipline
 

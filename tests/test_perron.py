@@ -1,5 +1,8 @@
 import math
 import struct
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -257,6 +260,33 @@ def test_collatz_wielandt_is_bitwise_the_validating_route():
                     continue
                 got = struct.pack("<2d", *collatz_wielandt(M, f, zt))
                 assert got == struct.pack("<2d", *_validating_bracket(M, f, zt)), (n, zt)
+
+
+def _exact_root_2x2(M):
+    """Larger eigenvalue of a 2x2 matrix of doubles, to 60 digits."""
+    (a, b), (c, d) = (map(Fraction, row) for row in M)
+    tr, disc = a + d, (a - d) ** 2 + 4 * b * c
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return (Decimal(tr.numerator) / tr.denominator + (Decimal(disc.numerator) / disc.denominator).sqrt()) / 2
+
+
+@pytest.mark.parametrize(
+    "M, root",
+    [
+        # 1/aleph(Mp, p) overflows to an upper end of 0
+        ([[1e-310, 1e-310], [1e-310, 2e-310]], _exact_root_2x2([[1e-310, 1e-310], [1e-310, 2e-310]])),
+        # rank one, so the root is the row sum; 1/aleph(Mp, p) rounds one ulp below the lower end
+        ([[1.0, 1e-310, 1e300, 1e-310]] * 4, sum(map(Fraction, [1.0, 1e-310, 1e300, 1e-310]))),
+    ],
+    ids=["subnormal", "1e300-rank-one"],
+)
+def test_bracket_is_ordered_and_holds_the_root_at_the_ends_of_the_double_range(M, root):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # raw numpy warnings are a separate defect
+        res = perron_iterate(M)
+    assert res.eigenvalue_lower <= res.eigenvalue_upper
+    assert Fraction(res.eigenvalue_lower) <= Fraction(root) <= Fraction(res.eigenvalue_upper)
 
 
 def test_bracket_rejects_an_image_outside_the_cone():
