@@ -6,7 +6,8 @@ zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
 between column rays.  It is computable in O(d^3) by scanning all column
-pairs.  The metric is bounded by 1, so one pair at distance exactly 1
+pairs (from d = 512 on, in float32, with float64 settling the few pairs
+left).  The metric is bounded by 1, so one pair at distance exactly 1
 settles ``c(M) = 1``; when column 0 has such a partner, O(d^2) suffices.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
@@ -120,18 +121,18 @@ class ContractionReport:
     method: str
 
 
-# Rows of M divided per step of the aleph scan.  Each thread owns one
-# _SCAN_BLOCK_ROWS x n quotient buffer (512 KB at n = 1024), so the block of
-# M and the buffer stay in cache while every column of the thread's range is
-# divided into it, and nothing n x n is allocated per column.
+# Rows of float64 M divided per step of the aleph scan (float32 takes twice
+# as many).  Each thread owns one quotient buffer of 8 * _SCAN_BLOCK_ROWS * n
+# bytes (512 KB at n = 1024), so the block of M and the buffer stay in cache
+# while every column of the thread's range is divided into it.
 _SCAN_BLOCK_ROWS = 64
 
 
-# Dimension from which contraction_coeff(workers=None) fans the scan over
-# every CPU the process may run on.  On a 2-core VM, serial against 2 threads:
-# 30 vs 36 ms at n = 256 (threads lose), 237 vs 189 ms at n = 512 and
-# 1.7 vs 0.95 s at n = 1024.
-_PARALLEL_SCAN_MIN_DIM = 512
+# Dimension from which contraction_coeff screens pairs in float32 and, with
+# workers=None, threads the scan over the process's CPUs.  On a 2-core VM,
+# serial against 2 threads: 30 vs 36 ms at n = 256 (threads lose),
+# 237 vs 189 ms at n = 512 and 1.7 vs 0.95 s at n = 1024.
+_LARGE_SCAN_MIN_DIM = 512
 
 
 def _usable_cpus() -> int:
@@ -148,8 +149,8 @@ def _aleph_columns(
 
     ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
     the support ``M[k, i] > zero_tol`` of column ``i``.  The scan walks row
-    blocks of ``_SCAN_BLOCK_ROWS`` rows on the outside and the columns ``i``
-    on the inside, dividing each block into one reusable per-thread buffer
+    blocks (see ``_SCAN_BLOCK_ROWS``) outside and the columns ``i`` inside,
+    dividing each block into one reusable per-thread buffer
     and folding the block's minimum into ``out[i]``.  Rows outside the
     support are excluded without copies: when some entry is at or below
     ``zero_tol``, the denominators come from one copy of ``M`` with those
@@ -160,26 +161,26 @@ def _aleph_columns(
     Every quotient is the same correctly rounded division as in
     :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
     in any grouping, so the result is bitwise identical to the scalar route.
-    Extra memory is ``out``, at most one n x n denominator copy, and one
-    block buffer per thread.  Threads split the columns ``i`` and write
-    disjoint rows of ``out``, which keeps the fan-out deterministic.
+    Extra memory is ``out``, at most one n x n denominator copy and one
+    block buffer per thread, in ``M``'s dtype.  Threads split the columns
+    ``i`` and write disjoint rows of ``out``: the fan-out is deterministic.
     ``outside`` is the mask ``M <= zero_tol`` when the caller has it.
     """
     n = M.shape[1]
-    out = np.full((n, n), np.inf)
+    out = np.full((n, n), np.inf, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
     if outside is None:
         outside = M <= zero_tol
     if outside.any():
-        denom, fold = np.where(outside, 0.0, M), np.fmin
+        denom, fold = np.where(outside, M.dtype.type(0), M), np.fmin
     else:
         denom, fold = M, np.minimum
-    rows = min(_SCAN_BLOCK_ROWS, n)
+    rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
 
     def fill(lo: int, hi: int) -> None:
-        buf = np.empty((rows, n))
-        block_min = np.empty(n)
+        buf = np.empty((rows, n), M.dtype)
+        block_min = np.empty(n, M.dtype)
         with np.errstate(**errstate):
             for k0 in range(0, n, rows):
                 chunk = M[k0:k0 + rows]
@@ -233,6 +234,47 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
+def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+    """``_max_pair_distance`` of the float64 aleph table, bit for bit, via float32; None where it does not apply.
+
+    It applies when every support entry is positive and ``max(M) / min(M[M >
+    0]) < 2**60``: then ``M`` scaled to a largest entry in [1/2, 1) has every
+    nonzero entry and quotient float32-normal, and no float64 quotient or
+    product overflows or underflows.  A float32 quotient is within a factor
+    ``1 +- (3 * 2**-24 + O(2**-48))`` of the exact one, a minimum keeps such
+    bounds, and so each float64 aleph, the rounded exact one, lies between
+    the exact ``al32 * (1 -+ 2**-21)``.  Rounding is monotone, so their
+    ``_pair_distances`` bound each float64 distance above and below, and a
+    pair attaining the maximum has an upper distance at or above every lower
+    one.  These candidates are recomputed with the scan's divisions and
+    ``fmin`` fold, the first largest in row-major order winning; more than
+    ``n`` of them (ties) give None.
+    """
+    n, top, tiny = M.shape[1], float(M.max()), float(M.min(initial=np.inf, where=M > 0.0))
+    if not (float(M.min(initial=np.inf, where=~outside)) > 0.0 and top / tiny < 2.0**60):
+        return None
+    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), 0.0, workers, outside)
+
+    def bound(i: int, f: float) -> np.ndarray:
+        return _pair_distances(al[i, i + 1:].astype(float) * f, al[i + 1:, i].astype(float) * f)
+    floor = max(float(bound(i, 1.0 + 2.0**-21).max()) for i in range(n - 1))
+    rows, cols = [], []
+    for i in range(n - 1):
+        hits = i + 1 + np.flatnonzero(bound(i, 1.0 - 2.0**-21) >= floor)
+        rows, cols = rows + [i] * hits.size, cols + hits.tolist()
+        if len(cols) > n:
+            return None
+    d = np.empty(len(cols))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in range(0, d.size, _SCAN_BLOCK_ROWS):
+            i, j = rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS]
+            al_ij = np.fmin.reduce(M[:, j] / np.where(outside[:, i], 0.0, M[:, i]), axis=0)
+            al_ji = np.fmin.reduce(M[:, i] / np.where(outside[:, j], 0.0, M[:, j]), axis=0)
+            d[s:s + _SCAN_BLOCK_ROWS] = _pair_distances(al_ij, al_ji)
+    k = int(np.argmax(d))
+    return float(d[k]), (rows[k], cols[k])
+
+
 def _unit_distance_witness(M: np.ndarray, outside: np.ndarray) -> tuple[int, int] | None:
     """First pair ``(0, j)`` at distance exactly 1.0, which settles ``c(M) = 1``, in O(d^2); else None.
 
@@ -263,7 +305,8 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     extra memory.  The witness is the lexicographically smallest attaining
     pair.  When row 0 of the pair table already reaches the bound 1.0 and
     no quotient overflows (see :func:`_unit_distance_witness`), the scan is
-    skipped and the same ``c`` and witness come from 2 d^2 divisions.
+    skipped and the same ``c`` and witness come from 2 d^2 divisions.  From
+    d = 512 on, :func:`_screened_max_pair_distance` screens pairs in float32.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -281,9 +324,11 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     witness = _unit_distance_witness(M, outside)
     if witness is not None:
         return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=witness, method="definitional")
-    if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
+    large = n >= _LARGE_SCAN_MIN_DIM
+    if workers is None and large:
         workers = _usable_cpus()
-    c, witness = _max_pair_distance(_aleph_columns(M, zero_tol, workers, outside))
+    screened = _screened_max_pair_distance(M, outside, workers) if large else None
+    c, witness = screened or _max_pair_distance(_aleph_columns(M, zero_tol, workers, outside))
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 

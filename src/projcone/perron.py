@@ -61,14 +61,14 @@ def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[
     both ends move one ulp outward.
     """
     Mp = as_cone_vector(M @ p, zero_tol)
-    lower = _aleph(p, Mp, zero_tol)
-    a = _aleph(Mp, p, zero_tol)
-    upper = math.inf if a == 0.0 else 1.0 / a
-    if not (lower <= upper):
-        support = Mp > zero_tol  # a > 0, so p is positive here
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
+        lower = _aleph(p, Mp, zero_tol)
+        a = _aleph(Mp, p, zero_tol)
+        upper = math.inf if a == 0.0 else 1.0 / a
+        if not (lower <= upper):
+            support = Mp > zero_tol  # a > 0, so p is positive here
             upper = float((Mp[support] / p[support]).max())
-        lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
+            lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
 
 

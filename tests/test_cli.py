@@ -275,6 +275,37 @@ def test_perron_skips_the_bound_above_dimension_512(tmp_path, capsys):
     assert report["results"]["converged"] and "error_bound" not in report["results"]
 
 
+_PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
+    (
+        "1e-310,1e-310\n1e-310,2e-310\n",
+        '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
+        '"results": {"eigenvector": [0.61803398874998616,1],"eigenvalue_lower": 2.6180339887495736e-310,'
+        '"eigenvalue_upper": 2.6180339887500183e-310,"iterations": 15,"final_step_distance": 4.4902970230984616e-13,'
+        '"converged": true,"error_bound": 2.2451485115492305e-13},"warnings": []}\n',
+    ),
+    (
+        "1,1e-310,1e300,1e-310\n" * 4,
+        '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
+        '"results": {"eigenvector": [1,1,1,1],"eigenvalue_lower": 9.999999999999999e+299,'
+        '"eigenvalue_upper": 1.0000000000000002e+300,"iterations": 1,"final_step_distance": 0,"converged": true},'
+        '"warnings": ["no contraction certificate (c = 1); error bound unavailable"]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("text, expected", _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE, ids=["subnormal", "1e300-1e-310"])
+def test_perron_bracket_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsys, text, expected):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if "1e300" in text:  # the c(M) scan of this matrix still overflows (inf * 0 = NaN); the bracket must not
+            warnings.filterwarnings("ignore", module=r"projcone\.matrices$")
+        code, out, err = run(capsys, "perron", str(path))
+    assert code == 0 and err == ""
+    assert out.replace(str(path), "FILE") == expected
+
+
 def test_perron_start_flag(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("2,1\n1,2\n")
