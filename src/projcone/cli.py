@@ -291,22 +291,19 @@ def cmd_coeff(args) -> dict:
             c = contraction_coeff_formula(M, zt)
         except ValueError as exc:
             raise CliError("not_strictly_positive", str(exc), args.file) from None
-        elapsed = time.perf_counter() - start
-        results = {"c": c, "is_strict": c < 1.0, "witness": None, "method": "closed_form", "elapsed": elapsed}
-        if c < 1.0:
-            results["a_star"] = psi_inverse(c)
+        witness, method, a_star = None, "closed_form", psi_inverse(c) if c < 1.0 else None
     else:
         report = contraction_coeff(M, zt)
-        elapsed = time.perf_counter() - start
-        results = {
-            "c": report.c,
-            "is_strict": report.is_strict,
-            "witness": list(report.witness),
-            "method": report.method,
-            "elapsed": elapsed,
-        }
-        if report.a_star is not None:
-            results["a_star"] = report.a_star
+        c, witness, method, a_star = report.c, list(report.witness), report.method, report.a_star
+    results = {
+        "c": c,
+        "is_strict": c < 1.0,
+        "witness": witness,
+        "method": method,
+        "elapsed": time.perf_counter() - start,
+    }
+    if a_star is not None:
+        results["a_star"] = a_star
     return _report("coeff", inputs, results, [])
 
 
@@ -392,7 +389,7 @@ def cmd_kernel(args) -> dict:
         try:
             kernel = builtin_kernel(args.builtin, **params)
             grid = tabulate_kernel(kernel, args.n, args.rule)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:  # MemoryError: an n x n grid beyond the machine's memory
             raise CliError("bad_flags", str(exc), "kernel") from None
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
     # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans

@@ -5,10 +5,10 @@ the image of the j-th basis ray is the j-th column).  When no column is
 zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
-between column rays.  It is computable in O(d^3) by scanning all column
-pairs (from d = 512 on, in float32, with float64 settling the few pairs
-left).  The metric is bounded by 1, so one pair at distance exactly 1
-settles ``c(M) = 1``; when column 0 has such a partner, O(d^2) suffices.
+between column rays.  All column pairs are scanned in O(d^3) (from d =
+512 on in float32, float64 settling the few pairs left), one support rule
+confining every ratio to its column's support.  One pair at the metric's
+bound 1 settles ``c(M) = 1``, in O(d^2) when column 0 has such a partner.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -142,21 +142,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _aleph_columns(
-    M: np.ndarray, zero_tol: float, workers: int | None = None, outside: np.ndarray | None = None
-) -> np.ndarray:
+def _support_denominators(M: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
+    """Denominators and fold that confine the ratios ``M[k, :] / M[k, i]`` to the support ``~outside[:, i]``.
+
+    With some entry outside, the denominators are a copy of ``M`` with those
+    entries zeroed, so excluded rows yield ``inf`` or NaN, which the
+    NaN-ignoring ``np.fmin`` passes over (a support row never yields NaN:
+    its denominator is positive and its numerator finite).  Otherwise they
+    are ``M`` itself, folded by ``np.minimum``.
+    """
+    if outside.any():
+        return np.where(outside, M.dtype.type(0), M), np.fmin
+    return M, np.minimum
+
+
+def _quotients_are_finite(M: np.ndarray, outside: np.ndarray) -> bool:
+    """``max(M) / min(M[~outside])`` is finite and positive: no quotient of the scan overflows and no distance is NaN."""
+    lo = float(M.min(initial=np.inf, where=~outside))
+    return lo > 0.0 and math.isfinite(float(M.max()) / lo)
+
+
+def _aleph_columns(M: np.ndarray, outside: np.ndarray, workers: int | None = None) -> np.ndarray:
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
     ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
-    the support ``M[k, i] > zero_tol`` of column ``i``.  The scan walks row
+    the support ``~outside[:, i]`` of column ``i``.  The scan walks row
     blocks (see ``_SCAN_BLOCK_ROWS``) outside and the columns ``i`` inside,
-    dividing each block into one reusable per-thread buffer
-    and folding the block's minimum into ``out[i]``.  Rows outside the
-    support are excluded without copies: when some entry is at or below
-    ``zero_tol``, the denominators come from one copy of ``M`` with those
-    entries zeroed, so excluded rows yield ``inf`` or NaN, which the
-    NaN-ignoring ``np.fmin`` passes over (a support row never yields NaN:
-    its denominator is positive and its numerator finite).
+    dividing each block into one reusable per-thread buffer and folding the
+    block's minimum into ``out[i]``, by :func:`_support_denominators`.
 
     Every quotient is the same correctly rounded division as in
     :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
@@ -164,18 +177,12 @@ def _aleph_columns(
     Extra memory is ``out``, at most one n x n denominator copy and one
     block buffer per thread, in ``M``'s dtype.  Threads split the columns
     ``i`` and write disjoint rows of ``out``: the fan-out is deterministic.
-    ``outside`` is the mask ``M <= zero_tol`` when the caller has it.
     """
     n = M.shape[1]
     out = np.full((n, n), np.inf, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
-    if outside is None:
-        outside = M <= zero_tol
-    if outside.any():
-        denom, fold = np.where(outside, M.dtype.type(0), M), np.fmin
-    else:
-        denom, fold = M, np.minimum
+    denom, fold = _support_denominators(M, outside)
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
 
     def fill(lo: int, hi: int) -> None:
@@ -201,30 +208,32 @@ def _aleph_columns(
     return out
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray, m: np.ndarray | None = None, d: np.ndarray | None = None) -> np.ndarray:
-    """Bounded-metric distances ``phi(min(a * b, 1))`` of aleph pairs, elementwise, into the optional buffers ``m`` and ``d``."""
-    m = np.multiply(a, b, out=m)
-    np.minimum(m, 1.0, out=m)
-    d = np.subtract(1.0, m, out=d)
-    np.add(1.0, m, out=m)
-    return np.divide(d, m, out=d)
+def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bounded-metric distances ``phi(min(a * b, 1))`` of aleph pairs, elementwise."""
+    m = np.minimum(a * b, 1.0)
+    return (1.0 - m) / (1.0 + m)
+
+
+def _listed_pair_distances(M: np.ndarray, outside: np.ndarray, i, j) -> np.ndarray:
+    """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's."""
+    def alephs(i, j):  # aleph(col_i, col_j) of every listed pair
+        denom, fold = _support_denominators(M[:, i], outside[:, i])
+        return fold.reduce(M[:, j] / denom, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _pair_distances(alephs(i, j), alephs(j, i))
 
 
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ``_pair_distances(al[i, j], al[j, i])`` over pairs ``i < j``, and its first pair.
 
-    One row of pairs at a time, through two length-n buffers.  The strict
-    comparison across rows and ``argmax`` within a row keep the
-    lexicographically smallest attaining pair.  A NaN distance (an
-    ``inf * 0`` product at the ends of the double range) wins at its first
-    occurrence, as a NaN does under ``argmax``.
+    One row of pairs at a time.  The strict comparison across rows and
+    ``argmax`` within a row keep the lexicographically smallest attaining
+    pair.  A NaN distance (an ``inf * 0`` product at the ends of the double
+    range) wins at its first occurrence, as a NaN does under ``argmax``.
     """
-    n = al.shape[0]
-    m_buf = np.empty(n - 1)
-    d_buf = np.empty(n - 1)
     best, witness = -1.0, (0, 1)
-    for i in range(n - 1):
-        d = _pair_distances(al[i, i + 1:], al[i + 1:, i], m_buf[: n - 1 - i], d_buf[: n - 1 - i])
+    for i in range(al.shape[0] - 1):
+        d = _pair_distances(al[i, i + 1:], al[i + 1:, i])
         k = int(np.argmax(d))
         v = float(d[k])
         if math.isnan(v):
@@ -237,23 +246,23 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
 def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
     """``_max_pair_distance`` of the float64 aleph table, bit for bit, via float32; None where it does not apply.
 
-    It applies when every support entry is positive and ``max(M) / min(M[M >
-    0]) < 2**60``: then ``M`` scaled to a largest entry in [1/2, 1) has every
-    nonzero entry and quotient float32-normal, and no float64 quotient or
-    product overflows or underflows.  A float32 quotient is within a factor
-    ``1 +- (3 * 2**-24 + O(2**-48))`` of the exact one, a minimum keeps such
-    bounds, and so each float64 aleph, the rounded exact one, lies between
-    the exact ``al32 * (1 -+ 2**-21)``.  Rounding is monotone, so their
-    ``_pair_distances`` bound each float64 distance above and below, and a
-    pair attaining the maximum has an upper distance at or above every lower
-    one.  These candidates are recomputed with the scan's divisions and
-    ``fmin`` fold, the first largest in row-major order winning; more than
-    ``n`` of them (ties) give None.
+    Under the guard of :func:`contraction_coeff` it applies when ``max(M) /
+    min(M[M > 0]) < 2**60``: then ``M`` scaled to a largest entry in [1/2, 1)
+    has every nonzero entry and quotient float32-normal, and no float64
+    quotient or product overflows or underflows.  A float32 quotient is
+    within a factor ``1 +- (3 * 2**-24 + O(2**-48))`` of the exact one, a
+    minimum keeps such bounds, and so each float64 aleph, the rounded exact
+    one, lies between the exact ``al32 * (1 -+ 2**-21)``.  Rounding is
+    monotone, so their ``_pair_distances`` bound each float64 distance
+    above and below, and a pair attaining the maximum has an upper distance
+    at or above every lower one.  These candidates are recomputed by
+    :func:`_listed_pair_distances`, 64 at a time, the first largest in
+    row-major order winning; more than ``n`` of them (ties) give None.
     """
-    n, top, tiny = M.shape[1], float(M.max()), float(M.min(initial=np.inf, where=M > 0.0))
-    if not (float(M.min(initial=np.inf, where=~outside)) > 0.0 and top / tiny < 2.0**60):
+    n, top = M.shape[1], float(M.max())
+    if not top / float(M.min(initial=np.inf, where=M > 0.0)) < 2.0**60:
         return None
-    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), 0.0, workers, outside)
+    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), outside, workers)
 
     def bound(i: int, f: float) -> np.ndarray:
         return _pair_distances(al[i, i + 1:].astype(float) * f, al[i + 1:, i].astype(float) * f)
@@ -265,35 +274,10 @@ def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int
         if len(cols) > n:
             return None
     d = np.empty(len(cols))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for s in range(0, d.size, _SCAN_BLOCK_ROWS):
-            i, j = rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS]
-            al_ij = np.fmin.reduce(M[:, j] / np.where(outside[:, i], 0.0, M[:, i]), axis=0)
-            al_ji = np.fmin.reduce(M[:, i] / np.where(outside[:, j], 0.0, M[:, j]), axis=0)
-            d[s:s + _SCAN_BLOCK_ROWS] = _pair_distances(al_ij, al_ji)
+    for s in range(0, d.size, _SCAN_BLOCK_ROWS):
+        d[s:s + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, outside, rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS])
     k = int(np.argmax(d))
     return float(d[k]), (rows[k], cols[k])
-
-
-def _unit_distance_witness(M: np.ndarray, outside: np.ndarray) -> tuple[int, int] | None:
-    """First pair ``(0, j)`` at distance exactly 1.0, which settles ``c(M) = 1``, in O(d^2); else None.
-
-    ``outside`` is the mask ``M <= zero_tol`` of the cone-preserving ``M``.
-    When ``max(M) / min(M[~outside])`` is finite and positive, no quotient
-    of the scan overflows and no distance is NaN, so the metric's bound
-    1.0, once reached in row 0 of the pair table, is the maximum.  Row 0 is
-    computed with the scan's divisions, ``fmin`` fold and distance formula,
-    so the witness is the scan's.
-    """
-    lo = float(M.min(initial=np.inf, where=~outside))
-    if not (lo > 0.0 and math.isfinite(float(M.max()) / lo)):
-        return None
-    denom = np.where(outside, 0.0, M) if outside.any() else M
-    with np.errstate(divide="ignore", invalid="ignore"):
-        al_0j = np.fmin.reduce(M[:, 1:] / denom[:, :1], axis=0)
-        al_j0 = np.fmin.reduce(M[:, :1] / denom[:, 1:], axis=0)
-    hits = np.flatnonzero(_pair_distances(al_0j, al_j0) == 1.0)
-    return (0, 1 + int(hits[0])) if hits.size else None
 
 
 def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> ContractionReport:
@@ -303,10 +287,12 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     column rays, scanning all column pairs in O(d^3) (see
     :func:`_aleph_columns`), then reducing the pairs row by row in O(d)
     extra memory.  The witness is the lexicographically smallest attaining
-    pair.  When row 0 of the pair table already reaches the bound 1.0 and
-    no quotient overflows (see :func:`_unit_distance_witness`), the scan is
-    skipped and the same ``c`` and witness come from 2 d^2 divisions.  From
-    d = 512 on, :func:`_screened_max_pair_distance` screens pairs in float32.
+    pair.  When ``max(M) / min(M[M > zero_tol])`` is finite and positive,
+    no quotient of the scan overflows and no distance is NaN, so the bound
+    1.0, once reached in row 0 of the pair table (2 d^2 divisions), is the
+    maximum and settles ``c = 1`` with the scan's witness.  Under the same
+    guard, from d = 512 on, :func:`_screened_max_pair_distance` screens
+    pairs in float32.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -321,14 +307,16 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     if n == 1:
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
     outside = M <= zero_tol
-    witness = _unit_distance_witness(M, outside)
-    if witness is not None:
-        return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=witness, method="definitional")
+    guarded = _quotients_are_finite(M, outside)
+    if guarded:
+        hits = np.flatnonzero(_listed_pair_distances(M, outside, slice(0, 1), slice(1, None)) == 1.0)
+        if hits.size:
+            return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, 1 + int(hits[0])), method="definitional")
     large = n >= _LARGE_SCAN_MIN_DIM
     if workers is None and large:
         workers = _usable_cpus()
-    screened = _screened_max_pair_distance(M, outside, workers) if large else None
-    c, witness = screened or _max_pair_distance(_aleph_columns(M, zero_tol, workers, outside))
+    screened = _screened_max_pair_distance(M, outside, workers) if guarded and large else None
+    c, witness = screened or _max_pair_distance(_aleph_columns(M, outside, workers))
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 

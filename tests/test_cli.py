@@ -435,6 +435,13 @@ def test_kernel_flag_validation(capsys):
     assert run_error(capsys, "kernel", "--builtin", "gaussian", "--param", "sigma")["code"] == "bad_flags"
 
 
+def test_kernel_grid_beyond_memory_is_a_flag_error(capsys):
+    # the nodes and weights fit; the 5e6 x 5e6 values request fails at once
+    payload = run_error(capsys, "kernel", "--builtin", "constant", "--n", "5000000")
+    assert payload["code"] == "bad_flags" and payload["location"] == "kernel"
+    assert "allocate" in payload["message"]
+
+
 def test_invalid_grid_file(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"nodes": [0.5, 0.25], "weights": [0.5, 0.5], "values": [[1, 1], [1, 1]]}))

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -342,7 +343,7 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
         al = _aleph_columns_per_row(M, zt)
-        assert np.array_equal(_aleph_columns(M, zt), al), label
+        assert np.array_equal(_aleph_columns(M, M <= zt), al), label
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
         if n > 1:
             c, witness = _max_pair_distance_dense(al)
@@ -451,7 +452,7 @@ def test_pattern_shortcut_is_bitwise_the_full_scan(full_scans):
         scans = len(full_scans)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = contraction_coeff(M, zt)
-            al = _aleph_columns(M, zt)
+            al = _aleph_columns(M, M <= zt)
             c, witness = _max_pair_distance(al)
         label = (M.tolist(), zt)
         assert _same(rep.c, c) and rep.witness == witness, label
@@ -474,7 +475,7 @@ def test_pattern_shortcut_keeps_the_overflow_verdicts():
     raised = 0
     for M, zt in _shortcut_corpus(rng, 300):
         verdicts = []
-        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, zt))):
+        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, M <= zt))):
             try:
                 with np.errstate(over="raise"):
                     rep = route()
@@ -517,7 +518,7 @@ def test_negative_zero_tol_is_bitwise_the_full_scan(full_scans):
         scans = len(full_scans)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = contraction_coeff(M, -1.0)
-            al = _aleph_columns(M, -1.0)
+            al = _aleph_columns(M, M <= -1.0)
             c, witness = _max_pair_distance(al)
         label = M.tolist()
         assert _same(rep.c, c) and rep.witness == witness, label
@@ -525,6 +526,43 @@ def test_negative_zero_tol_is_bitwise_the_full_scan(full_scans):
         assert (len(full_scans) == scans) == _row_0_decides(M, -1.0, al), label
         refused += not _quotients_are_finite(M, -1.0)
     assert refused >= 250, refused
+
+
+def _route_matrix(rng, route):
+    """(matrix, zero_tol) at n = 512 (n = 511 for "n = 511") that contraction_coeff sends down ``route``."""
+    if route == "ties":
+        return rng.choice([1.0, 2.0, 3.0], size=(512, 512)), 0.0
+    if route == "1e+-200":
+        return 10.0 ** rng.uniform(-200.0, 200.0, size=(512, 512)), 0.0
+    if route == "30% zeros":
+        return random_cone_preserving_matrix(rng, 512, zero_prob=0.3), 0.0
+    M = rng.uniform(0.1, 10.0, size=(511, 511) if route == "n = 511" else (512, 512))
+    if route == "zero rows, zero_tol 0.5":
+        M[rng.random(512) < 0.2] = 0.0
+        return M, 0.5
+    return M, 0.0
+
+
+# the float32 screen (one table, or two with the float64 fallback), the float64 scan, and the row-0 rule
+@pytest.mark.parametrize("route, scans", [
+    ("dense", [512]),
+    ("zero rows, zero_tol 0.5", [512]),
+    ("ties", [512, 512]),
+    ("1e+-200", [512]),
+    ("30% zeros", []),
+    ("n = 511", [511]),
+])
+def test_scan_peak_memory_is_at_most_2_5_times_the_matrix(full_scans, route, scans):
+    M, zt = _route_matrix(np.random.default_rng(2032), route)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            contraction_coeff(M, zt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert full_scans == scans
+    assert peak <= 2.5 * M.nbytes, peak / M.nbytes
 
 
 def _saturated_pair_matrix(rng, n):

@@ -6,19 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from projcone import contraction_coeff, psi_inverse
 from projcone import matrices
-from projcone.matrices import _aleph_columns, _max_pair_distance, _screened_max_pair_distance
+from projcone.matrices import _aleph_columns, _max_pair_distance, _quotients_are_finite, _screened_max_pair_distance
 
 
 def _full_scan(M, zero_tol):
     """The float64 scan and pair reduction that the screen must reproduce bit for bit."""
     with np.errstate(all="ignore"):
-        return _max_pair_distance(_aleph_columns(M, zero_tol))
+        return _max_pair_distance(_aleph_columns(M, M <= zero_tol))
 
 
 def _screen(M, zero_tol, workers=1):
     # under the guard no quotient, product or distance of the screen overflows or underflows
+    outside = M <= zero_tol
     with np.errstate(over="raise", under="raise"):
-        return _screened_max_pair_distance(M, M <= zero_tol, workers)
+        return _screened_max_pair_distance(M, outside, workers) if _quotients_are_finite(M, outside) else None
 
 
 def _near_rank_one(rng, n):
@@ -91,7 +92,7 @@ def test_screen_applies_and_refuses_where_documented():
     assert 1e-10 < _full_scan(near, 0.0)[0] < 1e-8 and _screen(near, 0.0) is None
     with_zero = rng.uniform(0.1, 10.0, size=(40, 40))
     with_zero[3, 5] = 0.0
-    assert _screen(with_zero, 0.0) is not None and _screen(with_zero, -1.0) is None
+    assert _screen(with_zero, 0.0) is not None
     assert _screen(rng.choice([1.0, 2.0, 3.0], size=(40, 40)), 0.0) is None
 
 
@@ -135,6 +136,15 @@ def test_entries_spanning_1e_pm_200_run_no_float32_pass(scan_dtypes):
         report = contraction_coeff(M)
     assert scan_dtypes == [np.float64]
     _assert_is_the_full_scan(report, M)
+
+
+def test_a_zero_under_a_negative_zero_tol_runs_no_float32_pass(scan_dtypes):
+    # every entry is in the support, so the zero is a denominator: the guard refuses the screen
+    M = np.random.default_rng(3106).uniform(0.1, 10.0, size=(512, 512))
+    M[3, 5] = 0.0
+    report = contraction_coeff(M, -1.0)
+    assert scan_dtypes == [np.float64]
+    _assert_is_the_full_scan(report, M, -1.0)
 
 
 def test_dimension_256_runs_the_single_float64_scan(scan_dtypes):
