@@ -6,96 +6,13 @@ uniform-positivity and factorization certificates, and projective power
 iteration with certified error bounds.
 """
 
-from .cone import (
-    RatioPair,
-    aleph,
-    as_cone_vector,
-    hilbert_distance,
-    m_ratio,
-    normalize,
-    phi,
-    pseudo_distance,
-    psi,
-    psi_inverse,
-    rays_equal,
-    segment_distance,
-)
-from .kernels import (
-    BUILTIN_KERNELS,
-    FactorizationCertificate,
-    KernelGrid,
-    KernelPatternError,
-    builtin_kernel,
-    discretize,
-    factorization_certificate,
-    factorization_is_valid,
-    kernel_contraction_estimate,
-    relate_certificate_to_coefficient,
-    tabulate_kernel,
-    uniform_grid,
-)
-from .matrices import (
-    ContractionReport,
-    UniformPositivityCertificate,
-    a_star,
-    apply,
-    as_nonneg_matrix,
-    certificate_is_valid,
-    contraction_coeff,
-    contraction_coeff_formula,
-    is_cone_preserving,
-    is_strictly_contracting,
-    is_uniformly_positive,
-    uniform_positivity_certificate,
-)
-from .perron import (
-    PerronResult,
-    collatz_wielandt,
-    perron_iterate,
-    product_contraction_bound,
-)
+from . import cone, kernels, matrices, perron
+from .cone import *
+from .kernels import *
+from .kernels import BUILTIN_KERNELS
+from .matrices import *
+from .perron import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BUILTIN_KERNELS",
-    "ContractionReport",
-    "FactorizationCertificate",
-    "KernelGrid",
-    "KernelPatternError",
-    "PerronResult",
-    "RatioPair",
-    "UniformPositivityCertificate",
-    "a_star",
-    "aleph",
-    "apply",
-    "as_cone_vector",
-    "as_nonneg_matrix",
-    "builtin_kernel",
-    "certificate_is_valid",
-    "collatz_wielandt",
-    "contraction_coeff",
-    "contraction_coeff_formula",
-    "discretize",
-    "factorization_certificate",
-    "factorization_is_valid",
-    "hilbert_distance",
-    "is_cone_preserving",
-    "is_strictly_contracting",
-    "is_uniformly_positive",
-    "kernel_contraction_estimate",
-    "m_ratio",
-    "normalize",
-    "perron_iterate",
-    "phi",
-    "product_contraction_bound",
-    "pseudo_distance",
-    "psi",
-    "psi_inverse",
-    "rays_equal",
-    "relate_certificate_to_coefficient",
-    "segment_distance",
-    "tabulate_kernel",
-    "uniform_grid",
-    "uniform_positivity_certificate",
-]
+__all__ = sorted([*cone.__all__, *kernels.__all__, *matrices.__all__, *perron.__all__, "BUILTIN_KERNELS"])

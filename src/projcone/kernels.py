@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import psi
 from .matrices import ContractionReport, contraction_coeff
-from .matrices import _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich_constant
+from .matrices import _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
 
 __all__ = [
     "FactorizationCertificate",
@@ -194,13 +194,7 @@ class FactorizationCertificate:
 
 def factorization_is_valid(values, cert: FactorizationCertificate, rtol: float = 1e-9) -> bool:
     """Check the factorization sandwich at every grid point."""
-    V = np.asarray(values, dtype=float)
-    prod = np.outer(cert.g1, cert.g2)
-    slack = rtol * float(V.max())
-    pos = prod > 0.0
-    sandwich = (prod / cert.A <= V + slack) & (V <= cert.A * prod + slack)
-    zeros_match = (V <= slack) & (prod <= slack)
-    return bool(np.all(np.where(pos, sandwich, zeros_match)))
+    return _sandwich_holds(np.asarray(values, dtype=float), np.outer(cert.g1, cert.g2), cert.A, rtol)
 
 
 def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> FactorizationCertificate:
@@ -215,6 +209,8 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     Requires the value grid's zeros to be confined to all-zero rows or
     columns; otherwise no finite ``A`` exists at this resolution and a
     :class:`KernelPatternError` identifies an offending grid point.
+    ``ArithmeticError`` when the sandwich fails its check, as it does when
+    ``A`` overflows to ``inf``.
     """
     V = grid.values
     offender = _first_pattern_offender(V, zero_tol)
@@ -223,11 +219,7 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     k0, j0 = _first_argmax(V)
     g1 = V[:, j0].copy()
     g2 = V[k0, :] / V[k0, j0]
-    A = _sandwich_constant(V, g1, g2, zero_tol)
-    cert = FactorizationCertificate(g1=g1, g2=g2, A=A, reference_row=k0, reference_col=j0)
-    if not factorization_is_valid(V, cert):
-        raise ArithmeticError("constructed factorization certificate failed validation; this should be unreachable")
-    return cert
+    return FactorizationCertificate(g1=g1, g2=g2, A=_sandwich(V, g1, g2, zero_tol), reference_row=k0, reference_col=j0)
 
 
 def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> ContractionReport:

@@ -333,11 +333,16 @@ def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:
     an independent O(d^4) cross-check and benchmark baseline.  With zero
     entries the expression needs a 0/0 convention that is unsound for
     rank-deficient patterns, so this function refuses them; use
-    :func:`contraction_coeff` instead.
+    :func:`contraction_coeff` instead.  It also refuses matrices where a
+    product of two entries, or the sum of two such products, leaves the
+    normal double range: the ratios would then be NaN or lose their digits.
     """
     M = as_nonneg_matrix(M)
     if np.any(M <= zero_tol):
         raise ValueError("closed-form coefficient requires strictly positive entries; use contraction_coeff")
+    lo, hi = float(M.min()), float(M.max())
+    if lo * lo < np.finfo(float).tiny or not math.isfinite(2.0 * hi * hi):
+        raise ValueError("closed-form coefficient requires products of two entries, and their sums, in the normal double range; use contraction_coeff")
     n = M.shape[1]
     best = 0.0
     for i in range(n):
@@ -371,11 +376,30 @@ def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
     return _first_pattern_offender(M, zero_tol) is None
 
 
-def _sandwich_constant(V: np.ndarray, h: np.ndarray, b: np.ndarray, zero_tol: float) -> float:
-    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` wherever ``V > zero_tol`` (Birkhoff)."""
-    pos = V > zero_tol
-    r = V[pos] / np.outer(h, b)[pos]
-    return float(max(r.max(), (1.0 / r).max()))
+def _sandwich_holds(V: np.ndarray, prod: np.ndarray, A: float, rtol: float) -> bool:
+    """``prod / A <= V <= A * prod`` at every entry, with slack ``rtol * max(V)``; ``A = inf`` certifies nothing and fails.
+
+    Over- and underflow are part of the verdict, not numpy warnings.
+    """
+    slack = rtol * float(V.max())
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return math.isfinite(A) and bool(np.all(prod / A <= V + slack) and np.all(V <= A * prod + slack))
+
+
+def _sandwich(V: np.ndarray, h: np.ndarray, b: np.ndarray, zero_tol: float) -> float:
+    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` wherever ``V > zero_tol`` (Birkhoff).
+
+    ``ArithmeticError`` when the sandwich fails :func:`_sandwich_holds` with
+    slack ``1e-9 * max(V)``, as it does when a ratio leaves the double range.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        prod = np.outer(h, b)
+        pos = V > zero_tol
+        r = V[pos] / prod[pos]
+        A = float(max(r.max(), (1.0 / r).max()))
+    if not _sandwich_holds(V, prod, A, 1e-9):
+        raise ArithmeticError(f"the sandwich with A = {A} fails its check")
+    return A
 
 
 @dataclass(frozen=True)
@@ -406,11 +430,7 @@ def certificate_is_valid(M, cert: UniformPositivityCertificate, rtol: float = 1e
     b = np.asarray(cert.b, dtype=float)
     if h.size != M.shape[0] or b.size != M.shape[1]:
         raise ValueError("certificate dimensions do not match the matrix")
-    prod = np.outer(h, b)
-    slack = rtol * float(M.max())
-    lower_ok = np.all(prod / cert.A <= M + slack)
-    upper_ok = np.all(M <= cert.A * prod + slack)
-    return bool(lower_ok and upper_ok)
+    return _sandwich_holds(M, np.outer(h, b), cert.A, rtol)
 
 
 def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivityCertificate:
@@ -425,6 +445,7 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
 
     The returned ``A`` is always at least :func:`a_star`, the optimal
     constant over *all* admissible pairs, and in general exceeds it.
+    ``ArithmeticError`` when the sandwich fails its check (:func:`_sandwich`).
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(M, zero_tol)
@@ -433,11 +454,7 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     i0, j0 = _first_argmax(M)
     h = M[:, j0].copy()
     b = M[i0, :].copy()
-    A = _sandwich_constant(M, h, b, zero_tol)
-    cert = UniformPositivityCertificate(h=h, b=b, A=A, reference_row=i0, reference_col=j0)
-    if not certificate_is_valid(M, cert, zero_tol=zero_tol):
-        raise ArithmeticError("constructed certificate failed validation; this should be unreachable")
-    return cert
+    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(M, h, b, zero_tol), reference_row=i0, reference_col=j0)
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:

@@ -179,6 +179,16 @@ def test_coeff_formula_flag(tmp_path, capsys):
     assert run_error(capsys, "coeff", str(path), "--formula")["code"] == "not_strictly_positive"
 
 
+@pytest.mark.parametrize("text", ["1e-310,1e-310\n1e-310,2e-310\n", "1e300,1e300\n1e300,1e-300\n"])
+def test_coeff_formula_refuses_products_beyond_the_double_range(tmp_path, capsys, text):
+    # the products under- or overflow, so the closed form would read NaN ratios and report c = 0
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    payload = run_error(capsys, "coeff", str(path), "--formula")
+    assert payload["code"] == "not_strictly_positive"
+    assert "normal double range" in payload["message"]
+
+
 def test_coeff_names_offending_column(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("1,0\n1,0\n")
@@ -228,12 +238,32 @@ def test_check_reports_a_failed_certificate(tmp_path, capsys, text, flags):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         report = run_report(capsys, "check", str(path), *flags)
     res = report["results"]
     assert res["cone_preserving"] and res["uniformly_positive"] and res["strictly_contracting"]
     assert res["certificate"] is None
     assert report["warnings"] == ["certificate omitted: the constructed sandwich failed validation"]
+
+
+@pytest.mark.parametrize("text", [
+    "1e-310,1e-310\n1e-310,2e-310\n",
+    "1e300,1e300\n1e300,1e-300\n",
+    "1,1e-310,1e300,1e-310\n" * 4,
+    "1,1\n1,1e-310\n",  # 1 / 1e-310 overflows: the parent reported a certificate with A = inf
+], ids=["subnormal", "1e300-1e-300", "1e300-1e-310", "inverse-ratio-overflow"])
+def test_check_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsys, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "check", str(path))
+    assert code == 0 and err == ""
+    assert out.replace(str(path), "FILE") == (
+        '{"command": "check","inputs": {"file": "FILE","zero_tol": 0},"results": {"cone_preserving": true,'
+        '"uniformly_positive": true,"strictly_contracting": true,"certificate": null},'
+        '"warnings": ["certificate omitted: the constructed sandwich failed validation"]}\n'
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +425,25 @@ def test_kernel_failed_certificate_is_structured(tmp_path, capsys):
     payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.4")
     assert payload["code"] == "certificate_failure"
     assert payload["location"] == "kernel"
+
+
+@pytest.mark.parametrize("values", [
+    [[1, 1e-300], [1e-300, 1e-300]],
+    [[1e300, 1e-300], [1e-300, 1e300]],
+    [[1, 1], [1, 1e-310]],
+])
+def test_kernel_certificate_beyond_the_double_range_fails_without_warnings(tmp_path, capsys, values):
+    # a product g1 * g2 or a ratio leaves the double range, so A = inf, which certifies nothing
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": values}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payload = run_error(capsys, "kernel", "--file", str(path))
+    assert payload == {
+        "code": "certificate_failure",
+        "message": "the constructed factorization certificate failed validation",
+        "location": "kernel",
+    }
 
 
 @pytest.mark.parametrize("argv", [["coeff"], ["kernel", "--file"]])

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projcone import (
     FactorizationCertificate,
@@ -20,6 +22,7 @@ from projcone import (
     tabulate_kernel,
     uniform_grid,
 )
+from test_cli_fuzz import ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,26 @@ def test_factorization_is_valid_rejects_tampering():
     bad = FactorizationCertificate(g1=cert.g1, g2=cert.g2, A=1.0, reference_row=cert.reference_row,
                                    reference_col=cert.reference_col)
     assert not factorization_is_valid(grid.values, bad)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    values=st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)),
+    zero_tol=st.sampled_from([0.0, 0.2, 0.5]),
+)
+@example(values=[[1, 1e-300], [1e-300, 1e-300]], zero_tol=0.0)
+@example(values=[[1, 1], [1, 1e-310]], zero_tol=0.0)
+def test_factorization_certificate_constant_is_finite(values, zero_tol):
+    # A = inf certifies nothing (psi(inf) is undefined): the construction must refuse it, quietly
+    nodes, weights = uniform_grid(len(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            grid = KernelGrid(nodes=nodes, weights=weights, values=values)
+            cert = factorization_certificate(grid, zero_tol)
+        except (ValueError, ArithmeticError):  # a zero column or pattern offender, or a failed sandwich
+            return
+    assert math.isfinite(cert.A) and factorization_is_valid(grid.values, cert)
 
 
 def test_modulated_separable_kernels_have_bounded_certificates():
