@@ -245,7 +245,7 @@ def _report(command: str, inputs: dict, results: dict, warnings: list[str]) -> d
 
 
 def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> None:
-    j = _first_dead_column(as_nonneg_matrix(M), zero_tol)
+    j = _first_dead_column(as_nonneg_matrix(M), zero_tol)  # read_matrix does not check the shape
     if j is not None:
         raise CliError("not_cone_preserving", f"column {j} has no positive entry", f"{location}: column {j}")
 
@@ -265,14 +265,10 @@ def cmd_dist(args) -> dict:
         f = parse_vector_literal(args.vectors[0], "first vector")
         g = parse_vector_literal(args.vectors[1], "second vector")
         inputs = {"vectors": [f, g]}
-    try:
-        ratios = m_ratio(f, g, zero_tol=args.zero_tol)
-        d_h = hilbert_distance(f, g, zero_tol=args.zero_tol)
-    except ValueError as exc:
-        raise CliError("invalid_input", str(exc), "dist") from None
+    ratios = m_ratio(f, g, zero_tol=args.zero_tol)
     results = {
         "d": phi(ratios.m),
-        "d_H": d_h,
+        "d_H": hilbert_distance(f, g, zero_tol=args.zero_tol),
         "m": ratios.m,
         "aleph_fg": ratios.aleph_fg,
         "aleph_gf": ratios.aleph_gf,
@@ -290,6 +286,8 @@ def cmd_coeff(args) -> dict:
         try:
             c = contraction_coeff_formula(M, zt)
         except ValueError as exc:
+            if not (M <= zt).any():
+                raise  # the double-range refusal of a strictly positive matrix: invalid_input
             raise CliError("not_strictly_positive", str(exc), args.file) from None
         witness, method, a_star = None, "closed_form", psi_inverse(c) if c < 1.0 else None
     else:
@@ -339,18 +337,10 @@ def cmd_perron(args) -> dict:
     M = read_matrix(args.file)
     zt = args.zero_tol
     _require_cone_preserving(M, zt, args.file)
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise CliError("bad_flags", f"--tol must be positive, got {args.tol}", "perron")
-    if args.max_iter < 1:
-        raise CliError("bad_flags", f"--max-iter must be at least 1, got {args.max_iter}", "perron")
     inputs = {"file": args.file, "tol": args.tol, "max_iter": args.max_iter, "zero_tol": zt}
-    f0 = None
     if args.start is not None:
-        f0 = inputs["start"] = parse_vector_literal(args.start, "--start")
-    try:
-        res = perron_iterate(M, f0, tol=args.tol, max_iter=args.max_iter, zero_tol=zt)
-    except ValueError as exc:
-        raise CliError("invalid_input", str(exc), "perron") from None
+        inputs["start"] = args.start
+    res = perron_iterate(M, args.start, tol=args.tol, max_iter=args.max_iter, zero_tol=zt)
     warnings = []
     if not res.converged:
         warnings.append(f"max-iter {args.max_iter} reached before the step distance fell below tol")
@@ -371,21 +361,11 @@ def cmd_perron(args) -> dict:
 
 def cmd_kernel(args) -> dict:
     zt = args.zero_tol
-    if bool(args.file) == bool(args.builtin):
-        raise CliError("bad_flags", "give exactly one of --file or --builtin", "kernel")
-    if args.file:
+    if args.file is not None:
         grid = read_kernel_grid(args.file)
         inputs = {"file": args.file, "zero_tol": zt}
     else:
-        params = {}
-        for item in args.param or []:
-            if "=" not in item:
-                raise CliError("bad_flags", f"--param expects name=value, got {item!r}", "kernel")
-            key, _, raw = item.partition("=")
-            try:
-                params[key.strip()] = float(raw)
-            except ValueError:
-                raise CliError("bad_flags", f"--param value {raw!r} is not a number", "kernel") from None
+        params = dict(args.param or [])
         try:
             kernel = builtin_kernel(args.builtin, **params)
             grid = tabulate_kernel(kernel, args.n, args.rule)
@@ -399,8 +379,6 @@ def cmd_kernel(args) -> dict:
         report = kernel_contraction_estimate(grid, zt)
     except KernelPatternError as exc:
         raise CliError("pattern_failure", str(exc), f"values[{exc.row}][{exc.col}]") from None
-    except ValueError as exc:
-        raise CliError("invalid_input", str(exc), "kernel") from None
     except ArithmeticError:
         raise CliError("certificate_failure", "the constructed factorization certificate failed validation", "kernel") from None
     c_values_only = contraction_coeff(grid.values, zt).c
@@ -427,20 +405,33 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("bad_flags", message, self.prog)
 
 
-def _zero_tol(text: str) -> float:
-    """``--zero-tol`` value: a finite number >= 0.  A malformed number gets argparse's own ``float`` message."""
+def _number(parse, holds, requirement: str):
+    """argparse type: a finite ``parse(text)`` for which ``holds`` is true.  A malformed number gets argparse's own message."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
+        if not (math.isfinite(value) and holds(value)):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+    return convert
+
+
+def _param(text: str) -> tuple[str, float]:
+    """``--param`` value: ``NAME=VALUE`` with a numeric value."""
+    name, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expects name=value, got {text!r}")
     try:
-        value = float(text)
+        return name.strip(), float(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"value {raw!r} is not a number") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--zero-tol", type=_zero_tol, default=0.0, metavar="T",
+    common.add_argument("--zero-tol", type=_number(float, lambda v: v >= 0.0, "finite and nonnegative"), default=0.0, metavar="T",
                         help="entries at or below T count as zero in pattern tests (default 0)")
     common.add_argument("--json-indent", type=int, default=None, metavar="N",
                         help="pretty-print the report with N-space indentation")
@@ -465,18 +456,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perron", parents=[common], help="projective power iteration for the Perron eigenvector")
     p.add_argument("file", help="matrix file (CSV or JSON)")
-    p.add_argument("--tol", type=float, default=1e-12, help="stopping distance between successive rays (default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=10000, help="iteration budget (default 10000)")
-    p.add_argument("--start", help="comma-separated starting vector (default all ones)")
+    p.add_argument("--tol", type=_number(float, lambda v: v > 0.0, "finite and positive"), default=1e-12,
+                   help="stopping distance between successive rays (default 1e-12)")
+    p.add_argument("--max-iter", type=_number(int, lambda v: v >= 1, "at least 1"), default=10000, help="iteration budget (default 10000)")
+    p.add_argument("--start", type=lambda text: parse_vector_literal(text, "--start"), help="comma-separated starting vector (default all ones)")
     p.set_defaults(func=cmd_perron)
 
     p = sub.add_parser("kernel", parents=[common], help="discretize a positive kernel and certify its contraction")
-    p.add_argument("--file", help='kernel grid JSON file {"nodes", "weights", "values"}')
-    p.add_argument("--builtin", help="builtin kernel family: constant, separable, poly1xy, gaussian")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--file", help='kernel grid JSON file {"nodes", "weights", "values"}')
+    source.add_argument("--builtin", help="builtin kernel family: constant, separable, poly1xy, gaussian")
     p.add_argument("--n", type=int, default=8, help="number of quadrature nodes for --builtin (default 8)")
     p.add_argument("--rule", default="midpoint", choices=("midpoint", "trapezoid"),
                    help="quadrature rule for --builtin (default midpoint)")
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
+    p.add_argument("--param", action="append", type=_param, metavar="NAME=VALUE",
                    help="kernel parameter, repeatable (e.g. --param sigma=0.5)")
     p.set_defaults(func=cmd_kernel)
     return parser
@@ -484,18 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    indent = None
+    command = "projcone"
     try:
         args = parser.parse_args(argv)
-        indent = args.json_indent
+        command = args.command
         report = args.func(args)
-        sys.stdout.write(dumps(report, indent=indent) + "\n")
+        sys.stdout.write(dumps(report, indent=args.json_indent) + "\n")
         return 0
-    except CliError as err:
+    except (CliError, ValueError) as err:
+        if not isinstance(err, CliError):  # the library refused the input
+            err = CliError("invalid_input", str(err), command)
         sys.stderr.write(dumps({"code": err.code, "message": err.message, "location": err.location}) + "\n")
-        return 1
-    except ValueError as err:
-        sys.stderr.write(dumps({"code": "invalid_input", "message": str(err), "location": "projcone"}) + "\n")
         return 1
 
 

@@ -37,6 +37,12 @@ __all__ = [
 ]
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    """Raise ``ValueError`` unless ``zero_tol`` is finite and nonnegative (a plain float comparison: it runs per Perron step)."""
+    if not 0.0 <= zero_tol < math.inf:
+        raise ValueError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
+
+
 def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     """Validate and return ``f`` as a 1-d float array in the cone.
 
@@ -48,8 +54,8 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     f : array_like
         Coordinate vector.
     zero_tol : float
-        Entries at or below this threshold count as zero for the
-        nonzero-vector requirement.  Default 0.0 (exact zeros only).
+        Entries at or below this finite, nonnegative threshold count as
+        zero for the nonzero-vector requirement.  Default 0.0 (exact zeros only).
     """
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -58,6 +64,7 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
         raise ValueError("cone vector entries must be finite")
     if (arr < 0.0).any():
         raise ValueError("cone vector entries must be nonnegative")
+    _check_zero_tol(zero_tol)
     if not (arr > zero_tol).any():
         raise ValueError("cone vector must have at least one positive entry")
     return arr

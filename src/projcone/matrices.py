@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import as_cone_vector, psi_inverse
+from .cone import _check_zero_tol, as_cone_vector, psi_inverse
 
 __all__ = [
     "ContractionReport",
@@ -57,6 +57,7 @@ def as_nonneg_matrix(M) -> np.ndarray:
 
 def _first_dead_column(M: np.ndarray, zero_tol: float) -> int | None:
     """Index of the first column of the validated ``M`` with no entry above ``zero_tol``, or None."""
+    _check_zero_tol(zero_tol)
     dead = ~(M > zero_tol).any(axis=0)
     return int(np.argmax(dead)) if dead.any() else None
 
@@ -75,6 +76,7 @@ def _first_argmax(V: np.ndarray) -> tuple[int, int]:
 
 def _first_pattern_offender(M: np.ndarray, zero_tol: float) -> tuple[int, int] | None:
     """First ``(row, col)`` in row-major order of a zero (at most ``zero_tol``) in a nonzero row and column, or None."""
+    _check_zero_tol(zero_tol)
     pos = M > zero_tol
     bad = ~pos & pos.any(axis=1)[:, None] & pos.any(axis=0)[None, :]
     return _first_argmax(bad) if bad.any() else None
@@ -129,9 +131,9 @@ _SCAN_BLOCK_ROWS = 64
 
 
 # Dimension from which contraction_coeff screens pairs in float32 and, with
-# workers=None, threads the scan over the process's CPUs.  On a 2-core VM,
-# serial against 2 threads: 30 vs 36 ms at n = 256 (threads lose),
-# 237 vs 189 ms at n = 512 and 1.7 vs 0.95 s at n = 1024.
+# workers=None, threads the scan over the process's CPUs.  2-core VM, serial
+# vs 2 threads (dense and log-uniform): 39-42 vs 40-43 ms at n = 256, 112-128
+# vs 100-135 ms at 512 (within noise), 0.92-1.03 vs 0.57-0.66 s at n = 1024.
 _LARGE_SCAN_MIN_DIM = 512
 
 
@@ -157,9 +159,9 @@ def _support_denominators(M: np.ndarray, outside: np.ndarray) -> tuple[np.ndarra
 
 
 def _quotients_are_finite(M: np.ndarray, outside: np.ndarray) -> bool:
-    """``max(M) / min(M[~outside])`` is finite and positive: no quotient of the scan overflows and no distance is NaN."""
+    """``max(M) / min(M[~outside])`` is finite (support entries exceed ``zero_tol >= 0``): no quotient of the scan overflows and no distance is NaN."""
     lo = float(M.min(initial=np.inf, where=~outside))
-    return lo > 0.0 and math.isfinite(float(M.max()) / lo)
+    return math.isfinite(float(M.max()) / lo)
 
 
 def _aleph_columns(M: np.ndarray, outside: np.ndarray, workers: int | None = None) -> np.ndarray:
@@ -338,6 +340,7 @@ def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:
     normal double range: the ratios would then be NaN or lose their digits.
     """
     M = as_nonneg_matrix(M)
+    _check_zero_tol(zero_tol)
     if np.any(M <= zero_tol):
         raise ValueError("closed-form coefficient requires strictly positive entries; use contraction_coeff")
     lo, hi = float(M.min()), float(M.max())

@@ -184,8 +184,9 @@ def test_coeff_formula_refuses_products_beyond_the_double_range(tmp_path, capsys
     # the products under- or overflow, so the closed form would read NaN ratios and report c = 0
     path = tmp_path / "m.csv"
     path.write_text(text)
+    # both matrices are strictly positive: the refusal is for the range, an invalid input
     payload = run_error(capsys, "coeff", str(path), "--formula")
-    assert payload["code"] == "not_strictly_positive"
+    assert payload["code"] == "invalid_input" and payload["location"] == "coeff"
     assert "normal double range" in payload["message"]
 
 
@@ -476,6 +477,42 @@ def test_zero_tol_must_be_finite_and_nonnegative(tmp_path, capsys, value):
         assert payload["code"] == "bad_flags", (argv, payload)
         assert payload["location"] == f"projcone {argv[0]}"
         assert "--zero-tol" in payload["message"] and repr(value) in payload["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    *((["perron", "M.csv", "--tol", value], f"argument --tol: must be finite and positive, got '{value}'")
+      for value in ("0", "nan", "inf")),
+    (["perron", "M.csv", "--tol", "x"], "argument --tol: invalid float value: 'x'"),
+    (["perron", "M.csv", "--max-iter", "0"], "argument --max-iter: must be at least 1, got '0'"),
+    (["perron", "M.csv", "--max-iter", "1.5"], "argument --max-iter: invalid int value: '1.5'"),
+    (["perron", "M.csv", "--zero-tol", "-1"], "argument --zero-tol: must be finite and nonnegative, got '-1'"),
+    (["kernel"], "one of the arguments --file --builtin is required"),
+    (["kernel", "--file", "g.json", "--builtin", "constant"], "argument --builtin: not allowed with argument --file"),
+    (["kernel", "--builtin", "gaussian", "--param", "sigma"], "argument --param: expects name=value, got 'sigma'"),
+])
+def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
+    # the file exists, so only the flag can be at fault
+    (tmp_path / "M.csv").write_text("2,1\n1,2\n")
+    argv = [str(tmp_path / arg) if arg == "M.csv" else arg for arg in argv]
+    payload = run_error(capsys, *argv)
+    assert payload == {"code": "bad_flags", "message": message, "location": f"projcone {argv[0]}"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dist", "1,2", "1,2,3"], "dimension mismatch"),
+    (["perron", "M.csv", "--start", "1,2,3"], "dimension mismatch"),
+    (["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2"], "not cone-preserving"),
+    (["coeff", "NaN.csv"], "cannot serialize NaN"),
+])
+def test_library_errors_are_invalid_input_at_the_subcommand(tmp_path, capsys, argv, message):
+    (tmp_path / "M.csv").write_text("2,1\n1,2\n")
+    (tmp_path / "NaN.csv").write_text("1,1e-310,1e300,1e-310\n" * 4)  # c(M) is inf * 0
+    argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the NaN's overflow, a separate defect
+        payload = run_error(capsys, *argv)
+    assert payload["code"] == "invalid_input" and payload["location"] == argv[0]
+    assert message in payload["message"]
 
 
 def test_kernel_flag_validation(capsys):

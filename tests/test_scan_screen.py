@@ -1,11 +1,9 @@
 """The float32 screen of the column-pair scan against the full float64 scan, and the routes contraction_coeff takes."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from projcone import contraction_coeff, psi_inverse
-from projcone import matrices
 from projcone.matrices import _aleph_columns, _max_pair_distance, _quotients_are_finite, _screened_max_pair_distance
 
 
@@ -55,7 +53,7 @@ def screen_cases(draw):
         M = rng.uniform(0.0, 1.0, size=(n, n))
     else:
         M = _spanning(rng, n, 2.0**60 * (1.0 - 2.0**-52 if kind == "under_2_60" else 1.0 + 2.0**-52))
-    zero_tol = draw(st.sampled_from([0.0, 0.5, -1.0]))
+    zero_tol = draw(st.sampled_from([0.0, 0.5]))
     if draw(st.booleans()):  # zeros confined to all-zero rows
         M[rng.random(n) < 0.3] = 0.0
     if draw(st.booleans()):  # entries at or below zero_tol in nonzero rows
@@ -66,7 +64,7 @@ def screen_cases(draw):
         M[M == 0.0] = -0.0
     # an exact scaling keeps the support; 2**-1020 makes the smallest entries subnormal
     scale = draw(st.sampled_from([1.0, 2.0**-1020, 2.0**-600, 2.0**930]))
-    return M * scale, zero_tol * scale if zero_tol > 0.0 else zero_tol
+    return M * scale, zero_tol * scale
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -82,10 +80,9 @@ def test_screen_is_bitwise_the_full_float64_scan(case, workers):
 def test_screen_applies_and_refuses_where_documented():
     rng = np.random.default_rng(3101)
     for M in (rng.uniform(0.1, 10.0, size=(40, 40)), _spanning(rng, 40, 2.0**60 * (1.0 - 2.0**-52))):
-        for zero_tol in (0.0, -1.0):
-            (c, witness), screened = _full_scan(M, zero_tol), _screen(M, zero_tol)
-            assert (repr(screened[0]), screened[1]) == (repr(c), witness)
-    # a range of 2**60 or more, a zero under a negative zero_tol, and more than n candidates:
+        (c, witness), screened = _full_scan(M, 0.0), _screen(M, 0.0)
+        assert (repr(screened[0]), screened[1]) == (repr(c), witness)
+    # a range of 2**60 or more, and more than n candidates:
     # ties, or distances near 1e-9, below what the float32 bounds resolve, so that every pair is a candidate
     assert _screen(_spanning(rng, 40, 2.0**60), 0.0) is None
     near = _near_rank_one(rng, 40)
@@ -96,59 +93,37 @@ def test_screen_applies_and_refuses_where_documented():
     assert _screen(rng.choice([1.0, 2.0, 3.0], size=(40, 40)), 0.0) is None
 
 
-@pytest.fixture
-def scan_dtypes(monkeypatch):
-    """Dtypes of the tables contraction_coeff builds with the ratio kernel, in call order."""
-    dtypes = []
-
-    def spy(M, *args, **kwargs):
-        dtypes.append(M.dtype)
-        return _aleph_columns(M, *args, **kwargs)
-
-    monkeypatch.setattr(matrices, "_aleph_columns", spy)
-    return dtypes
-
-
-def _assert_is_the_full_scan(report, M, zero_tol=0.0):
-    c, witness = _full_scan(M, zero_tol)
+def _assert_is_the_full_scan(report, M):
+    c, witness = _full_scan(M, 0.0)
     assert np.array_equal(report.c, c, equal_nan=True) and report.witness == witness
     assert report.a_star == (psi_inverse(c) if c < 1.0 else None)
 
 
-def test_dense_input_at_512_runs_one_float32_pass_and_no_float64_scan(scan_dtypes):
+def test_dense_input_at_512_runs_one_float32_pass_and_no_float64_scan(aleph_scans):
     M = np.random.default_rng(3102).uniform(0.1, 10.0, size=(512, 512))
     report = contraction_coeff(M)
-    assert scan_dtypes == [np.float32]
+    assert aleph_scans == [(512, np.float32)]
     _assert_is_the_full_scan(report, M)
 
 
-def test_tie_heavy_input_at_512_falls_back_to_the_float64_scan(scan_dtypes):
+def test_tie_heavy_input_at_512_falls_back_to_the_float64_scan(aleph_scans):
     M = np.random.default_rng(3103).choice([1.0, 2.0, 3.0], size=(512, 512))
     report = contraction_coeff(M)
-    assert scan_dtypes == [np.float32, np.float64]
+    assert aleph_scans == [(512, np.float32), (512, np.float64)]
     assert report.c == 0.7999999999999999
     _assert_is_the_full_scan(report, M)
 
 
-def test_entries_spanning_1e_pm_200_run_no_float32_pass(scan_dtypes):
+def test_entries_spanning_1e_pm_200_run_no_float32_pass(aleph_scans):
     M = 10.0 ** np.random.default_rng(3104).uniform(-200.0, 200.0, size=(512, 512))
     with np.errstate(over="ignore", invalid="ignore"):
         report = contraction_coeff(M)
-    assert scan_dtypes == [np.float64]
+    assert aleph_scans == [(512, np.float64)]
     _assert_is_the_full_scan(report, M)
 
 
-def test_a_zero_under_a_negative_zero_tol_runs_no_float32_pass(scan_dtypes):
-    # every entry is in the support, so the zero is a denominator: the guard refuses the screen
-    M = np.random.default_rng(3106).uniform(0.1, 10.0, size=(512, 512))
-    M[3, 5] = 0.0
-    report = contraction_coeff(M, -1.0)
-    assert scan_dtypes == [np.float64]
-    _assert_is_the_full_scan(report, M, -1.0)
-
-
-def test_dimension_256_runs_the_single_float64_scan(scan_dtypes):
+def test_dimension_256_runs_the_single_float64_scan(aleph_scans):
     M = np.random.default_rng(3105).uniform(0.1, 10.0, size=(256, 256))
     report = contraction_coeff(M)
-    assert scan_dtypes == [np.float64]
+    assert aleph_scans == [(256, np.float64)]
     _assert_is_the_full_scan(report, M)
