@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cone import hilbert_distance, m_ratio, phi, psi, psi_inverse
+from .cone import _support, hilbert_distance, m_ratio, phi, psi, psi_inverse
 from .kernels import (
     KernelGrid,
     KernelPatternError,
@@ -245,7 +245,7 @@ def _report(command: str, inputs: dict, results: dict, warnings: list[str]) -> d
 
 
 def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> None:
-    j = _first_dead_column(as_nonneg_matrix(M), zero_tol)  # read_matrix does not check the shape
+    j = _first_dead_column(_support(as_nonneg_matrix(M), zero_tol))  # read_matrix does not check the shape
     if j is not None:
         raise CliError("not_cone_preserving", f"column {j} has no positive entry", f"{location}: column {j}")
 
@@ -286,7 +286,7 @@ def cmd_coeff(args) -> dict:
         try:
             c = contraction_coeff_formula(M, zt)
         except ValueError as exc:
-            if not (M <= zt).any():
+            if _support(M, zt).all():
                 raise  # the double-range refusal of a strictly positive matrix: invalid_input
             raise CliError("not_strictly_positive", str(exc), args.file) from None
         witness, method, a_star = None, "closed_form", psi_inverse(c) if c < 1.0 else None
@@ -374,7 +374,7 @@ def cmd_kernel(args) -> dict:
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
     # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans
     try:
-        _check_cone_preserving(discretize(grid), zt)
+        _check_cone_preserving(_support(discretize(grid), zt))
         cert = factorization_certificate(grid, zt)
         report = kernel_contraction_estimate(grid, zt)
     except KernelPatternError as exc:

@@ -37,10 +37,11 @@ __all__ = [
 ]
 
 
-def _check_zero_tol(zero_tol: float) -> None:
-    """Raise ``ValueError`` unless ``zero_tol`` is finite and nonnegative (a plain float comparison: it runs per Perron step)."""
+def _support(a: np.ndarray, zero_tol: float) -> np.ndarray:
+    """The support ``a > zero_tol``, the one mask a ``zero_tol`` makes; ``ValueError`` unless ``zero_tol`` is finite and nonnegative."""
     if not 0.0 <= zero_tol < math.inf:
         raise ValueError(f"zero_tol must be finite and nonnegative, got {zero_tol}")
+    return a > zero_tol
 
 
 def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
@@ -64,8 +65,7 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
         raise ValueError("cone vector entries must be finite")
     if (arr < 0.0).any():
         raise ValueError("cone vector entries must be nonnegative")
-    _check_zero_tol(zero_tol)
-    if not (arr > zero_tol).any():
+    if not _support(arr, zero_tol).any():
         raise ValueError("cone vector must have at least one positive entry")
     return arr
 
@@ -80,7 +80,7 @@ def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aleph(f: np.ndarray, g: np.ndarray, zero_tol: float) -> float:
-    """Unchecked :func:`aleph` on validated cone vectors of equal shape."""
+    """Unchecked :func:`aleph` on validated cone vectors of equal shape (inline mask: it runs twice per Perron step)."""
     support = f > zero_tol
     return float((g[support] / f[support]).min())
 

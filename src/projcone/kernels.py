@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cone import psi
+from .cone import _support, psi
 from .matrices import ContractionReport, contraction_coeff
 from .matrices import _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
 
@@ -91,7 +91,7 @@ class KernelGrid:
             raise ValueError(f"values must be a finite {n}x{n} grid")
         if np.any(values < 0.0):
             raise ValueError("kernel values must be nonnegative")
-        j = _first_dead_column(values, 0.0)
+        j = _first_dead_column(_support(values, 0.0))
         if j is not None:
             raise ValueError(f"column {j} of the value grid is identically zero")
         object.__setattr__(self, "nodes", nodes)
@@ -213,13 +213,14 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     ``A`` overflows to ``inf``.
     """
     V = grid.values
-    offender = _first_pattern_offender(V, zero_tol)
+    pos = _support(V, zero_tol)
+    offender = _first_pattern_offender(pos)
     if offender is not None:
         raise KernelPatternError(*offender)
     k0, j0 = _first_argmax(V)
     g1 = V[:, j0].copy()
     g2 = V[k0, :] / V[k0, j0]
-    return FactorizationCertificate(g1=g1, g2=g2, A=_sandwich(V, g1, g2, zero_tol), reference_row=k0, reference_col=j0)
+    return FactorizationCertificate(g1=g1, g2=g2, A=_sandwich(V, g1, g2, pos), reference_row=k0, reference_col=j0)
 
 
 def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> ContractionReport:

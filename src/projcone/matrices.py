@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _check_zero_tol, as_cone_vector, psi_inverse
+from .cone import _support, as_cone_vector, psi_inverse
 
 __all__ = [
     "ContractionReport",
@@ -55,16 +55,15 @@ def as_nonneg_matrix(M) -> np.ndarray:
     return arr
 
 
-def _first_dead_column(M: np.ndarray, zero_tol: float) -> int | None:
-    """Index of the first column of the validated ``M`` with no entry above ``zero_tol``, or None."""
-    _check_zero_tol(zero_tol)
-    dead = ~(M > zero_tol).any(axis=0)
+def _first_dead_column(pos: np.ndarray) -> int | None:
+    """Index of the first column of the support mask ``pos`` with no entry, or None."""
+    dead = ~pos.any(axis=0)
     return int(np.argmax(dead)) if dead.any() else None
 
 
-def _check_cone_preserving(M: np.ndarray, zero_tol: float) -> None:
-    """Raise ``ValueError`` naming the first column of the validated ``M`` with no entry above ``zero_tol``."""
-    j = _first_dead_column(M, zero_tol)
+def _check_cone_preserving(pos: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first column of the support mask ``pos`` with no entry."""
+    j = _first_dead_column(pos)
     if j is not None:
         raise ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
 
@@ -74,10 +73,8 @@ def _first_argmax(V: np.ndarray) -> tuple[int, int]:
     return tuple(int(k) for k in np.unravel_index(int(np.argmax(V)), V.shape))
 
 
-def _first_pattern_offender(M: np.ndarray, zero_tol: float) -> tuple[int, int] | None:
-    """First ``(row, col)`` in row-major order of a zero (at most ``zero_tol``) in a nonzero row and column, or None."""
-    _check_zero_tol(zero_tol)
-    pos = M > zero_tol
+def _first_pattern_offender(pos: np.ndarray) -> tuple[int, int] | None:
+    """First ``(row, col)`` in row-major order outside the support mask ``pos`` in a nonzero row and column, or None."""
     bad = ~pos & pos.any(axis=1)[:, None] & pos.any(axis=0)[None, :]
     return _first_argmax(bad) if bad.any() else None
 
@@ -88,7 +85,7 @@ def is_cone_preserving(M, zero_tol: float = 0.0) -> bool:
     That is exactly the condition for ``M @ f`` to stay in the cone for
     every cone vector ``f``: no basis ray is annihilated.
     """
-    return _first_dead_column(as_nonneg_matrix(M), zero_tol) is None
+    return _first_dead_column(_support(as_nonneg_matrix(M), zero_tol)) is None
 
 
 def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
@@ -102,7 +99,7 @@ def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
     if f.size != M.shape[1]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
     out = M @ f
-    if not np.any(out > zero_tol):
+    if not _support(out, zero_tol).any():
         raise ValueError("image of the cone vector is zero: matrix does not preserve the cone on this input")
     return out
 
@@ -144,31 +141,31 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _support_denominators(M: np.ndarray, outside: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
-    """Denominators and fold that confine the ratios ``M[k, :] / M[k, i]`` to the support ``~outside[:, i]``.
+def _support_denominators(M: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
+    """Denominators and fold that confine the ratios ``M[k, :] / M[k, i]`` to the support ``pos[:, i]``.
 
-    With some entry outside, the denominators are a copy of ``M`` with those
-    entries zeroed, so excluded rows yield ``inf`` or NaN, which the
+    With some entry outside the support, the denominators are a copy of
+    ``M`` with those entries zeroed, so excluded rows yield ``inf`` or NaN, which the
     NaN-ignoring ``np.fmin`` passes over (a support row never yields NaN:
     its denominator is positive and its numerator finite).  Otherwise they
     are ``M`` itself, folded by ``np.minimum``.
     """
-    if outside.any():
-        return np.where(outside, M.dtype.type(0), M), np.fmin
+    if not pos.all():
+        return np.where(pos, M, M.dtype.type(0)), np.fmin
     return M, np.minimum
 
 
-def _quotients_are_finite(M: np.ndarray, outside: np.ndarray) -> bool:
-    """``max(M) / min(M[~outside])`` is finite (support entries exceed ``zero_tol >= 0``): no quotient of the scan overflows and no distance is NaN."""
-    lo = float(M.min(initial=np.inf, where=~outside))
+def _quotients_are_finite(M: np.ndarray, pos: np.ndarray) -> bool:
+    """``max(M) / min(M[pos])`` is finite (support entries exceed ``zero_tol >= 0``): no quotient of the scan overflows and no distance is NaN."""
+    lo = float(M.min(initial=np.inf, where=pos))
     return math.isfinite(float(M.max()) / lo)
 
 
-def _aleph_columns(M: np.ndarray, outside: np.ndarray, workers: int | None = None) -> np.ndarray:
+def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> np.ndarray:
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
     ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
-    the support ``~outside[:, i]`` of column ``i``.  The scan walks row
+    the support ``pos[:, i]`` of column ``i``.  The scan walks row
     blocks (see ``_SCAN_BLOCK_ROWS``) outside and the columns ``i`` inside,
     dividing each block into one reusable per-thread buffer and folding the
     block's minimum into ``out[i]``, by :func:`_support_denominators`.
@@ -184,7 +181,7 @@ def _aleph_columns(M: np.ndarray, outside: np.ndarray, workers: int | None = Non
     out = np.full((n, n), np.inf, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
-    denom, fold = _support_denominators(M, outside)
+    denom, fold = _support_denominators(M, pos)
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
 
     def fill(lo: int, hi: int) -> None:
@@ -216,10 +213,10 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (1.0 - m) / (1.0 + m)
 
 
-def _listed_pair_distances(M: np.ndarray, outside: np.ndarray, i, j) -> np.ndarray:
+def _listed_pair_distances(M: np.ndarray, pos: np.ndarray, i, j) -> np.ndarray:
     """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's."""
     def alephs(i, j):  # aleph(col_i, col_j) of every listed pair
-        denom, fold = _support_denominators(M[:, i], outside[:, i])
+        denom, fold = _support_denominators(M[:, i], pos[:, i])
         return fold.reduce(M[:, j] / denom, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _pair_distances(alephs(i, j), alephs(j, i))
@@ -245,7 +242,7 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
-def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
     """``_max_pair_distance`` of the float64 aleph table, bit for bit, via float32; None where it does not apply.
 
     Under the guard of :func:`contraction_coeff` it applies when ``max(M) /
@@ -264,7 +261,7 @@ def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int
     n, top = M.shape[1], float(M.max())
     if not top / float(M.min(initial=np.inf, where=M > 0.0)) < 2.0**60:
         return None
-    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), outside, workers)
+    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), pos, workers)
 
     def bound(i: int, f: float) -> np.ndarray:
         return _pair_distances(al[i, i + 1:].astype(float) * f, al[i + 1:, i].astype(float) * f)
@@ -277,7 +274,7 @@ def _screened_max_pair_distance(M: np.ndarray, outside: np.ndarray, workers: int
             return None
     d = np.empty(len(cols))
     for s in range(0, d.size, _SCAN_BLOCK_ROWS):
-        d[s:s + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, outside, rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS])
+        d[s:s + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, pos, rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS])
     k = int(np.argmax(d))
     return float(d[k]), (rows[k], cols[k])
 
@@ -304,21 +301,21 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     For a 1x1 matrix there is a single ray, so ``c = 0``.
     """
     M = as_nonneg_matrix(M)
-    _check_cone_preserving(M, zero_tol)
+    pos = _support(M, zero_tol)
+    _check_cone_preserving(pos)
     n = M.shape[1]
     if n == 1:
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
-    outside = M <= zero_tol
-    guarded = _quotients_are_finite(M, outside)
+    guarded = _quotients_are_finite(M, pos)
     if guarded:
-        hits = np.flatnonzero(_listed_pair_distances(M, outside, slice(0, 1), slice(1, None)) == 1.0)
+        hits = np.flatnonzero(_listed_pair_distances(M, pos, slice(0, 1), slice(1, None)) == 1.0)
         if hits.size:
             return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, 1 + int(hits[0])), method="definitional")
     large = n >= _LARGE_SCAN_MIN_DIM
     if workers is None and large:
         workers = _usable_cpus()
-    screened = _screened_max_pair_distance(M, outside, workers) if guarded and large else None
-    c, witness = screened or _max_pair_distance(_aleph_columns(M, outside, workers))
+    screened = _screened_max_pair_distance(M, pos, workers) if guarded and large else None
+    c, witness = screened or _max_pair_distance(_aleph_columns(M, pos, workers))
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 
@@ -340,8 +337,7 @@ def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:
     normal double range: the ratios would then be NaN or lose their digits.
     """
     M = as_nonneg_matrix(M)
-    _check_zero_tol(zero_tol)
-    if np.any(M <= zero_tol):
+    if not _support(M, zero_tol).all():
         raise ValueError("closed-form coefficient requires strictly positive entries; use contraction_coeff")
     lo, hi = float(M.min()), float(M.max())
     if lo * lo < np.finfo(float).tiny or not math.isfinite(2.0 * hi * hi):
@@ -364,7 +360,7 @@ def is_uniformly_positive(M, zero_tol: float = 0.0) -> bool:
     submatrix is strictly positive.  For cone-preserving ``M`` this is
     exactly strict contraction, ``c(M) < 1``.
     """
-    return _first_pattern_offender(as_nonneg_matrix(M), zero_tol) is None
+    return _first_pattern_offender(_support(as_nonneg_matrix(M), zero_tol)) is None
 
 
 def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
@@ -374,9 +370,9 @@ def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
     (Cone preservation rules out all-zero columns, so this coincides with
     :func:`is_uniformly_positive` on its domain.)
     """
-    M = as_nonneg_matrix(M)
-    _check_cone_preserving(M, zero_tol)
-    return _first_pattern_offender(M, zero_tol) is None
+    pos = _support(as_nonneg_matrix(M), zero_tol)
+    _check_cone_preserving(pos)
+    return _first_pattern_offender(pos) is None
 
 
 def _sandwich_holds(V: np.ndarray, prod: np.ndarray, A: float, rtol: float) -> bool:
@@ -389,15 +385,14 @@ def _sandwich_holds(V: np.ndarray, prod: np.ndarray, A: float, rtol: float) -> b
         return math.isfinite(A) and bool(np.all(prod / A <= V + slack) and np.all(V <= A * prod + slack))
 
 
-def _sandwich(V: np.ndarray, h: np.ndarray, b: np.ndarray, zero_tol: float) -> float:
-    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` wherever ``V > zero_tol`` (Birkhoff).
+def _sandwich(V: np.ndarray, h: np.ndarray, b: np.ndarray, pos: np.ndarray) -> float:
+    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` on the support mask ``pos`` of ``V`` (Birkhoff).
 
     ``ArithmeticError`` when the sandwich fails :func:`_sandwich_holds` with
     slack ``1e-9 * max(V)``, as it does when a ratio leaves the double range.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         prod = np.outer(h, b)
-        pos = V > zero_tol
         r = V[pos] / prod[pos]
         A = float(max(r.max(), (1.0 / r).max()))
     if not _sandwich_holds(V, prod, A, 1e-9):
@@ -451,13 +446,14 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     ``ArithmeticError`` when the sandwich fails its check (:func:`_sandwich`).
     """
     M = as_nonneg_matrix(M)
-    _check_cone_preserving(M, zero_tol)
-    if _first_pattern_offender(M, zero_tol) is not None:
+    pos = _support(M, zero_tol)
+    _check_cone_preserving(pos)
+    if _first_pattern_offender(pos) is not None:
         raise ValueError("matrix is not uniformly positive: some zero entry lies in a nonzero row and a nonzero column")
     i0, j0 = _first_argmax(M)
     h = M[:, j0].copy()
     b = M[i0, :].copy()
-    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(M, h, b, zero_tol), reference_row=i0, reference_col=j0)
+    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(M, h, b, pos), reference_row=i0, reference_col=j0)
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:

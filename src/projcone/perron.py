@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, as_cone_vector, normalize, phi
+from .cone import _aleph, _support, as_cone_vector, normalize, phi
 from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff
 
 __all__ = [
@@ -66,7 +66,7 @@ def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[
         a = _aleph(Mp, p, zero_tol)
         upper = math.inf if a == 0.0 else 1.0 / a
         if not (lower <= upper):
-            support = Mp > zero_tol  # a > 0, so p is positive here
+            support = _support(Mp, zero_tol)  # a > 0, so p is positive here
             upper = float((Mp[support] / p[support]).max())
             lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
@@ -87,7 +87,7 @@ def collatz_wielandt(M, f, zero_tol: float = 0.0) -> tuple[float, float]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
     if np.any(f <= 0.0):
         raise ValueError("collatz_wielandt requires a strictly positive vector")
-    _check_cone_preserving(M, zero_tol)
+    _check_cone_preserving(_support(M, zero_tol))
     return _eigenvalue_bracket(M, f, zero_tol)
 
 
@@ -117,7 +117,7 @@ def perron_iterate(
         settle.
     """
     M = as_nonneg_matrix(M)
-    _check_cone_preserving(M, zero_tol)
+    _check_cone_preserving(_support(M, zero_tol))
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:

@@ -343,7 +343,7 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
         al = _aleph_columns_per_row(M, zt)
-        assert np.array_equal(_aleph_columns(M, M <= zt), al), label
+        assert np.array_equal(_aleph_columns(M, M > zt), al), label
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
         if n > 1:
             c, witness = _max_pair_distance_dense(al)
@@ -439,7 +439,7 @@ def test_pattern_shortcut_is_bitwise_the_full_scan(aleph_scans):
         scans = len(aleph_scans)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = contraction_coeff(M, zt)
-            al = _aleph_columns(M, M <= zt)
+            al = _aleph_columns(M, M > zt)
             c, witness = _max_pair_distance(al)
         label = (M.tolist(), zt)
         assert _same(rep.c, c) and rep.witness == witness, label
@@ -462,7 +462,7 @@ def test_pattern_shortcut_keeps_the_overflow_verdicts():
     raised = 0
     for M, zt in _shortcut_corpus(rng, 300):
         verdicts = []
-        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, M <= zt))):
+        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, M > zt))):
             try:
                 with np.errstate(over="raise"):
                     rep = route()

@@ -10,14 +10,14 @@ from projcone.matrices import _aleph_columns, _max_pair_distance, _quotients_are
 def _full_scan(M, zero_tol):
     """The float64 scan and pair reduction that the screen must reproduce bit for bit."""
     with np.errstate(all="ignore"):
-        return _max_pair_distance(_aleph_columns(M, M <= zero_tol))
+        return _max_pair_distance(_aleph_columns(M, M > zero_tol))
 
 
 def _screen(M, zero_tol, workers=1):
     # under the guard no quotient, product or distance of the screen overflows or underflows
-    outside = M <= zero_tol
+    pos = M > zero_tol
     with np.errstate(over="raise", under="raise"):
-        return _screened_max_pair_distance(M, outside, workers) if _quotients_are_finite(M, outside) else None
+        return _screened_max_pair_distance(M, pos, workers) if _quotients_are_finite(M, pos) else None
 
 
 def _near_rank_one(rng, n):
