@@ -92,13 +92,17 @@ def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
     """Image ``M @ f`` of a cone vector, kept inside the cone.
 
     Raises if the image is (numerically) zero, which happens only when ``M``
-    annihilates every basis ray in the support of ``f``.
+    annihilates every basis ray in the support of ``f``, or if it overflows
+    the double range.
     """
     M = as_nonneg_matrix(M)
     f = as_cone_vector(f, zero_tol)
     if f.size != M.shape[1]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
-    out = M @ f
+    with np.errstate(over="ignore"):
+        out = M @ f
+    if not np.isfinite(out).all():
+        raise ValueError("image of the cone vector is not finite: M @ f overflows the double range")
     if not _support(out, zero_tol).any():
         raise ValueError("image of the cone vector is zero: matrix does not preserve the cone on this input")
     return out

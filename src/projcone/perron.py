@@ -115,9 +115,14 @@ def perron_iterate(
         Iteration budget; hitting it is reported (``converged=False``), not
         an error, since matrices with ``c = 1`` may legitimately never
         settle.
+    zero_tol : float
+        Must be below 1: every iterate is scaled to a largest entry of 1,
+        and a larger ``zero_tol`` would count all of it as zero.
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(_support(M, zero_tol))
+    if zero_tol >= 1.0:
+        raise ValueError(f"perron_iterate requires zero_tol < 1, got {zero_tol}: each iterate has largest entry 1, which it would count as zero")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -134,13 +139,16 @@ def perron_iterate(
     else:
         c = contraction_coeff(M, zero_tol).c
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
-    for iterations in range(1, max_iter + 1):
-        # pseudo_distance(p, q) on vectors already validated (q by normalize: M @ p can overflow or vanish)
-        q = normalize(M @ p, zero_tol)
-        step = phi(min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0))
-        p = q
-        if step <= tol:
-            break
+    # p and q have largest entry 1 > zero_tol, so each aleph is at most 1 and an overflowed quotient is never its
+    # minimum; normalize refuses an overflowed image
+    with np.errstate(over="ignore"):
+        for iterations in range(1, max_iter + 1):
+            # pseudo_distance(p, q) on vectors already validated (q by normalize: M @ p can overflow or vanish)
+            q = normalize(M @ p, zero_tol)
+            step = phi(min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0))
+            p = q
+            if step <= tol:
+                break
     converged = step <= tol
 
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)

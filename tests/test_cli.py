@@ -321,10 +321,18 @@ _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
         '"eigenvalue_upper": 1.0000000000000002e+300,"iterations": 1,"final_step_distance": 0,"converged": true},'
         '"warnings": ["no contraction certificate (c = 1); error bound unavailable"]}\n',
     ),
+    (
+        # iterates mix subnormal and normal entries, so a quotient of the step distance overflows
+        "1e-300,0.3,0\n1e-300,1,2\n1e-310,0,1e-310\n",
+        '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
+        '"results": {"eigenvector": [0.29999999999999999,1,2.9999999999998426e-311],"eigenvalue_lower": 1,'
+        '"eigenvalue_upper": 1,"iterations": 4,"final_step_distance": 0,"converged": true},'
+        '"warnings": ["no contraction certificate (c = 1); error bound unavailable"]}\n',
+    ),
 ]
 
 
-@pytest.mark.parametrize("text, expected", _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE, ids=["subnormal", "1e300-1e-310"])
+@pytest.mark.parametrize("text, expected", _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE, ids=["subnormal", "1e300-1e-310", "step-overflow"])
 def test_perron_bracket_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsys, text, expected):
     path = tmp_path / "m.csv"
     path.write_text(text)
@@ -503,6 +511,7 @@ def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
     (["perron", "M.csv", "--start", "1,2,3"], "dimension mismatch"),
     (["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2"], "not cone-preserving"),
     (["coeff", "NaN.csv"], "cannot serialize NaN"),
+    (["perron", "M.csv", "--zero-tol", "1.5", "--start", "5,5"], "perron_iterate requires zero_tol < 1, got 1.5"),
 ])
 def test_library_errors_are_invalid_input_at_the_subcommand(tmp_path, capsys, argv, message):
     (tmp_path / "M.csv").write_text("2,1\n1,2\n")

@@ -49,8 +49,10 @@ def test_apply_examples():
 
 
 def test_apply_errors():
-    with pytest.raises(ValueError):
-        apply([[1, 0], [1, 0]], [0, 1])  # image is zero
+    with pytest.raises(ValueError, match="image of the cone vector is zero"):
+        apply([[1, 0], [1, 0]], [0, 1])
+    with pytest.raises(ValueError, match="image of the cone vector is not finite"):
+        apply([[1e308, 1e308], [1e308, 1e308]], [1, 1])  # no raw overflow warning either
     with pytest.raises(ValueError):
         apply([[1, 0], [1, 0]], [1, 0, 0])
 

@@ -93,6 +93,16 @@ def test_perron_input_validation():
         perron_iterate([[2, 1], [1, 2]], [1, 2, 3])
 
 
+@pytest.mark.parametrize("zero_tol", [1.0, 1.5])
+@pytest.mark.parametrize("f0", [None, [5, 5], [1, 2, 3]], ids=["default-start", "5-5", "wrong-length"])
+def test_zero_tol_of_one_or_more_is_refused_before_the_start_vector(zero_tol, f0):
+    # each normalized iterate has largest entry 1, which such a zero_tol counts as zero
+    with pytest.raises(ValueError, match=f"perron_iterate requires zero_tol < 1, got {zero_tol}"):
+        perron_iterate([[2, 1], [1, 2]], f0, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="not cone-preserving"):  # the matrix checks come first
+        perron_iterate([[2, 0], [1, 0]], f0, zero_tol=zero_tol)
+
+
 def test_error_bound_sound_against_known_fixed_rays():
     rng = np.random.default_rng(31)
     for _ in range(20):
