@@ -149,10 +149,10 @@ def _support_denominators(M: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, n
     """Denominators and fold that confine the ratios ``M[k, :] / M[k, i]`` to the support ``pos[:, i]``.
 
     With some entry outside the support, the denominators are a copy of
-    ``M`` with those entries zeroed, so excluded rows yield ``inf`` or NaN, which the
-    NaN-ignoring ``np.fmin`` passes over (a support row never yields NaN:
-    its denominator is positive and its numerator finite).  Otherwise they
-    are ``M`` itself, folded by ``np.minimum``.
+    ``M`` with those entries zeroed, so excluded rows yield ``inf`` or
+    NaN, which the NaN-ignoring ``np.fmin`` passes over (a support row
+    never yields NaN: its denominator is positive and its numerator
+    finite).  Otherwise they are ``M`` itself, folded by ``np.minimum``.
     """
     if not pos.all():
         return np.where(pos, M, M.dtype.type(0)), np.fmin

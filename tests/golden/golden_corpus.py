@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from projcone import (
+    builtin_kernel,
     contraction_coeff,
     factorization_certificate,
     is_cone_preserving,
@@ -45,7 +46,6 @@ from projcone import (
     kernel_contraction_estimate,
     perron_iterate,
     tabulate_kernel,
-    builtin_kernel,
     uniform_positivity_certificate,
 )
 from projcone.cli import main
@@ -69,8 +69,6 @@ def _encode(x):
         return float(x).hex()
     if isinstance(x, (list, tuple, np.ndarray)):
         return [_encode(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _encode(v) for k, v in x.items()}
     return x  # None and str
 
 
