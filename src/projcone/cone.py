@@ -80,7 +80,7 @@ def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aleph(f: np.ndarray, g: np.ndarray, zero_tol: float) -> float:
-    """Unchecked :func:`aleph` on validated cone vectors of equal shape (inline mask: it runs twice per Perron step)."""
+    """Unchecked :func:`aleph` on validated cone vectors of equal shape and a checked ``zero_tol``; the caller's errstate governs overflow."""
     support = f > zero_tol
     return float((g[support] / f[support]).min())
 
@@ -96,7 +96,8 @@ def aleph(f, g, zero_tol: float = 0.0) -> float:
     Scaling behaves as ``aleph(a*f, b*g) == (b/a) * aleph(f, g)``.
     """
     f, g = _cone_pair(f, g, zero_tol)
-    return _aleph(f, g, zero_tol)
+    with np.errstate(over="ignore"):  # a quotient over a subnormal entry of f may overflow to inf
+        return _aleph(f, g, zero_tol)
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,9 @@ def m_ratio(f, g, zero_tol: float = 0.0) -> RatioPair:
     proportional pairs; mathematically it never exceeds 1.
     """
     f, g = _cone_pair(f, g, zero_tol)
-    a_fg = _aleph(f, g, zero_tol)
-    a_gf = _aleph(g, f, zero_tol)
+    with np.errstate(over="ignore"):  # a quotient over a subnormal entry may overflow to inf
+        a_fg = _aleph(f, g, zero_tol)
+        a_gf = _aleph(g, f, zero_tol)
     return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(a_fg * a_gf, 1.0))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, _support, as_cone_vector, normalize, phi
+from .cone import _aleph, _support, as_cone_vector, normalize
 from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff
 
 __all__ = [
@@ -54,14 +54,25 @@ class PerronResult:
     no_bound_reason: str | None = None
 
 
+def _image(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.floating]:
+    """``M @ p`` and its largest entry, which alone decides :func:`as_cone_vector`'s refusals: ``M`` and ``p`` are validated, so no entry is NaN or negative."""
+    q = M @ p
+    top = q.max()
+    if not top < math.inf:
+        raise ValueError("cone vector entries must be finite")
+    if not top > zero_tol:
+        raise ValueError("cone vector must have at least one positive entry")
+    return q, top
+
+
 def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
-    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is validated.
+    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
 
     Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is the largest ratio itself, and
     both ends move one ulp outward.
     """
-    Mp = as_cone_vector(M @ p, zero_tol)
     with np.errstate(over="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
+        Mp, _ = _image(M, p, zero_tol)
         lower = _aleph(p, Mp, zero_tol)
         a = _aleph(Mp, p, zero_tol)
         upper = math.inf if a == 0.0 else 1.0 / a
@@ -139,14 +150,20 @@ def perron_iterate(
     else:
         c = contraction_coeff(M, zero_tol).c
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
-    # p and q have largest entry 1 > zero_tol, so each aleph is at most 1 and an overflowed quotient is never its
-    # minimum; normalize refuses an overflowed image
+    # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
+    # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
+    p_full = p.min() > zero_tol
     with np.errstate(over="ignore"):
         for iterations in range(1, max_iter + 1):
-            # pseudo_distance(p, q) on vectors already validated (q by normalize: M @ p can overflow or vanish)
-            q = normalize(M @ p, zero_tol)
-            step = phi(min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0))
-            p = q
+            q, top = _image(M, p, zero_tol)
+            q /= top
+            q_full = q.min() > zero_tol
+            if p_full and q_full:  # both wholly above zero_tol: every quotient counts
+                m = min(float((q / p).min()) * float((p / q).min()), 1.0)
+            else:  # boundary zeros: _aleph masks them
+                m = min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0)
+            step = (1.0 - m) / (1.0 + m)  # phi(m)
+            p, p_full = q, q_full
             if step <= tol:
                 break
     converged = step <= tol

@@ -135,6 +135,11 @@ def test_dist_boundary_pair_renders_inf(capsys):
     assert report["results"]["d_H"] == "inf"
 
 
+def test_dist_over_a_subnormal_entry_prints_no_warning(capsys):
+    report = run_report(capsys, "dist", "1e-310,1", "1,1")  # 1 / 1e-310 overflows, and stderr stays empty
+    assert report["results"]["aleph_fg"] == 1.0 and report["results"]["d"] == 1.0
+
+
 def test_dist_from_two_row_file(tmp_path, capsys):
     path = tmp_path / "v.csv"
     path.write_text("1,2\n2,1\n")

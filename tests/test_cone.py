@@ -49,6 +49,17 @@ def test_m_ratio_examples():
     assert pair.m == 0.0 and pair.aleph_fg == 0.0 and pair.aleph_gf == 0.0
 
 
+def test_vector_ratios_over_a_subnormal_entry_print_no_warning():
+    # 1 / 1e-310 overflows, but the quotient at the entry 1 is the minimum; the error::RuntimeWarning filter makes
+    # each call the check
+    f, g = [1e-310, 1.0], [1.0, 1.0]
+    assert aleph(f, g) == 1.0
+    pair = m_ratio(f, g)
+    assert (pair.aleph_fg, pair.aleph_gf, pair.m) == (1.0, 1e-310, 1e-310)
+    assert pseudo_distance(f, g) == phi(1e-310)
+    assert hilbert_distance(f, g) == abs(math.log(1e-310))
+
+
 def test_ratio_functional_laws():
     rng = np.random.default_rng(7)
     for _ in range(300):

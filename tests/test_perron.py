@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projcone import (
     PerronResult,
@@ -19,6 +20,7 @@ from projcone import (
 )
 
 from _util import random_cone_preserving_matrix
+from test_cli_fuzz import ENTRIES
 
 
 def _iterate_rays(M, f0, count):
@@ -225,8 +227,12 @@ def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
 
 def _validating_bracket(M, p, zero_tol=0.0):
     Mp = M @ p
-    a = aleph(Mp, p, zero_tol)
-    return aleph(p, Mp, zero_tol), math.inf if a == 0.0 else 1.0 / a
+    lower, a = aleph(p, Mp, zero_tol), aleph(Mp, p, zero_tol)
+    upper = math.inf if a == 0.0 else 1.0 / a
+    if lower > upper:  # a overflowed, or 1 / a rounded low: the largest ratio, and both ends one ulp outward
+        upper = max(y / x for x, y in zip(p, Mp) if y > zero_tol)
+        return math.nextafter(lower, 0.0), math.nextafter(upper, math.inf)
+    return lower, upper
 
 
 def _bits(res):
@@ -237,6 +243,19 @@ def _bits(res):
 
 def _slowly_mixing(rng, n):
     return np.eye(n) + 0.02 * rng.uniform(0.1, 1.0, size=(n, n))
+
+
+def _outcome(route, M, **kwargs):
+    """``_bits`` of a route's result, or the message of the ``ValueError`` it raised."""
+    try:
+        return _bits(route(M, **kwargs))
+    except ValueError as exc:
+        return str(exc)
+
+
+def _reference_outcome(M, **kwargs):
+    with np.errstate(over="ignore"):  # the reference's raw M @ p may overflow
+        return _outcome(_validating_route, M, **kwargs)
 
 
 def test_loop_is_bitwise_the_validating_route():
@@ -254,10 +273,35 @@ def test_loop_is_bitwise_the_validating_route():
     cases.append(("dimension limit", _slowly_mixing(np.random.default_rng(39), 513), {"tol": 1e-9}))
     M = _slowly_mixing(rng, 4)
     cases.append(("tol equal to the third step", M, {"tol": _validating_route(M, max_iter=3).final_step_distance}))
+    # the step kernel divides unmasked only while p and q lie wholly above zero_tol; these cases switch routes
+    cases.append(("iterate falls below zero_tol", [[1.0, 0.01], [0.01, 0.5]], {"zero_tol": 0.2}))
+    cases.append(("iterate rises above zero_tol", [[1.0, 0.5], [0.5, 1.0]], {"f0": [1.0, 0.05], "zero_tol": 0.2}))
+    cases.append(("subnormal start, q / p overflows", _slowly_mixing(rng, 3), {"f0": [1.0, 1e-310, 5e-324]}))
+    tiny = 1e-300 * np.array([[1.0, 1.0, 0.0], [0.0, 1e-15, 1.0], [1e-10, 0.0, 1.0]])
+    cases.append(("image entries underflow to 0", tiny, {"f0": [1.0, 1e-20, 1e-30], "max_iter": 60}))
+    cases.append(("first image overflows", [[1e308, 1e308], [1e308, 1e308]], {}))
     for label, M, kwargs in cases:
-        res = perron_iterate(M, **kwargs)
-        assert _bits(res) == _bits(_validating_route(M, **kwargs)), label
+        assert _outcome(perron_iterate, M, **kwargs) == _reference_outcome(M, **kwargs), label
+    assert (tiny @ [1.0, 1e-20, 1e-30])[1] == 0.0
+    assert _reference_outcome([[1e308, 1e308], [1e308, 1e308]]) == "cone vector entries must be finite"
     assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
+def test_loop_is_bitwise_the_validating_route_over_the_fuzz_entries(data, zero_tol):
+    n = data.draw(st.integers(1, 6))
+    vectors = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+    M = np.array(data.draw(st.lists(vectors, min_size=n, max_size=n)), dtype=float)
+    assume((M > zero_tol).any(axis=0).all())  # the reference route does not check cone preservation
+    kwargs = {"f0": data.draw(st.none() | vectors), "max_iter": data.draw(st.integers(1, 50)), "zero_tol": zero_tol}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = _outcome(perron_iterate, M, **kwargs)
+    assert all(w.filename.endswith("matrices.py") for w in caught)  # c(M)'s raw warnings are a separate defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert got == _reference_outcome(M, **kwargs)
 
 
 def test_collatz_wielandt_is_bitwise_the_validating_route():
@@ -300,10 +344,14 @@ def test_bracket_is_ordered_and_holds_the_root_at_the_ends_of_the_double_range(M
 
 
 def test_bracket_rejects_an_image_outside_the_cone():
-    # the last iterate is valid, but its image overflows
+    # the last iterate is valid, but its image overflows, or vanishes by underflow; neither prints a raw warning
     M = np.array([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(ValueError, match="finite"):
+        collatz_wielandt(M, [1.0, 1.0])
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            collatz_wielandt(M, [1.0, 1.0])
-        with pytest.raises(ValueError, match="finite"):
             _validating_bracket(M, np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="at least one positive entry"):
+        collatz_wielandt([[0.3]], [5e-324])
+    with pytest.raises(ValueError, match="at least one positive entry"):
+        _validating_bracket(np.array([[0.3]]), np.array([5e-324]))
