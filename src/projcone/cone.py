@@ -88,10 +88,11 @@ def _aleph(f: np.ndarray, g: np.ndarray, zero_tol: float) -> float:
 def aleph(f, g, zero_tol: float = 0.0) -> float:
     """Largest ``b >= 0`` such that ``b * f <= g`` entrywise.
 
-    Equals the infimum of ``g(x) / f(x)`` over the support of ``f``.  Always
-    finite, because ``f`` has at least one positive entry; zero exactly when
-    ``g`` vanishes at some index where ``f`` is positive.  Division only
-    happens over the support of ``f``, so no 0/0 can occur.
+    Equals the infimum of ``g(x) / f(x)`` over the support of ``f``.  Finite,
+    because ``f`` has at least one positive entry, unless it exceeds the
+    double range (``g`` far above a subnormal ``f``), where it is ``inf``;
+    zero exactly when ``g`` vanishes at some index where ``f`` is positive.
+    Division only happens over the support of ``f``, so no 0/0 can occur.
 
     Scaling behaves as ``aleph(a*f, b*g) == (b/a) * aleph(f, g)``.
     """
@@ -117,13 +118,20 @@ def m_ratio(f, g, zero_tol: float = 0.0) -> RatioPair:
     """Both extreme ratios between ``f`` and ``g`` and their product ``m``.
 
     The product is clamped to 1.0 to absorb last-ulp overshoot on exactly
-    proportional pairs; mathematically it never exceeds 1.
+    proportional pairs; mathematically it never exceeds 1.  Where one ratio
+    overflows to ``inf``, ``m``, which is scale invariant, is taken again
+    with the smaller vector scaled to a largest entry of 1.
     """
     f, g = _cone_pair(f, g, zero_tol)
     with np.errstate(over="ignore"):  # a quotient over a subnormal entry may overflow to inf
         a_fg = _aleph(f, g, zero_tol)
         a_gf = _aleph(g, f, zero_tol)
-    return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(a_fg * a_gf, 1.0))
+        m = a_fg * a_gf
+        if math.inf in (a_fg, a_gf):  # only one can overflow; the smaller vector's largest entry is then below 1
+            small, big = (f, g) if a_fg == math.inf else (g, f)
+            support, scaled = small > zero_tol, small / small.max()  # scaled up, so no entry underflows
+            m = float((big[support] / scaled[support]).min()) * _aleph(big, scaled, zero_tol)
+    return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(m, 1.0))
 
 
 def phi(s: float) -> float:

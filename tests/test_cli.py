@@ -140,6 +140,12 @@ def test_dist_over_a_subnormal_entry_prints_no_warning(capsys):
     assert report["results"]["aleph_fg"] == 1.0 and report["results"]["d"] == 1.0
 
 
+def test_dist_where_a_ratio_overflows_keeps_the_rays_apart(capsys):
+    report = run_report(capsys, "dist", "1e-310,1e-310", "1,2")  # every quotient 1 / 1e-310 overflows
+    assert report["results"]["aleph_fg"] == "inf" and report["results"]["m"] == 0.5
+    assert report["results"]["d"] == 1 / 3
+
+
 def test_dist_from_two_row_file(tmp_path, capsys):
     path = tmp_path / "v.csv"
     path.write_text("1,2\n2,1\n")

@@ -60,6 +60,21 @@ def test_vector_ratios_over_a_subnormal_entry_print_no_warning():
     assert hilbert_distance(f, g) == abs(math.log(1e-310))
 
 
+def test_m_is_taken_again_where_one_ratio_overflows():
+    # every quotient g / f overflows, so aleph(f, g) is inf; m must not read inf * tiny = 1 (equal rays) or inf * 0 = nan
+    f, g = [1e-310, 1e-310], [1.0, 2.0]
+    assert aleph(f, g) == math.inf
+    pair = m_ratio(f, g)
+    assert (pair.aleph_fg, pair.aleph_gf, pair.m) == (math.inf, 5e-311, 0.5)
+    assert m_ratio(g, f).m == 0.5
+    assert pseudo_distance(f, g) == pseudo_distance([1.0, 1.0], g) == 1 / 3
+    assert hilbert_distance(f, g) == hilbert_distance([1.0, 1.0], g)
+    assert m_ratio([1e-310, 0.0], [1.0, 1.0]).m == 0.0
+    assert pseudo_distance([1e-310, 0.0], [1.0, 1.0]) == 1.0 and hilbert_distance([1e-310, 0.0], [1.0, 1.0]) == math.inf
+    # the scaled vector keeps its own support: 5e-311 lies below zero_tol, its scaled 0.5 would not
+    assert m_ratio([1e-310, 5e-311], [1.0, 0.1], 6e-311).m == m_ratio([1.0, 0.5], [1.0, 0.1], 0.6).m == 1.0
+
+
 def test_ratio_functional_laws():
     rng = np.random.default_rng(7)
     for _ in range(300):
