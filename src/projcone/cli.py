@@ -404,15 +404,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # structured instead of argparse's SystemExit(2)
         raise CliError("bad_flags", message, self.prog)
 
+    def _get_values(self, action, arg_strings):  # argparse 3.11 drops the "--" of "--flag=--" and yields [], which no type sees
+        if action.nargs is None and arg_strings == ["--"]:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _number(parse, holds, requirement: str):
-    """argparse type: a finite ``parse(text)`` for which ``holds`` is true.  A malformed number gets argparse's own message."""
+    """argparse type: a finite ``parse(text)`` (ints are exact) for which ``holds`` is true.  A malformed number gets argparse's own message."""
     def convert(text: str):
         try:
             value = parse(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
-        if not (math.isfinite(value) and holds(value)):
+        if not ((parse is int or math.isfinite(value)) and holds(value)):
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
     return convert
@@ -433,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--zero-tol", type=_number(float, lambda v: v >= 0.0, "finite and nonnegative"), default=0.0, metavar="T",
                         help="entries at or below T count as zero in pattern tests (default 0)")
-    common.add_argument("--json-indent", type=int, default=None, metavar="N",
-                        help="pretty-print the report with N-space indentation")
+    common.add_argument("--json-indent", type=_number(int, lambda v: 0 <= v <= 64, "an integer from 0 to 64"), default=None, metavar="N",
+                        help="pretty-print the report with N-space indentation (0 to 64)")
 
     parser = _Parser(prog="projcone", description="Projective cone geometry: bounded metric, contraction coefficients, certificates, Perron iteration, kernels.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

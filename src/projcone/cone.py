@@ -44,6 +44,18 @@ def _support(a: np.ndarray, zero_tol: float) -> np.ndarray:
     return a > zero_tol
 
 
+def _support_denominators(f: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
+    """Denominators and fold that confine the ratios ``g / f`` to the support ``pos`` of ``f``, a vector or columns.
+
+    With some entry outside the support, the denominators are a copy of ``f`` with those entries zeroed, whose quotients,
+    ``inf`` or NaN, the NaN-ignoring ``np.fmin`` passes over; a support quotient has a positive denominator and a finite
+    numerator, so it is never NaN.  Otherwise they are ``f`` itself, folded by ``np.minimum``.
+    """
+    if not pos.all():
+        return np.where(pos, f, f.dtype.type(0)), np.fmin
+    return f, np.minimum
+
+
 def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     """Validate and return ``f`` as a 1-d float array in the cone.
 
@@ -70,19 +82,23 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     return arr
 
 
-def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Validate two cone vectors and require equal shapes."""
+def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate two cone vectors, require equal shapes, and return them with their support masks."""
     f = as_cone_vector(f, zero_tol)
     g = as_cone_vector(g, zero_tol)
     if f.shape != g.shape:
         raise ValueError(f"dimension mismatch: {f.size} vs {g.size}")
-    return f, g
+    return f, g, _support(f, zero_tol), _support(g, zero_tol)
 
 
-def _aleph(f: np.ndarray, g: np.ndarray, zero_tol: float) -> float:
-    """Unchecked :func:`aleph` on validated cone vectors of equal shape and a checked ``zero_tol``; the caller's errstate governs overflow."""
-    support = f > zero_tol
-    return float((g[support] / f[support]).min())
+def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray | None) -> np.floating | np.ndarray:
+    """Unchecked :func:`aleph` of validated ``f`` and ``g``, vectors or columns paired one to one, on the support ``pos`` of ``f``.
+
+    ``pos`` has an entry in every column, and ``None`` stands for all entries.  The caller's errstate governs overflow
+    and must ignore division by zero and 0/0, which happen only outside ``pos``.
+    """
+    denom, fold = (f, np.minimum) if pos is None else _support_denominators(f, pos)
+    return fold.reduce(g / denom, axis=0)
 
 
 def aleph(f, g, zero_tol: float = 0.0) -> float:
@@ -92,13 +108,13 @@ def aleph(f, g, zero_tol: float = 0.0) -> float:
     because ``f`` has at least one positive entry, unless it exceeds the
     double range (``g`` far above a subnormal ``f``), where it is ``inf``;
     zero exactly when ``g`` vanishes at some index where ``f`` is positive.
-    Division only happens over the support of ``f``, so no 0/0 can occur.
+    Quotients outside the support of ``f`` are dropped.
 
     Scaling behaves as ``aleph(a*f, b*g) == (b/a) * aleph(f, g)``.
     """
-    f, g = _cone_pair(f, g, zero_tol)
-    with np.errstate(over="ignore"):  # a quotient over a subnormal entry of f may overflow to inf
-        return _aleph(f, g, zero_tol)
+    f, g, pos_f, _ = _cone_pair(f, g, zero_tol)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a quotient over a subnormal entry of f may overflow to inf
+        return float(_aleph(f, g, pos_f))
 
 
 @dataclass(frozen=True)
@@ -122,15 +138,15 @@ def m_ratio(f, g, zero_tol: float = 0.0) -> RatioPair:
     overflows to ``inf``, ``m``, which is scale invariant, is taken again
     with the smaller vector scaled to a largest entry of 1.
     """
-    f, g = _cone_pair(f, g, zero_tol)
-    with np.errstate(over="ignore"):  # a quotient over a subnormal entry may overflow to inf
-        a_fg = _aleph(f, g, zero_tol)
-        a_gf = _aleph(g, f, zero_tol)
+    f, g, pos_f, pos_g = _cone_pair(f, g, zero_tol)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a quotient over a subnormal entry may overflow to inf
+        a_fg = float(_aleph(f, g, pos_f))
+        a_gf = float(_aleph(g, f, pos_g))
         m = a_fg * a_gf
         if math.inf in (a_fg, a_gf):  # only one can overflow; the smaller vector's largest entry is then below 1
-            small, big = (f, g) if a_fg == math.inf else (g, f)
-            support, scaled = small > zero_tol, small / small.max()  # scaled up, so no entry underflows
-            m = float((big[support] / scaled[support]).min()) * _aleph(big, scaled, zero_tol)
+            small, big, pos_small, pos_big = (f, g, pos_f, pos_g) if a_fg == math.inf else (g, f, pos_g, pos_f)
+            scaled = small / small.max()  # scaled up, so no entry underflows; its support stays that of small
+            m = float(_aleph(scaled, big, pos_small)) * float(_aleph(big, scaled, pos_big))
     return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(m, 1.0))
 
 
@@ -189,9 +205,7 @@ def hilbert_distance(f, g, zero_tol: float = 0.0) -> float:
     separation is a legitimate value on the cone boundary.
     """
     m = m_ratio(f, g, zero_tol).m
-    if m == 0.0:
-        return math.inf
-    return abs(math.log(m))
+    return math.inf if m == 0.0 else abs(math.log(m))
 
 
 def segment_distance(f1: float, f2: float, g1: float, g2: float) -> float:

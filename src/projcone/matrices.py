@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _support, as_cone_vector, psi_inverse
+from .cone import _aleph, _support, _support_denominators, as_cone_vector, psi_inverse
 
 __all__ = [
     "ContractionReport",
@@ -145,20 +145,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _support_denominators(M: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
-    """Denominators and fold that confine the ratios ``M[k, :] / M[k, i]`` to the support ``pos[:, i]``.
-
-    With some entry outside the support, the denominators are a copy of
-    ``M`` with those entries zeroed, so excluded rows yield ``inf`` or
-    NaN, which the NaN-ignoring ``np.fmin`` passes over (a support row
-    never yields NaN: its denominator is positive and its numerator
-    finite).  Otherwise they are ``M`` itself, folded by ``np.minimum``.
-    """
-    if not pos.all():
-        return np.where(pos, M, M.dtype.type(0)), np.fmin
-    return M, np.minimum
-
-
 def _quotients_are_finite(M: np.ndarray, pos: np.ndarray) -> bool:
     """``max(M) / min(M[pos])`` is finite (support entries exceed ``zero_tol >= 0``): no quotient of the scan overflows and no distance is NaN."""
     lo = float(M.min(initial=np.inf, where=pos))
@@ -172,7 +158,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     the support ``pos[:, i]`` of column ``i``.  The scan walks row
     blocks (see ``_SCAN_BLOCK_ROWS``) outside and the columns ``i`` inside,
     dividing each block into one reusable per-thread buffer and folding the
-    block's minimum into ``out[i]``, by :func:`_support_denominators`.
+    block's minimum into ``out[i]``, by the support rule of :func:`projcone.cone._aleph`.
 
     Every quotient is the same correctly rounded division as in
     :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
@@ -219,11 +205,8 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _listed_pair_distances(M: np.ndarray, pos: np.ndarray, i, j) -> np.ndarray:
     """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's."""
-    def alephs(i, j):  # aleph(col_i, col_j) of every listed pair
-        denom, fold = _support_denominators(M[:, i], pos[:, i])
-        return fold.reduce(M[:, j] / denom, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _pair_distances(alephs(i, j), alephs(j, i))
+        return _pair_distances(_aleph(M[:, i], M[:, j], pos[:, i]), _aleph(M[:, j], M[:, i], pos[:, j]))
 
 
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:

@@ -71,13 +71,13 @@ def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[
     Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is the largest ratio itself, and
     both ends move one ulp outward.
     """
-    with np.errstate(over="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
         Mp, _ = _image(M, p, zero_tol)
-        lower = _aleph(p, Mp, zero_tol)
-        a = _aleph(Mp, p, zero_tol)
+        support = _support(Mp, zero_tol)
+        lower = float(_aleph(p, Mp, _support(p, zero_tol)))
+        a = float(_aleph(Mp, p, support))
         upper = math.inf if a == 0.0 else 1.0 / a
-        if not (lower <= upper):
-            support = _support(Mp, zero_tol)  # a > 0, so p is positive here
+        if not (lower <= upper):  # a > 0, so p is positive on the support of Mp
             upper = float((Mp[support] / p[support]).max())
             lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
@@ -152,18 +152,15 @@ def perron_iterate(
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
     # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
     # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
-    p_full = p.min() > zero_tol
-    with np.errstate(over="ignore"):
+    pos_p = None if p.min() > zero_tol else _support(p, zero_tol)  # an iterate wholly above zero_tol skips the masking
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iterations in range(1, max_iter + 1):
             q, top = _image(M, p, zero_tol)
             q /= top
-            q_full = q.min() > zero_tol
-            if p_full and q_full:  # both wholly above zero_tol: every quotient counts
-                m = min(float((q / p).min()) * float((p / q).min()), 1.0)
-            else:  # boundary zeros: _aleph masks them
-                m = min(_aleph(p, q, zero_tol) * _aleph(q, p, zero_tol), 1.0)
+            pos_q = None if q.min() > zero_tol else _support(q, zero_tol)
+            m = min(float(_aleph(p, q, pos_p)) * float(_aleph(q, p, pos_q)), 1.0)
             step = (1.0 - m) / (1.0 + m)  # phi(m)
-            p, p_full = q, q_full
+            p, pos_p = q, pos_q
             if step <= tol:
                 break
     converged = step <= tol

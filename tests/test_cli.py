@@ -508,6 +508,9 @@ def test_zero_tol_must_be_finite_and_nonnegative(tmp_path, capsys, value):
     (["kernel"], "one of the arguments --file --builtin is required"),
     (["kernel", "--file", "g.json", "--builtin", "constant"], "argument --builtin: not allowed with argument --file"),
     (["kernel", "--builtin", "gaussian", "--param", "sigma"], "argument --param: expects name=value, got 'sigma'"),
+    (["perron", "M.csv", "--max-iter=--"], "argument --max-iter: expected one argument"),
+    *((["dist", "1,2", "2,1", "--json-indent", value], f"argument --json-indent: must be an integer from 0 to 64, got '{value}'")
+      for value in ("-1", str(10**20))),
 ])
 def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
     # the file exists, so only the flag can be at fault
@@ -627,3 +630,11 @@ def test_json_indent_flag(tmp_path, capsys):
     assert code == 0
     assert "\n  " in out
     assert json.loads(out)["results"]["d"] == 0.6
+
+
+def test_a_max_iter_beyond_the_double_range_is_an_exact_budget(tmp_path, capsys):
+    path = tmp_path / "m.csv"
+    path.write_text("2,1\n1,2\n")  # the first step already has length 0
+    report = run_report(capsys, "perron", str(path), "--max-iter", str(10**400))
+    assert report["inputs"]["max_iter"] == 10**400
+    assert report["results"]["iterations"] == 1

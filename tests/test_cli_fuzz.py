@@ -64,3 +64,40 @@ def test_cli_contract_holds_for_any_input(case, zero_tol):
         assert out.getvalue() == "", argv
         payload = json.loads(err.getvalue().splitlines()[-1])
         assert set(payload) == {"code", "message", "location"}, argv
+
+
+HUGE = "1" + "0" * 400
+FLAG_VALUES = st.one_of(
+    st.sampled_from([HUGE, "-" + HUGE, "1e400", "-1e400", "1e-400", "5e-324", "nan", "-nan", "inf", "-inf", "0", "-1", "1.5",
+                     "64", "65", str(10**20), "x", "", " ", "0x10", "1_000", "--", "--tol"]),
+    st.integers(-1000, 1000).map(str),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+PERRON_FLAGS = ("--max-iter", "--tol", "--zero-tol", "--json-indent")
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(values=st.tuples(*(st.none() | FLAG_VALUES for _ in PERRON_FLAGS)), joined=st.booleans())
+@example(values=(HUGE, None, None, None), joined=False)
+@example(values=(None, None, None, str(10**20)), joined=False)
+@example(values=("--", None, None, None), joined=True)
+def test_cli_contract_holds_for_any_flag_values(values, joined):
+    # 2,1 / 1,2 reaches step 0 at iteration 1, so no --max-iter loops long; kernel --n is left out, as a drawn n
+    # would allocate n x n grids
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "M.csv")
+        with open(path, "w") as fh:
+            fh.write("2,1\n1,2\n")
+        flags = [(flag, value) for flag, value in zip(PERRON_FLAGS, values) if value is not None]
+        argv = ["perron", path, *(arg for flag, value in flags for arg in ([f"{flag}={value}"] if joined else [flag, value]))]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1), argv
+    if code == 0:
+        assert isinstance(json.loads(out.getvalue()), dict), argv
+    else:
+        assert out.getvalue() == "", argv
+        payload = json.loads(err.getvalue())
+        assert set(payload) == {"code", "message", "location"}, argv

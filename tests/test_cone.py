@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projcone import (
     aleph,
@@ -15,8 +17,10 @@ from projcone import (
     rays_equal,
     segment_distance,
 )
+from projcone.cone import _aleph
 
 from _util import random_cone_vector
+from test_cli_fuzz import ENTRIES
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +77,29 @@ def test_m_is_taken_again_where_one_ratio_overflows():
     assert pseudo_distance([1e-310, 0.0], [1.0, 1.0]) == 1.0 and hilbert_distance([1e-310, 0.0], [1.0, 1.0]) == math.inf
     # the scaled vector keeps its own support: 5e-311 lies below zero_tol, its scaled 0.5 would not
     assert m_ratio([1e-310, 5e-311], [1.0, 0.1], 6e-311).m == m_ratio([1.0, 0.5], [1.0, 0.1], 0.6).m == 1.0
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
+def test_the_aleph_kernel_is_the_masked_minimum_bit_for_bit(data, zero_tol):
+    n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
+    blocks = st.lists(st.sampled_from(ENTRIES), min_size=n * k, max_size=n * k).map(lambda v: np.reshape(v, (n, k)).astype(float))
+    F, G = data.draw(blocks), data.draw(blocks)
+    pos = F > zero_tol
+    assume(pos.any(axis=0).all())  # every column of f has a support, as the callers guarantee
+
+    def bits(x):
+        return [float(v).hex() for v in np.ravel(x)]
+    with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        warnings.simplefilter("error")  # the callers' errstate leaves no raw warning
+        want = [(G[pos[:, c], c] / F[pos[:, c], c]).min() for c in range(k)]
+        assert bits(_aleph(F, G, pos)) == bits(want)
+        for c in range(k):
+            assert bits(_aleph(F[:, c], G[:, c], pos[:, c])) == bits(want[c])
+            if pos[:, c].all():
+                assert bits(_aleph(F[:, c], G[:, c], None)) == bits(want[c])
+        if pos.all():
+            assert bits(_aleph(F, G, None)) == bits(want)
 
 
 def test_ratio_functional_laws():
