@@ -26,7 +26,6 @@ from .kernels import (
     KernelGrid,
     KernelPatternError,
     builtin_kernel,
-    discretize,
     factorization_certificate,
     kernel_contraction_estimate,
     tabulate_kernel,
@@ -245,7 +244,9 @@ def _report(command: str, inputs: dict, results: dict, warnings: list[str]) -> d
 
 
 def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> None:
-    j = _first_dead_column(_support(as_nonneg_matrix(M), zero_tol))  # read_matrix does not check the shape
+    if M.shape[0] != M.shape[1]:
+        as_nonneg_matrix(M)  # read_matrix checked every entry but not the shape: the library's refusal
+    j = _first_dead_column(_support(M, zero_tol))
     if j is not None:
         raise CliError("not_cone_preserving", f"column {j} has no positive entry", f"{location}: column {j}")
 
@@ -374,7 +375,7 @@ def cmd_kernel(args) -> dict:
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
     # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans
     try:
-        _check_cone_preserving(_support(discretize(grid), zt))
+        _check_cone_preserving(_support(grid.values, zt))
         cert = factorization_certificate(grid, zt)
         report = kernel_contraction_estimate(grid, zt)
     except KernelPatternError as exc:

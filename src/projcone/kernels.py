@@ -24,8 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .cone import _support, psi
-from .matrices import ContractionReport, contraction_coeff
-from .matrices import _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
+from .matrices import ContractionReport, as_nonneg_matrix
+from .matrices import _contraction, _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
 
 __all__ = [
     "FactorizationCertificate",
@@ -194,7 +194,10 @@ class FactorizationCertificate:
 
 def factorization_is_valid(values, cert: FactorizationCertificate, rtol: float = 1e-9) -> bool:
     """Check the factorization sandwich at every grid point."""
-    return _sandwich_holds(np.asarray(values, dtype=float), np.outer(cert.g1, cert.g2), cert.A, rtol)
+    V = as_nonneg_matrix(values)
+    if np.size(cert.g1) != V.shape[0] or np.size(cert.g2) != V.shape[1]:
+        raise ValueError("certificate dimensions do not match the value grid")
+    return _sandwich_holds(V, np.outer(cert.g1, cert.g2), cert.A, rtol)
 
 
 def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> FactorizationCertificate:
@@ -226,11 +229,12 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
 def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> ContractionReport:
     """Contraction coefficient of the discretized operator.
 
-    Invariant under the quadrature weights (scaling columns by positive
-    numbers fixes every ray distance), so the estimate depends only on the
-    sampled values and the node placement.
+    Invariant under the quadrature weights at every ``zero_tol`` (scaling
+    columns by positive numbers fixes every ray distance): the support is
+    ``values > zero_tol``, less any product ``values * weights`` that underflows to 0.
     """
-    return contraction_coeff(discretize(grid), zero_tol)
+    V = discretize(grid)
+    return _contraction(V, _support(grid.values, zero_tol) & _support(V, 0.0))
 
 
 def relate_certificate_to_coefficient(grid: KernelGrid, zero_tol: float = 0.0) -> tuple[float, float]:

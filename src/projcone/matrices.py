@@ -288,7 +288,11 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     For a 1x1 matrix there is a single ray, so ``c = 0``.
     """
     M = as_nonneg_matrix(M)
-    pos = _support(M, zero_tol)
+    return _contraction(M, _support(M, zero_tol), workers)
+
+
+def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> ContractionReport:
+    """:func:`contraction_coeff` of a validated ``M`` whose support is the mask ``pos``, a subset of ``M > 0``."""
     _check_cone_preserving(pos)
     n = M.shape[1]
     if n == 1:

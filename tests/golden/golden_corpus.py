@@ -192,7 +192,7 @@ def cli_cases():
     for name in ("pos.csv", "near_one.csv", "zero_row.json", "pattern.csv"):
         for command in ("coeff", "check", "perron"):
             yield [command, name, "--zero-tol", "0.5"]
-    yield ["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2"]  # compares zero_tol against two matrices
+    yield ["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2"]  # zero_tol reads the values, never values * weights
     yield ["kernel", "--builtin", "gaussian", "--param", "sigma=0.05", "--n", "16"]
     yield ["kernel", "--builtin", "poly1xy", "--n", "6", "--rule", "trapezoid"]
     yield ["dist", "1,0,2", "2,1,0"]

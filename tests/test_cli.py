@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from projcone import cli, kernels, matrices, perron
 from projcone.cli import dumps, main, matrix_to_csv, matrix_to_json, read_kernel_grid, read_matrix
 
 
@@ -425,18 +426,25 @@ def test_kernel_pattern_failure_precedes_the_scan(capsys):
 
 
 def test_kernel_cone_check_precedes_pattern_check(tmp_path, capsys):
-    # under --zero-tol 0.05 the weighted column 1 (0.1/3) vanishes, and the
+    # under --zero-tol 0.05 column 1 of the values (0.01) vanishes, and the
     # value grid also has a pattern failure at (0, 2): the cone check wins
     grid = {
         "nodes": [0.1, 0.5, 0.9],
         "weights": [1 / 3, 1 / 3, 1 / 3],
-        "values": [[1.0, 0.1, 0.0], [1.0, 0.1, 1.0], [1.0, 0.1, 1.0]],
+        "values": [[1.0, 0.01, 0.0], [1.0, 0.01, 1.0], [1.0, 0.01, 1.0]],
     }
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.05")
     assert payload["code"] == "invalid_input"
     assert "column 1" in payload["message"]
+
+
+def test_kernel_zero_tol_reads_the_values(capsys):
+    # every value is 1 and every weighted entry 1/8 lies at or below 0.2: only the values count
+    res = run_report(capsys, "kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2")["results"]
+    assert res["c_grid"] == res["weight_invariance"]["c_values_only"] == 0.0
+    assert res["weight_invariance"]["within_1e-12"] is True
 
 
 def test_kernel_failed_certificate_is_structured(tmp_path, capsys):
@@ -523,7 +531,7 @@ def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["dist", "1,2", "1,2,3"], "dimension mismatch"),
     (["perron", "M.csv", "--start", "1,2,3"], "dimension mismatch"),
-    (["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "0.2"], "not cone-preserving"),
+    (["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "1"], "not cone-preserving"),
     (["coeff", "NaN.csv"], "cannot serialize NaN"),
     (["perron", "M.csv", "--zero-tol", "1.5", "--start", "5,5"], "perron_iterate requires zero_tol < 1, got 1.5"),
 ])
@@ -612,6 +620,32 @@ def test_coeff_rejects_non_square(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("1,2,3\n4,5,6\n")
     assert run_error(capsys, "coeff", str(path))["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize("argv", [["coeff", "--formula"], ["perron"]])
+def test_non_square_is_the_library_refusal(tmp_path, capsys, argv):
+    path = tmp_path / "m.csv"
+    path.write_text("1,0,3\n4,5,6\n")  # with a zero entry, which --formula alone would call not strictly positive
+    payload = run_error(capsys, argv[0], str(path), *argv[1:])
+    assert payload == {"code": "invalid_input", "message": "expected a square matrix, got shape (2, 3)", "location": argv[0]}
+
+
+@pytest.mark.parametrize("command, calls", [("coeff", 1), ("perron", 2)])
+def test_a_matrix_file_is_validated_once_per_library_call(tmp_path, capsys, monkeypatch, command, calls):
+    # read_matrix checks every entry, so only the library validates: coeff's c(M), and perron_iterate with its c(M)
+    validated = []
+    check = matrices.as_nonneg_matrix
+
+    def spy(M):
+        validated.append(np.shape(M))
+        return check(M)
+
+    for module in (cli, kernels, matrices, perron):
+        monkeypatch.setattr(module, "as_nonneg_matrix", spy)
+    path = tmp_path / "m.csv"
+    path.write_text("2,1\n1,2\n")
+    run_report(capsys, command, str(path))
+    assert validated == [(2, 2)] * calls
 
 
 def test_coeff_deterministic_modulo_elapsed(tmp_path, capsys):

@@ -175,6 +175,14 @@ def test_factorization_is_valid_rejects_tampering():
     assert not factorization_is_valid(grid.values, bad)
 
 
+@pytest.mark.parametrize("g1, g2", [([1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0])])
+def test_factorization_is_valid_refuses_a_certificate_of_the_wrong_size(g1, g2):
+    # np.outer(g1, g2) would broadcast against the 2x2 grid
+    cert = FactorizationCertificate(g1=g1, g2=g2, A=10.0, reference_row=0, reference_col=0)
+    with pytest.raises(ValueError, match="certificate dimensions do not match the value grid"):
+        factorization_is_valid([[1.0, 2.0], [3.0, 4.0]], cert)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(
     values=st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)),
@@ -231,6 +239,34 @@ def test_weight_invariance_of_coefficient():
         w = rng.uniform(0.1, 5.0, size=8)
         reweighted = KernelGrid(nodes=grid.nodes, weights=w / w.sum(), values=grid.values)
         assert abs(kernel_contraction_estimate(reweighted).c - c_plain) <= 1e-12
+
+
+@pytest.mark.parametrize("zero_tol", [0.2, 0.5])
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+@pytest.mark.parametrize("name, params", [("constant", {}), ("separable", {}), ("poly1xy", {}), ("gaussian", {"sigma": 0.1})])
+def test_estimate_reads_zero_tol_against_the_values(name, params, rule, zero_tol):
+    # the weights scale columns, so they change neither which entries count as zero nor any ray
+    for n in (2, 5, 8, 13):
+        grid = tabulate_kernel(builtin_kernel(name, **params), n, rule)
+        try:
+            expected = contraction_coeff(grid.values, zero_tol).c
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                kernel_contraction_estimate(grid, zero_tol)
+            assert str(raised.value) == str(exc)
+            continue
+        assert abs(kernel_contraction_estimate(grid, zero_tol).c - expected) <= 1e-12
+
+
+def test_products_that_underflow_leave_the_support():
+    grid = KernelGrid(nodes=[0.25, 0.75], weights=[1e-300, 1.0], values=[[1e-30, 1.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(discretize(grid), [[0.0, 1.0], [1e-300, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zero_tol in (0.0, 1e-40):  # at 1e-40 the weighted column 0, (0, 1e-300), lies wholly at or below zero_tol; its values do not
+            rep = kernel_contraction_estimate(grid, zero_tol)
+            assert (rep.c, rep.witness) == (1.0, (0, 1))
+            assert rep.c == contraction_coeff(grid.values, zero_tol).c
 
 
 def test_poly_kernel_coefficient_stable_on_endpoint_grids():
