@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .cone import _support, hilbert_distance, m_ratio, phi, psi, psi_inverse
+from .cone import _support, m_ratio, phi, psi, psi_inverse
 from .kernels import (
     KernelGrid,
     KernelPatternError,
@@ -269,7 +269,7 @@ def cmd_dist(args) -> dict:
     ratios = m_ratio(f, g, zero_tol=args.zero_tol)
     results = {
         "d": phi(ratios.m),
-        "d_H": hilbert_distance(f, g, zero_tol=args.zero_tol),
+        "d_H": math.inf if ratios.m == 0.0 else abs(math.log(ratios.m)),  # hilbert_distance, from the m in hand
         "m": ratios.m,
         "aleph_fg": ratios.aleph_fg,
         "aleph_gf": ratios.aleph_gf,

@@ -91,13 +91,13 @@ def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return f, g, _support(f, zero_tol), _support(g, zero_tol)
 
 
-def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray | None) -> np.floating | np.ndarray:
+def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray) -> np.floating | np.ndarray:
     """Unchecked :func:`aleph` of validated ``f`` and ``g``, vectors or columns paired one to one, on the support ``pos`` of ``f``.
 
-    ``pos`` has an entry in every column, and ``None`` stands for all entries.  The caller's errstate governs overflow
-    and must ignore division by zero and 0/0, which happen only outside ``pos``.
+    ``pos`` has an entry in every column.  The caller's errstate governs overflow and must ignore division by zero and
+    0/0, which happen only outside ``pos``.
     """
-    denom, fold = (f, np.minimum) if pos is None else _support_denominators(f, pos)
+    denom, fold = _support_denominators(f, pos)
     return fold.reduce(g / denom, axis=0)
 
 

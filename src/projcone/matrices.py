@@ -124,10 +124,11 @@ class ContractionReport:
     method: str
 
 
-# Rows of float64 M divided per step of the aleph scan (float32 takes twice
-# as many).  Each thread owns one quotient buffer of 8 * _SCAN_BLOCK_ROWS * n
-# bytes (512 KB at n = 1024), so the block of M and the buffer stay in cache
-# while every column of the thread's range is divided into it.
+# Rows of float64 M divided per step of the aleph scan (float32 takes twice as
+# many), and rows of the pair table reduced per step.  Columns whose quotient
+# block holds at most 2**14 quotients (n <= 256 in float64, 128 in float32) are
+# divided 1024 // n at a time, larger ones (grouped, measured no faster) one at
+# a time: each thread's quotient buffer stays in cache, at most 512 KB at any n.
 _SCAN_BLOCK_ROWS = 64
 
 
@@ -155,10 +156,11 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
     ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
-    the support ``pos[:, i]`` of column ``i``.  The scan walks row
-    blocks (see ``_SCAN_BLOCK_ROWS``) outside and the columns ``i`` inside,
-    dividing each block into one reusable per-thread buffer and folding the
-    block's minimum into ``out[i]``, by the support rule of :func:`projcone.cone._aleph`.
+    the support ``pos[:, i]`` of column ``i``.  The scan walks row blocks
+    outside and column blocks inside (see ``_SCAN_BLOCK_ROWS``), dividing
+    the row block by each column of the column block into one per-thread
+    buffer of at most 512 KB and folding the minima into those ``out[i]``,
+    by the support rule of :func:`projcone.cone._aleph`.
 
     Every quotient is the same correctly rounded division as in
     :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
@@ -173,18 +175,22 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
     denom, fold = _support_denominators(M, pos)
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
+    cols = 1024 // n if rows * n <= 1 << 14 else 1
 
     def fill(lo: int, hi: int) -> None:
-        buf = np.empty((rows, n), M.dtype)
-        block_min = np.empty(n, M.dtype)
+        width = min(cols, hi - lo)
+        buf = np.empty((width, rows, n), M.dtype)
+        block_min = np.empty((width, n), M.dtype)
         with np.errstate(**errstate):
             for k0 in range(0, n, rows):
-                chunk = M[k0:k0 + rows]
-                quot = buf[: chunk.shape[0]]
-                for i in range(lo, hi):
-                    np.divide(chunk, denom[k0:k0 + rows, i, None], out=quot)
-                    fold.reduce(quot, axis=0, out=block_min)
-                    fold(out[i], block_min, out=out[i])
+                chunk, by = M[None, k0:k0 + rows], denom[k0:k0 + rows].T[:, :, None]
+                quot = buf[:, : chunk.shape[1]]
+                for i0 in range(lo, hi, width):
+                    o = out[i0:min(i0 + width, hi)]
+                    q, least = (quot, block_min) if len(o) == width else (quot[: len(o)], block_min[: len(o)])  # full groups skip two slices
+                    np.divide(chunk, by[i0:i0 + len(o)], out=q)
+                    fold.reduce(q, axis=1, out=least)
+                    fold(o, least, out=o)
 
     if workers is None or workers <= 1 or n < 4:
         fill(0, n)
@@ -209,23 +215,31 @@ def _listed_pair_distances(M: np.ndarray, pos: np.ndarray, i, j) -> np.ndarray:
         return _pair_distances(_aleph(M[:, i], M[:, j], pos[:, i]), _aleph(M[:, j], M[:, i], pos[:, j]))
 
 
+def _pair_table_blocks(al: np.ndarray, scale: float = 1.0):
+    """``_SCAN_BLOCK_ROWS``-row blocks of ``_pair_distances(al[i, j] * scale, al[j, i] * scale)`` in float64, each after its first row; ``j <= i`` reads -1."""
+    n = al.shape[0]
+    for i0 in range(0, n - 1, _SCAN_BLOCK_ROWS):
+        i1 = min(i0 + _SCAN_BLOCK_ROWS, n - 1)
+        d = _pair_distances(np.multiply(al[i0:i1], scale, dtype=float), np.multiply(al[:, i0:i1].T, scale, dtype=float))
+        yield i0, np.where(np.arange(n) > np.arange(i0, i1)[:, None], d, -1.0)
+
+
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ``_pair_distances(al[i, j], al[j, i])`` over pairs ``i < j``, and its first pair.
 
-    One row of pairs at a time.  The strict comparison across rows and
-    ``argmax`` within a row keep the lexicographically smallest attaining
+    One block of rows at a time.  The strict comparison across blocks and
+    ``argmax`` within a block keep the lexicographically smallest attaining
     pair.  A NaN distance (an ``inf * 0`` product at the ends of the double
     range) wins at its first occurrence, as a NaN does under ``argmax``.
     """
     best, witness = -1.0, (0, 1)
-    for i in range(al.shape[0] - 1):
-        d = _pair_distances(al[i, i + 1:], al[i + 1:, i])
-        k = int(np.argmax(d))
-        v = float(d[k])
+    for i0, d in _pair_table_blocks(al):
+        i, j = np.unravel_index(int(np.argmax(d)), d.shape)
+        v, pair = float(d[i, j]), (i0 + int(i), int(j))
         if math.isnan(v):
-            return v, (i, i + 1 + k)
+            return v, pair
         if v > best:
-            best, witness = v, (i, i + 1 + k)
+            best, witness = v, pair
     return best, witness
 
 
@@ -250,13 +264,11 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | N
         return None
     al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), pos, workers)
 
-    def bound(i: int, f: float) -> np.ndarray:
-        return _pair_distances(al[i, i + 1:].astype(float) * f, al[i + 1:, i].astype(float) * f)
-    floor = max(float(bound(i, 1.0 + 2.0**-21).max()) for i in range(n - 1))
+    floor = max(float(d.max()) for _, d in _pair_table_blocks(al, 1.0 + 2.0**-21))
     rows, cols = [], []
-    for i in range(n - 1):
-        hits = i + 1 + np.flatnonzero(bound(i, 1.0 - 2.0**-21) >= floor)
-        rows, cols = rows + [i] * hits.size, cols + hits.tolist()
+    for i0, d in _pair_table_blocks(al, 1.0 - 2.0**-21):
+        r, c = np.nonzero(d >= floor)
+        rows, cols = rows + (i0 + r).tolist(), cols + c.tolist()
         if len(cols) > n:
             return None
     d = np.empty(len(cols))

@@ -11,6 +11,7 @@ last step length into a certified distance to the fixed ray:
 
 Eigenvalue estimates come from the extreme coordinate ratios
 ``(M p) / p``, which bracket the Perron eigenvalue at every iterate.
+Steps are tested in batches sized by the observed rate, which changes no output.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 _CONTRACTION_DIM_LIMIT = 512  # above this dimension perron_iterate skips the O(d^3) c(M) and reports no error bound
+_MAX_BATCH = 32  # most Perron steps between two convergence tests
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,10 @@ class PerronResult:
     no_bound_reason: str | None = None
 
 
-def _image(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.floating]:
-    """``M @ p`` and its largest entry, which alone decides :func:`as_cone_vector`'s refusals: ``M`` and ``p`` are validated, so no entry is NaN or negative."""
-    q = M @ p
-    top = q.max()
+def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.floating]:
+    """``M @ p`` (into ``out`` if given) and its largest entry, which alone decides :func:`as_cone_vector`'s refusals: no entry is NaN or negative."""
+    q = np.matmul(M, p, out)
+    top = np.maximum.reduce(q)
     if not top < math.inf:
         raise ValueError("cone vector entries must be finite")
     if not top > zero_tol:
@@ -129,6 +131,10 @@ def perron_iterate(
     zero_tol : float
         Must be below 1: every iterate is scaled to a largest entry of 1,
         and a larger ``zero_tol`` would count all of it as zero.
+
+    Steps are tested in batches: one step, then as many as the rate of the
+    last two steps needs to reach ``tol``, rounded down and clipped to [1, 32].
+    Every output, refusals included, is that of testing each step.
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(_support(M, zero_tol))
@@ -139,9 +145,7 @@ def perron_iterate(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = M.shape[1]
-    if f0 is None:
-        f0 = np.ones(n)
-    p = normalize(f0, zero_tol)
+    p = normalize(np.ones(n) if f0 is None else f0, zero_tol)
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
 
@@ -152,31 +156,40 @@ def perron_iterate(
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
     # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
     # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
-    pos_p = None if p.min() > zero_tol else _support(p, zero_tol)  # an iterate wholly above zero_tol skips the masking
+    # A batch's iterates are the columns of V; its steps are measured after it, and the first within tol ends the loop.
+    V = np.empty((n, min(max_iter, _MAX_BATCH) + 1), order="F")
+    V[:, 0] = p
+    cols = list(V.T)  # the contiguous columns, as views
+    iterations, size, step, prev, refusal = 0, 1, math.nan, math.nan, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for iterations in range(1, max_iter + 1):
-            q, top = _image(M, p, zero_tol)
-            q /= top
-            pos_q = None if q.min() > zero_tol else _support(q, zero_tol)
-            m = min(float(_aleph(p, q, pos_p)) * float(_aleph(q, p, pos_q)), 1.0)
-            step = (1.0 - m) / (1.0 + m)  # phi(m)
-            p, pos_p = q, pos_q
-            if step <= tol:
+        while True:
+            for k in range(1, size + 1):
+                try:
+                    q, top = _image(M, cols[k - 1], zero_tol, cols[k])
+                except ValueError as exc:
+                    refusal, k = exc, k - 1  # the refused image is no iterate
+                    break
+                q /= top
+            W = V[:, : k + 1]
+            pos = _support(W, zero_tol)
+            m = np.minimum(_aleph(W[:, :-1], W[:, 1:], pos[:, :-1]) * _aleph(W[:, 1:], W[:, :-1], pos[:, 1:]), 1.0)
+            steps = (1.0 - m) / (1.0 + m)  # phi(m)
+            hits = np.flatnonzero(steps <= tol)
+            if not hits.size and refusal:
+                raise refusal  # where the step by step loop raises: no earlier step converged
+            k = int(hits[0]) + 1 if hits.size else k
+            iterations += k
+            step, prev = float(steps[k - 1]), float(steps[k - 2]) if k > 1 else step
+            if hits.size or iterations == max_iter:
                 break
-    converged = step <= tol
-
+            V[:, 0] = V[:, k]
+            rate = step / prev if prev > 0.0 else math.nan  # undefined after the first step, where a batch is 1 step
+            size = 1 if not rate > 0.0 else _MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
+            size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
+    p = V[:, k].copy()
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)
-    error_bound = None if no_bound_reason else c / (1.0 - c) * step
-    return PerronResult(
-        eigenvector=p,
-        eigenvalue_lower=lower,
-        eigenvalue_upper=upper,
-        iterations=iterations,
-        final_step_distance=step,
-        error_bound=error_bound,
-        converged=converged,
-        no_bound_reason=no_bound_reason,
-    )
+    return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
+                        error_bound=None if no_bound_reason else c / (1.0 - c) * step, converged=step <= tol, no_bound_reason=no_bound_reason)
 
 
 def product_contraction_bound(Ms, zero_tol: float = 0.0) -> float:

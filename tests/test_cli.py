@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from projcone import cli, kernels, matrices, perron
+from projcone import cli, cone, kernels, matrices, perron
 from projcone.cli import dumps, main, matrix_to_csv, matrix_to_json, read_kernel_grid, read_matrix
 
 
@@ -158,6 +158,23 @@ def test_dist_from_two_row_file(tmp_path, capsys):
 
 def test_dist_dimension_mismatch(capsys):
     assert run_error(capsys, "dist", "1,2", "1,2,3")["code"] == "invalid_input"
+
+
+@pytest.mark.parametrize("vectors", [("1,2", "2,1"), ("1,0", "0,1"), ("1e-310,1e-310", "1,2")])
+def test_dist_takes_both_alephs_once(capsys, monkeypatch, vectors):
+    # d_H comes from the m of the one m_ratio call, as hilbert_distance computes it
+    calls = []
+    ratios = cli.m_ratio
+
+    def spy(f, g, zero_tol=0.0):
+        calls.append(zero_tol)
+        return ratios(f, g, zero_tol)
+
+    monkeypatch.setattr(cli, "m_ratio", spy)
+    d_H = run_report(capsys, "dist", *vectors)["results"]["d_H"]
+    assert calls == [0.0]
+    want = cone.hilbert_distance(*(np.array(v.split(","), dtype=float) for v in vectors))
+    assert d_H == ("inf" if want == math.inf else want)
 
 
 # ---------------------------------------------------------------------------

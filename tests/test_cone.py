@@ -96,10 +96,6 @@ def test_the_aleph_kernel_is_the_masked_minimum_bit_for_bit(data, zero_tol):
         assert bits(_aleph(F, G, pos)) == bits(want)
         for c in range(k):
             assert bits(_aleph(F[:, c], G[:, c], pos[:, c])) == bits(want[c])
-            if pos[:, c].all():
-                assert bits(_aleph(F[:, c], G[:, c], None)) == bits(want[c])
-        if pos.all():
-            assert bits(_aleph(F, G, None)) == bits(want)
 
 
 def test_ratio_functional_laws():

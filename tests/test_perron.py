@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from projcone import perron
 from projcone import (
     PerronResult,
     aleph,
@@ -259,6 +260,22 @@ def _reference_outcome(M, **kwargs):
         return _outcome(_validating_route, M, **kwargs)
 
 
+def _perron_loop_matrix(n, eps):
+    """The perron-loop benchmark's family: a dominant diagonal that mixes slowly, at mixing weight ``eps``."""
+    R = np.random.default_rng(20231218).uniform(0.0, 1.0, (n, n))
+    return (1.0 - eps) * np.diag(1.0 - 0.5 * np.arange(n) / (n - 1)) + eps * R
+
+
+def _batch_rule_cases():
+    """Cases for the loop's rate-sized batches: long runs, budgets around the largest batch, one step, a large n."""
+    slow = _perron_loop_matrix(8, 0.01)
+    cases = [(f"perron-loop n={n} eps=0.01", _perron_loop_matrix(n, 0.01), {}) for n in (8, 128)]
+    cases += [(f"max_iter {k}", slow, {"max_iter": k}) for k in (1, 2, 31, 32, 33, 65)]
+    cases.append(("rank one, converges on step 1", np.outer([1.0, 2.0, 3.0], [0.5, 1.0, 4.0]), {"f0": [2.0, 4.0, 6.0]}))
+    cases.append(("slow n=600", _slowly_mixing(np.random.default_rng(40), 600), {}))
+    return cases
+
+
 def test_loop_is_bitwise_the_validating_route():
     rng = np.random.default_rng(36)
     cases = [(f"slow n={n}", _slowly_mixing(rng, n), {}) for n in (2, 5, 16, 64)]
@@ -281,11 +298,75 @@ def test_loop_is_bitwise_the_validating_route():
     tiny = 1e-300 * np.array([[1.0, 1.0, 0.0], [0.0, 1e-15, 1.0], [1e-10, 0.0, 1.0]])
     cases.append(("image entries underflow to 0", tiny, {"f0": [1.0, 1e-20, 1e-30], "max_iter": 60}))
     cases.append(("first image overflows", [[1e308, 1e308], [1e308, 1e308]], {}))
+    cases += _batch_rule_cases()
+    M, f0 = 1e308 * np.array([[1.745, 0.056], [0.684, 1.28]]), [0.001, 0.98]  # images grow as the iterates align
+    cases.append(("image overflows one step past convergence", M, {"f0": f0, "tol": _validating_route(M, f0, max_iter=13).final_step_distance}))
     for label, M, kwargs in cases:
         assert _same_outcome(_outcome(perron_iterate, M, **kwargs), _reference_outcome(M, **kwargs)), label
     assert (tiny @ [1.0, 1e-20, 1e-30])[1] == 0.0
     assert _reference_outcome([[1e308, 1e308], [1e308, 1e308]]) == "cone vector entries must be finite"
+    assert _reference_outcome(M, f0=f0, max_iter=14) == "cone vector entries must be finite"
     assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
+
+
+class _CountingNumpy:
+    """numpy, with the ``matmul`` calls that write into a given output counted: the loop's steps, not the bracket's product."""
+
+    def __init__(self):
+        self.steps = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, M, p, out=None):
+        self.steps += out is not None
+        return np.matmul(M, p, out)
+
+
+def test_batches_never_step_more_than_once_past_the_last_iteration(monkeypatch):
+    for label, M, kwargs in _batch_rule_cases():
+        counting = _CountingNumpy()
+        monkeypatch.setattr(perron, "np", counting)
+        res = perron_iterate(M, **kwargs)
+        monkeypatch.undo()
+        assert res.iterations <= counting.steps <= res.iterations + 1, label
+
+
+def _batch_sizes(M, monkeypatch, **kwargs):
+    """Steps per batch of ``perron_iterate``, read off the width of the blocks its steps are measured on."""
+    sizes, kernel = [], perron._aleph
+
+    def spy(f, g, pos):
+        if f.ndim == 2:
+            sizes.append(f.shape[1])
+        return kernel(f, g, pos)
+
+    monkeypatch.setattr(perron, "_aleph", spy)
+    res = perron_iterate(M, **kwargs)
+    monkeypatch.undo()
+    return sizes[::2], res  # two alephs per batch
+
+
+def test_batch_sizes_follow_the_observed_rate(monkeypatch):
+    # steps that never shrink (rate 1) take the largest batch, 32, and the budget cuts the last one
+    sizes, res = _batch_sizes([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=100)
+    assert sizes == [1, 1, 32, 32, 32, 2] and res.iterations == 100
+    # a converging run: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, 32], from the steps
+    M, tol = _perron_loop_matrix(8, 0.01), 1e-12
+    p, steps = normalize(np.ones(8)), []
+    for _ in range(perron_iterate(M, tol=tol).iterations):
+        q = normalize(M @ p)
+        steps.append(pseudo_distance(p, q))
+        p = q
+    want, done, step, prev = [], 0, math.nan, math.nan
+    while not want or min(steps[done - want[-1]:done]) > tol:
+        rate = step / prev if prev > 0.0 else math.nan
+        size = 1 if not rate > 0.0 else 32 if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
+        want.append(min(max(size, 1), 32))
+        done += want[-1]
+        step, prev = steps[min(done, len(steps)) - 1], steps[min(done, len(steps)) - 2] if want[-1] > 1 else step
+    assert _batch_sizes(M, monkeypatch, tol=tol)[0] == want
+    assert len(want) < 20 < len(steps)
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
