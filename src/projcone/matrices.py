@@ -5,10 +5,10 @@ the image of the j-th basis ray is the j-th column).  When no column is
 zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
-between column rays.  All column pairs are scanned in O(d^3) (from d =
-512 on in float32, float64 settling the few pairs left), one support rule
-confining every ratio to its column's support.  One pair at the metric's
-bound 1 settles ``c(M) = 1``, in O(d^2) when column 0 has such a partner.
+between column rays.  All column pairs are scanned in O(d^3), in float32
+where the range allows and float64 for the few pairs left, one support
+rule confining every ratio to its column's support.  One pair at the
+metric's bound 1 settles ``c(M) = 1``, in O(d^2) when column 0 is in one.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -44,8 +44,8 @@ __all__ = [
 
 
 def as_nonneg_matrix(M) -> np.ndarray:
-    """Validate and return ``M`` as a square 2-d float array with entries >= 0."""
-    arr = np.asarray(M, dtype=float)
+    """Validate and return ``M`` as a square, C-ordered 2-d float array with entries >= 0; one layout gives one result's bits."""
+    arr = np.asarray(M, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -132,11 +132,11 @@ class ContractionReport:
 _SCAN_BLOCK_ROWS = 64
 
 
-# Dimension from which contraction_coeff screens pairs in float32 and, with
-# workers=None, threads the scan over the process's CPUs.  2-core VM, serial
-# vs 2 threads (dense and log-uniform): 39-42 vs 40-43 ms at n = 256, 112-128
-# vs 100-135 ms at 512 (within noise), 0.92-1.03 vs 0.57-0.66 s at n = 1024.
-_LARGE_SCAN_MIN_DIM = 512
+# Dimension from which contraction_coeff, with workers=None, threads the scan
+# over the process's CPUs.  2-core VM, serial vs 2 threads (dense and
+# log-uniform): 39-42 vs 40-43 ms at n = 256, 112-128 vs 100-135 ms at 512
+# (within noise), 0.92-1.03 vs 0.57-0.66 s at n = 1024.
+_PARALLEL_SCAN_MIN_DIM = 512
 
 
 def _usable_cpus() -> int:
@@ -246,9 +246,9 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
 def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
     """``_max_pair_distance`` of the float64 aleph table, bit for bit, via float32; None where it does not apply.
 
-    Under the guard of :func:`contraction_coeff` it applies when ``max(M) /
-    min(M[M > 0]) < 2**60``: then ``M`` scaled to a largest entry in [1/2, 1)
-    has every nonzero entry and quotient float32-normal, and no float64
+    Under the guard of :func:`contraction_coeff`, at every size, it applies
+    when ``max(M) / min(M[M > 0]) < 2**60``: then ``M`` scaled to a largest
+    entry in [1/2, 1) has every nonzero entry and quotient float32-normal, and no float64
     quotient or product overflows or underflows.  A float32 quotient is
     within a factor ``1 +- (3 * 2**-24 + O(2**-48))`` of the exact one, a
     minimum keeps such bounds, and so each float64 aleph, the rounded exact
@@ -289,8 +289,8 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     no quotient of the scan overflows and no distance is NaN, so the bound
     1.0, once reached in row 0 of the pair table (2 d^2 divisions), is the
     maximum and settles ``c = 1`` with the scan's witness.  Under the same
-    guard, from d = 512 on, :func:`_screened_max_pair_distance` screens
-    pairs in float32.
+    guard, at every d, :func:`_screened_max_pair_distance` screens pairs in
+    float32.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -314,10 +314,9 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
         hits = np.flatnonzero(_listed_pair_distances(M, pos, slice(0, 1), slice(1, None)) == 1.0)
         if hits.size:
             return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, 1 + int(hits[0])), method="definitional")
-    large = n >= _LARGE_SCAN_MIN_DIM
-    if workers is None and large:
+    if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
-    screened = _screened_max_pair_distance(M, pos, workers) if guarded and large else None
+    screened = _screened_max_pair_distance(M, pos, workers) if guarded else None
     c, witness = screened or _max_pair_distance(_aleph_columns(M, pos, workers))
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")

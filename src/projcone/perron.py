@@ -11,7 +11,8 @@ last step length into a certified distance to the fixed ray:
 
 Eigenvalue estimates come from the extreme coordinate ratios
 ``(M p) / p``, which bracket the Perron eigenvalue at every iterate.
-Steps are tested in batches sized by the observed rate, which changes no output.
+A step is ``M.dot`` and ``argmax`` (on a C-ordered ``M``, ``dot`` gives ``matmul``'s bits at half
+its dispatch cost); steps are tested in batches sized by the observed rate, which changes no output.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _aleph, _support, as_cone_vector, normalize
-from .matrices import _check_cone_preserving, as_nonneg_matrix, contraction_coeff
+from .matrices import _check_cone_preserving, _contraction, as_nonneg_matrix
 
 __all__ = [
     "PerronResult",
@@ -57,9 +58,9 @@ class PerronResult:
 
 
 def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.floating]:
-    """``M @ p`` (into ``out`` if given) and its largest entry, which alone decides :func:`as_cone_vector`'s refusals: no entry is NaN or negative."""
-    q = np.matmul(M, p, out)
-    top = np.maximum.reduce(q)
+    """``M @ p`` (into ``out`` if given) and its largest entry, NaN if one is (the first, by ``argmax``): it alone decides :func:`as_cone_vector`'s refusals."""
+    q = M.dot(p, out)
+    top = q[q.argmax()]
     if not top < math.inf:
         raise ValueError("cone vector entries must be finite")
     if not top > zero_tol:
@@ -137,7 +138,7 @@ def perron_iterate(
     Every output, refusals included, is that of testing each step.
     """
     M = as_nonneg_matrix(M)
-    _check_cone_preserving(_support(M, zero_tol))
+    _check_cone_preserving(pos := _support(M, zero_tol))
     if zero_tol >= 1.0:
         raise ValueError(f"perron_iterate requires zero_tol < 1, got {zero_tol}: each iterate has largest entry 1, which it would count as zero")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -152,7 +153,7 @@ def perron_iterate(
     if n > _CONTRACTION_DIM_LIMIT:
         c, no_bound_reason = None, f"contraction coefficient skipped for dimension > {_CONTRACTION_DIM_LIMIT}; error bound unavailable"
     else:
-        c = contraction_coeff(M, zero_tol).c
+        c = _contraction(M, pos).c
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
     # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
     # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
@@ -207,5 +208,5 @@ def product_contraction_bound(Ms, zero_tol: float = 0.0) -> float:
     for M in mats:
         if M.shape[1] != n:
             raise ValueError(f"dimension mismatch between factors: {M.shape[1]} vs {n}")
-        bound *= contraction_coeff(M, zero_tol).c
+        bound *= _contraction(M, _support(M, zero_tol)).c
     return bound

@@ -647,9 +647,9 @@ def test_non_square_is_the_library_refusal(tmp_path, capsys, argv):
     assert payload == {"code": "invalid_input", "message": "expected a square matrix, got shape (2, 3)", "location": argv[0]}
 
 
-@pytest.mark.parametrize("command, calls", [("coeff", 1), ("perron", 2)])
+@pytest.mark.parametrize("command, calls", [("coeff", 1), ("perron", 1)])
 def test_a_matrix_file_is_validated_once_per_library_call(tmp_path, capsys, monkeypatch, command, calls):
-    # read_matrix checks every entry, so only the library validates: coeff's c(M), and perron_iterate with its c(M)
+    # read_matrix checks every entry, so only the library validates: coeff's c(M), and perron_iterate, whose c(M) is the private core
     validated = []
     check = matrices.as_nonneg_matrix
 

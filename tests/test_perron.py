@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from projcone import perron
+from projcone import matrices, perron
 from projcone import (
     PerronResult,
     aleph,
+    apply,
     collatz_wielandt,
     contraction_coeff,
     normalize,
@@ -309,27 +310,19 @@ def test_loop_is_bitwise_the_validating_route():
     assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
 
 
-class _CountingNumpy:
-    """numpy, with the ``matmul`` calls that write into a given output counted: the loop's steps, not the bracket's product."""
-
-    def __init__(self):
-        self.steps = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def matmul(self, M, p, out=None):
-        self.steps += out is not None
-        return np.matmul(M, p, out)
-
-
 def test_batches_never_step_more_than_once_past_the_last_iteration(monkeypatch):
+    image = perron._image
     for label, M, kwargs in _batch_rule_cases():
-        counting = _CountingNumpy()
-        monkeypatch.setattr(perron, "np", counting)
+        outs = []  # the images written into a given output: the loop's steps, not the bracket's product
+
+        def counting(M, p, zero_tol, out=None):
+            outs.append(out is not None)
+            return image(M, p, zero_tol, out)
+
+        monkeypatch.setattr(perron, "_image", counting)
         res = perron_iterate(M, **kwargs)
         monkeypatch.undo()
-        assert res.iterations <= counting.steps <= res.iterations + 1, label
+        assert res.iterations <= sum(outs) <= res.iterations + 1, label
 
 
 def _batch_sizes(M, monkeypatch, **kwargs):
@@ -448,3 +441,42 @@ def test_bracket_rejects_an_image_outside_the_cone():
         collatz_wielandt([[0.3]], [5e-324])
     with pytest.raises(ValueError, match="at least one positive entry"):
         _validating_bracket(np.array([[0.3]]), np.array([5e-324]))
+
+
+def _layouts(M):
+    """One matrix in C order, in F order, as a strided view, and as the transpose of a C-ordered copy of its transpose."""
+    n = M.shape[0]
+    strided = np.zeros((2 * n, 3 * n))
+    strided[::2, 1::3] = M
+    return {"C": M, "F": np.asfortranarray(M), "strided": strided[::2, 1::3], "transposed copy": np.ascontiguousarray(M.T).T}
+
+
+def test_every_layout_of_a_matrix_gives_the_same_bits():
+    rng = np.random.default_rng(41)
+    for n in (5, 8, 33, 64, 128):
+        for M in (_perron_loop_matrix(n, 0.02), rng.uniform(0.1, 5.0, size=(n, n))):
+            f = rng.uniform(0.5, 2.0, size=n)
+            want = None
+            for layout, L in _layouts(M).items():
+                assert np.array_equal(L, M)
+                report = contraction_coeff(L)
+                got = (_bits(perron_iterate(L)), struct.pack("<2d", *collatz_wielandt(L, f)), apply(L, f).tobytes(),
+                       struct.pack("<d", report.c), report.witness, report.a_star)
+                want = want or got
+                assert got == want, (n, layout)
+
+
+def test_product_contraction_bound_validates_each_factor_once(monkeypatch):
+    validated, check = [], matrices.as_nonneg_matrix
+
+    def spy(M):
+        validated.append(np.shape(M))
+        return check(M)
+
+    for module in (matrices, perron):
+        monkeypatch.setattr(module, "as_nonneg_matrix", spy)
+    rng = np.random.default_rng(42)
+    factors = [rng.uniform(0.1, 1.0, size=(4, 4)) for _ in range(3)]
+    bound = product_contraction_bound(factors)
+    assert validated == [(4, 4)] * 3
+    assert bound == math.prod(contraction_coeff(M).c for M in factors)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from projcone import contraction_coeff, psi_inverse
 from projcone.matrices import _aleph_columns, _max_pair_distance, _quotients_are_finite, _screened_max_pair_distance
 
+from test_perron import _perron_loop_matrix
+
 
 def _full_scan(M, zero_tol):
     """The float64 scan and pair reduction that the screen must reproduce bit for bit."""
@@ -37,8 +39,8 @@ def _spanning(rng, n, ratio):
 
 @st.composite
 def screen_cases(draw):
-    """(matrix, zero_tol): n = 2..12, cone-preserving for its zero_tol, scaled by a power of two."""
-    n = draw(st.integers(2, 12))
+    """(matrix, zero_tol): n = 2..40, cone-preserving for its zero_tol, scaled by a power of two."""
+    n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ties", "columns", "rank_one", "under_2_60", "over_2_60", "uniform"]))
     if kind == "ties":
@@ -122,8 +124,17 @@ def test_entries_spanning_1e_pm_200_run_no_float32_pass(aleph_scans):
     _assert_is_the_full_scan(report, M)
 
 
-def test_dimension_256_runs_the_single_float64_scan(aleph_scans):
+def test_dimension_256_runs_one_float32_pass_and_no_float64_scan(aleph_scans):
     M = np.random.default_rng(3105).uniform(0.1, 10.0, size=(256, 256))
     report = contraction_coeff(M)
-    assert aleph_scans == [(256, np.float64)]
+    assert aleph_scans == [(256, np.float32)]
     _assert_is_the_full_scan(report, M)
+
+
+def test_perron_loop_family_runs_one_float32_pass_and_no_float64_scan(aleph_scans):
+    for n in (8, 128):
+        M = _perron_loop_matrix(n, 0.01)
+        report = contraction_coeff(M)
+        assert aleph_scans == [(n, np.float32)], n
+        _assert_is_the_full_scan(report, M)
+        aleph_scans.clear()
