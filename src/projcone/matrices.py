@@ -5,10 +5,11 @@ the image of the j-th basis ray is the j-th column).  When no column is
 zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
-between column rays.  All column pairs are scanned in O(d^3), in float32
-where the range allows and float64 for the few pairs left, one support
-rule confining every ratio to its column's support.  One pair at the
-metric's bound 1 settles ``c(M) = 1``, in O(d^2) when column 0 is in one.
+between column rays.  All column pairs are scanned in O(d^3): screened
+on exact int16 differences of balanced, quantized logs, then the few
+pairs left in float64, one support rule confining every ratio to its
+column's support.  One pair at the metric's bound 1 settles ``c(M) = 1``,
+in O(d^2) when column 0 is in one.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -124,19 +125,30 @@ class ContractionReport:
     method: str
 
 
-# Rows of float64 M divided per step of the aleph scan (float32 takes twice as
-# many), and rows of the pair table reduced per step.  Columns whose quotient
-# block holds at most 2**14 quotients (n <= 256 in float64, 128 in float32) are
-# divided 1024 // n at a time, larger ones (grouped, measured no faster) one at
-# a time: each thread's quotient buffer stays in cache, at most 512 KB at any n.
+# Rows of float64 M divided per step of the aleph scan (the screen's int16 log
+# table takes four times as many), and rows of the pair table reduced per step.
+# Columns whose block holds at most 2**14 entries (n <= 256 in float64, 128 in
+# int16) are processed 1024 // n at a time, larger ones (grouped, measured no
+# faster) one at a time: each thread's buffer stays in cache, at most 512 KB at any n.
 _SCAN_BLOCK_ROWS = 64
 
 
 # Dimension from which contraction_coeff, with workers=None, threads the scan
-# over the process's CPUs.  2-core VM, serial vs 2 threads (dense and
-# log-uniform): 39-42 vs 40-43 ms at n = 256, 112-128 vs 100-135 ms at 512
-# (within noise), 0.92-1.03 vs 0.57-0.66 s at n = 1024.
+# over the process's CPUs.  Shared 2-core VM, the int16 screen serial vs 2
+# threads, medians of 7 on dense / log-uniform input: 6.8 / 6.7 vs 6.9 / 7.5 ms
+# at n = 256, 39 / 45 vs 44 / 46 ms at 512 (within noise), 295 / 282 vs
+# 189 / 184 ms at 1024.  The float64 scan that ties fall back to, medians of 5:
+# 230 vs 217 ms at 512, 1.58 vs 0.89 s at 1024 (3 each).
 _PARALLEL_SCAN_MIN_DIM = 512
+
+
+# The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps, a zero
+# numerator _LOG_ZERO and a denominator outside the support _LOG_OUTSIDE.  Their
+# differences, -16383..-8192 and 16384..32767, lie below and above every real one
+# (-8191..8191), and int16 never wraps.  A pair's range -(T + T.T) is exact in
+# int16 too: -16382..16382 for real pairs; _LOG_SURE, the int16 maximum, marks a
+# pair whose distance is exactly 1, and _LOG_BELOW the diagonal, which is no pair.
+_LOG_STEPS, _LOG_ZERO, _LOG_OUTSIDE, _LOG_SURE, _LOG_BELOW = 8191, -8192, -24576, 32767, -32768
 
 
 def _usable_cpus() -> int:
@@ -155,25 +167,32 @@ def _quotients_are_finite(M: np.ndarray, pos: np.ndarray) -> bool:
 def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> np.ndarray:
     """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
 
-    ``out[i, :]`` is the columnwise minimum of ``M[k, :] / M[k, i]`` over
-    the support ``pos[:, i]`` of column ``i``.  The scan walks row blocks
-    outside and column blocks inside (see ``_SCAN_BLOCK_ROWS``), dividing
-    the row block by each column of the column block into one per-thread
-    buffer of at most 512 KB and folding the minima into those ``out[i]``,
-    by the support rule of :func:`projcone.cone._aleph`.
+    For float ``M``, ``out[i, :]`` is the columnwise minimum of
+    ``M[k, :] / M[k, i]`` over the support ``pos[:, i]`` of column ``i``, by
+    the support rule of :func:`projcone.cone._aleph`.  Every quotient is the
+    same correctly rounded division as in :func:`projcone.cone.aleph` on the
+    column pair, and a minimum is exact in any grouping, so the result is
+    bitwise identical to the scalar route.  For the int16 log table of
+    :func:`_screened_max_pair_distance` the quotient is the exact difference
+    ``M[k, :] - M[k, i]``, and a denominator outside ``pos`` becomes
+    ``_LOG_OUTSIDE``, whose differences are never a minimum.
 
-    Every quotient is the same correctly rounded division as in
-    :func:`projcone.cone.aleph` on the column pair, and a minimum is exact
-    in any grouping, so the result is bitwise identical to the scalar route.
-    Extra memory is ``out``, at most one n x n denominator copy and one
-    block buffer per thread, in ``M``'s dtype.  Threads split the columns
-    ``i`` and write disjoint rows of ``out``: the fan-out is deterministic.
+    The scan walks row blocks outside and column blocks inside (see
+    ``_SCAN_BLOCK_ROWS``), combining the row block with each column of the
+    column block into one per-thread buffer of at most 512 KB and folding
+    the minima into those ``out[i]``.  Extra memory is ``out``, at most one
+    n x n denominator copy and one block buffer per thread, in ``M``'s
+    dtype.  Threads split the columns ``i`` and write disjoint rows of
+    ``out``: the fan-out is deterministic.
     """
     n = M.shape[1]
-    out = np.full((n, n), np.inf, dtype=M.dtype)
+    if M.dtype.kind == "f":
+        (denom, fold), op, top = _support_denominators(M, pos), np.divide, np.inf
+    else:
+        denom, fold, op, top = M if pos.all() else np.where(pos, M, np.int16(_LOG_OUTSIDE)), np.minimum, np.subtract, _LOG_SURE
+    out = np.full((n, n), top, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
-    denom, fold = _support_denominators(M, pos)
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
     cols = 1024 // n if rows * n <= 1 << 14 else 1
 
@@ -188,7 +207,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
                 for i0 in range(lo, hi, width):
                     o = out[i0:min(i0 + width, hi)]
                     q, least = (quot, block_min) if len(o) == width else (quot[: len(o)], block_min[: len(o)])  # full groups skip two slices
-                    np.divide(chunk, by[i0:i0 + len(o)], out=q)
+                    op(chunk, by[i0:i0 + len(o)], out=q)
                     fold.reduce(q, axis=1, out=least)
                     fold(o, least, out=o)
 
@@ -211,29 +230,25 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _listed_pair_distances(M: np.ndarray, pos: np.ndarray, i, j) -> np.ndarray:
     """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's."""
+    f, g = M[:, i], M[:, j]
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _pair_distances(_aleph(M[:, i], M[:, j], pos[:, i]), _aleph(M[:, j], M[:, i], pos[:, j]))
-
-
-def _pair_table_blocks(al: np.ndarray, scale: float = 1.0):
-    """``_SCAN_BLOCK_ROWS``-row blocks of ``_pair_distances(al[i, j] * scale, al[j, i] * scale)`` in float64, each after its first row; ``j <= i`` reads -1."""
-    n = al.shape[0]
-    for i0 in range(0, n - 1, _SCAN_BLOCK_ROWS):
-        i1 = min(i0 + _SCAN_BLOCK_ROWS, n - 1)
-        d = _pair_distances(np.multiply(al[i0:i1], scale, dtype=float), np.multiply(al[:, i0:i1].T, scale, dtype=float))
-        yield i0, np.where(np.arange(n) > np.arange(i0, i1)[:, None], d, -1.0)
+        return _pair_distances(_aleph(f, g, pos[:, i]), _aleph(g, f, pos[:, j]))
 
 
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest distance ``_pair_distances(al[i, j], al[j, i])`` over pairs ``i < j``, and its first pair.
 
-    One block of rows at a time.  The strict comparison across blocks and
-    ``argmax`` within a block keep the lexicographically smallest attaining
-    pair.  A NaN distance (an ``inf * 0`` product at the ends of the double
-    range) wins at its first occurrence, as a NaN does under ``argmax``.
+    One block of ``_SCAN_BLOCK_ROWS`` rows at a time, where ``j <= i`` reads
+    -1.  The strict comparison across blocks and ``argmax`` within a block
+    keep the lexicographically smallest attaining pair.  A NaN distance (an
+    ``inf * 0`` product at the ends of the double range) wins at its first
+    occurrence, as a NaN does under ``argmax``.
     """
+    n = al.shape[0]
     best, witness = -1.0, (0, 1)
-    for i0, d in _pair_table_blocks(al):
+    for i0 in range(0, n - 1, _SCAN_BLOCK_ROWS):
+        i1 = min(i0 + _SCAN_BLOCK_ROWS, n - 1)
+        d = np.where(np.arange(n) > np.arange(i0, i1)[:, None], _pair_distances(al[i0:i1], al[:, i0:i1].T), -1.0)
         i, j = np.unravel_index(int(np.argmax(d)), d.shape)
         v, pair = float(d[i, j]), (i0 + int(i), int(j))
         if math.isnan(v):
@@ -243,39 +258,112 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
-def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
-    """``_max_pair_distance`` of the float64 aleph table, bit for bit, via float32; None where it does not apply.
+_LN2 = math.log(2.0)
 
-    Under the guard of :func:`contraction_coeff`, at every size, it applies
-    when ``max(M) / min(M[M > 0]) < 2**60``: then ``M`` scaled to a largest
-    entry in [1/2, 1) has every nonzero entry and quotient float32-normal, and no float64
-    quotient or product overflows or underflows.  A float32 quotient is
-    within a factor ``1 +- (3 * 2**-24 + O(2**-48))`` of the exact one, a
-    minimum keeps such bounds, and so each float64 aleph, the rounded exact
-    one, lies between the exact ``al32 * (1 -+ 2**-21)``.  Rounding is
-    monotone, so their ``_pair_distances`` bound each float64 distance
-    above and below, and a pair attaining the maximum has an upper distance
-    at or above every lower one.  These candidates are recomputed by
+
+def _distance_bound(x: float, slack: float) -> float:
+    """Bound on the float64 distance ``_pair_distances`` gives a pair whose exact ``-log2 m`` is ``x``: lower for ``slack < 0``, upper for ``slack > 0``.
+
+    ``1 - 2**-x`` comes from ``expm1`` within 2**-50 relative, and
+    ``|slack| >= 2**-50`` covers the rounding of ``a64``, ``b64``, their
+    product and the arithmetic here.  Rounding is monotone, so the float64
+    ``phi`` of a bound on ``m`` bounds the float64 distance.
+    """
+    w = -math.expm1(-max(x, 0.0) * _LN2)
+    m = min(max(1.0 - (w * (1.0 + math.copysign(2.0**-50, slack)) + slack), 0.0), 1.0)
+    return (1.0 - m) / (1.0 + m)
+
+
+def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+    """``_max_pair_distance`` of the float64 aleph table, bit for bit, via an int16 log table; None where it does not split the pairs.
+
+    Under the guard of :func:`contraction_coeff`, at every size.  ``c(M)``
+    does not change under positive row or column scaling, and in ``log2``
+    space a pair's ``m`` is minus the range, over rows, of a column
+    difference.  So the float64 logs of the positive entries are balanced
+    (each row's minimum subtracted, then each column's) and quantized to
+    ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) / 8191``; a
+    zero numerator and a denominator outside ``pos`` become the sentinels
+    ``_LOG_ZERO`` and ``_LOG_OUTSIDE``.  :func:`_aleph_columns` builds
+    ``T[i, j] = min_k (Q[k, j] - Q[k, i])`` exactly, and ``T < -8191``
+    marks an aleph that is exactly 0, so a distance of exactly 1.
+
+    The error proof: the shifts cancel in ``-log2 m``, and a balanced log
+    is within ``e = 2**-49 * max|log2 M|`` of the exact shifted one
+    (``log2`` within 6 ulp, two subtractions).  A quantized log is within
+    ``1/2 + e / delta`` steps of it and ``T`` within twice that, so for
+    ``R = -(T + T.T)``, exact in int16, the exact ``-log2 m`` lies in
+    ``[(R - s) delta, (R + s) delta]`` with ``s = 2 + 4 e / delta`` (and
+    room for the roundings of ``s`` and ``(R +- s) delta``).
+    :func:`_distance_bound` turns these into float64 distance bounds that
+    cover the rounding of ``a64``, ``b64``, ``m`` and ``phi``, both
+    monotone in ``R``.  The floor is the lower bound at the largest ``R``.
+    Every pair attaining the maximum has an upper bound at or above it, and
+    those candidates are the pairs with ``R`` at or above one threshold,
+    found by bisection.  They are recomputed by
     :func:`_listed_pair_distances`, 64 at a time, the first largest in
     row-major order winning; more than ``n`` of them (ties) give None.
     """
-    n, top = M.shape[1], float(M.max())
-    if not top / float(M.min(initial=np.inf, where=M > 0.0)) < 2.0**60:
-        return None
-    al = _aleph_columns(np.ldexp(M, -math.frexp(top)[1]).astype(np.float32), pos, workers)
+    n = M.shape[1]
+    where = M > 0.0
+    if where.all():
+        where = True
+    with np.errstate(divide="ignore"):
+        L = np.log2(M)  # -inf at the zeros, which every reduction below skips
+    log_hi = float(L.max(where=where, initial=-np.inf))
+    shift = L.min(axis=1, where=where, initial=np.inf, keepdims=True)  # inf on an all-zero row, whose -inf stay -inf
+    log_lo = float(shift.min())
+    L -= shift
+    L -= L.min(axis=0, where=where, initial=np.inf, keepdims=True)
+    span = float(L.max(where=where, initial=0.0))
+    delta = span / _LOG_STEPS if span > 0.0 else 1.0
+    L /= delta
+    np.rint(L, out=L)
+    if where is not True:
+        L[~where] = _LOG_ZERO
+    Q = L.astype(np.int16)
+    del L, where  # the float64 logs go before the table is built
+    T = _aleph_columns(Q, pos, workers)
+    del Q
+    R = np.add(T, T.T)
+    np.negative(R, out=R)
+    if T.min() < -_LOG_STEPS:
+        zero = T < -_LOG_STEPS
+        R[zero | zero.T] = _LOG_SURE
+    np.fill_diagonal(R, _LOG_BELOW)
+    r_max = int(R.max())
 
-    floor = max(float(d.max()) for _, d in _pair_table_blocks(al, 1.0 + 2.0**-21))
-    rows, cols = [], []
-    for i0, d in _pair_table_blocks(al, 1.0 - 2.0**-21):
-        r, c = np.nonzero(d >= floor)
-        rows, cols = rows + (i0 + r).tolist(), cols + c.tolist()
-        if len(cols) > n:
-            return None
-    d = np.empty(len(cols))
-    for s in range(0, d.size, _SCAN_BLOCK_ROWS):
-        d[s:s + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, pos, rows[s:s + _SCAN_BLOCK_ROWS], cols[s:s + _SCAN_BLOCK_ROWS])
+    s = (2.0 + 4.0 * math.ldexp(max(log_hi, -log_lo), -49) / delta) * (1.0 + 2.0**-30)
+    # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(M) / min(M[M > 0])
+    slack = 2.0**-50 + math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
+
+    def upper(r: int) -> float:
+        return 1.0 if r >= _LOG_SURE else _distance_bound((r + s) * delta, slack)
+
+    floor = 1.0 if r_max >= _LOG_SURE else _distance_bound((r_max - s) * delta, -slack)
+    # the least r with upper(r) >= floor, which r_max meets: gallop down to an r that fails (or to _LOG_BELOW), then bisect
+    above, step = r_max, max(1, math.ceil(2.0 * s))
+    below = max(above - step, _LOG_BELOW)
+    while below > _LOG_BELOW and upper(below) >= floor:
+        above, step = below, 2 * step
+        below = max(above - step, _LOG_BELOW)
+    while above - below > 1:
+        mid = (above + below) // 2
+        if upper(mid) >= floor:
+            above = mid
+        else:
+            below = mid
+    hits = R >= above  # each pair twice, as (i, j) and (j, i)
+    if np.count_nonzero(hits) > 2 * n:
+        return None
+    rows, cols = np.nonzero(hits)
+    keep = rows < cols
+    rows, cols = rows[keep], cols[keep]
+    d = np.empty(rows.size)
+    for s0 in range(0, d.size, _SCAN_BLOCK_ROWS):
+        d[s0:s0 + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, pos, rows[s0:s0 + _SCAN_BLOCK_ROWS], cols[s0:s0 + _SCAN_BLOCK_ROWS])
     k = int(np.argmax(d))
-    return float(d[k]), (rows[k], cols[k])
+    return float(d[k]), (int(rows[k]), int(cols[k]))
 
 
 def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> ContractionReport:
@@ -289,8 +377,9 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     no quotient of the scan overflows and no distance is NaN, so the bound
     1.0, once reached in row 0 of the pair table (2 d^2 divisions), is the
     maximum and settles ``c = 1`` with the scan's witness.  Under the same
-    guard, at every d, :func:`_screened_max_pair_distance` screens pairs in
-    float32.
+    guard, at every d, :func:`_screened_max_pair_distance` screens pairs on
+    an int16 table of log differences and leaves the float64 scan only the
+    inputs it cannot split (ties).
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 _CONTRACTION_DIM_LIMIT = 512  # above this dimension perron_iterate skips the O(d^3) c(M) and reports no error bound
-_MAX_BATCH = 32  # most Perron steps between two convergence tests
+_MAX_BATCH = 128  # most Perron steps between two convergence tests
 
 
 @dataclass(frozen=True)

@@ -513,14 +513,14 @@ def _route_matrix(rng, route):
     return M, 0.0
 
 
-# the float32 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the row-0 rule
+# the int16 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the row-0 rule
 @pytest.mark.parametrize("route, scans", [
-    ("dense", [(512, np.float32)]),
-    ("zero rows, zero_tol 0.5", [(512, np.float32)]),
-    ("ties", [(512, np.float32), (512, np.float64)]),
+    ("dense", [(512, np.int16)]),
+    ("zero rows, zero_tol 0.5", [(512, np.int16)]),
+    ("ties", [(512, np.int16), (512, np.float64)]),
     ("1e+-200", [(512, np.float64)]),
     ("30% zeros", []),
-    ("n = 511", [(511, np.float32)]),
+    ("n = 511", [(511, np.int16)]),
 ])
 def test_scan_peak_memory_is_at_most_2_5_times_the_matrix(aleph_scans, route, scans):
     M, zt = _route_matrix(np.random.default_rng(2032), route)

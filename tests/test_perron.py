@@ -271,7 +271,8 @@ def _batch_rule_cases():
     """Cases for the loop's rate-sized batches: long runs, budgets around the largest batch, one step, a large n."""
     slow = _perron_loop_matrix(8, 0.01)
     cases = [(f"perron-loop n={n} eps=0.01", _perron_loop_matrix(n, 0.01), {}) for n in (8, 128)]
-    cases += [(f"max_iter {k}", slow, {"max_iter": k}) for k in (1, 2, 31, 32, 33, 65)]
+    B = perron._MAX_BATCH
+    cases += [(f"max_iter {k}", slow, {"max_iter": k}) for k in (1, 2, B - 1, B, B + 1, 2 * B + 1)]
     cases.append(("rank one, converges on step 1", np.outer([1.0, 2.0, 3.0], [0.5, 1.0, 4.0]), {"f0": [2.0, 4.0, 6.0]}))
     cases.append(("slow n=600", _slowly_mixing(np.random.default_rng(40), 600), {}))
     return cases
@@ -341,10 +342,11 @@ def _batch_sizes(M, monkeypatch, **kwargs):
 
 
 def test_batch_sizes_follow_the_observed_rate(monkeypatch):
-    # steps that never shrink (rate 1) take the largest batch, 32, and the budget cuts the last one
-    sizes, res = _batch_sizes([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=100)
-    assert sizes == [1, 1, 32, 32, 32, 2] and res.iterations == 100
-    # a converging run: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, 32], from the steps
+    # steps that never shrink (rate 1) take the largest batch, B, and the budget cuts the last one
+    B = perron._MAX_BATCH
+    sizes, res = _batch_sizes([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=3 * B + 4)
+    assert sizes == [1, 1, B, B, B, 2] and res.iterations == 3 * B + 4
+    # a converging run: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, B], from the steps
     M, tol = _perron_loop_matrix(8, 0.01), 1e-12
     p, steps = normalize(np.ones(8)), []
     for _ in range(perron_iterate(M, tol=tol).iterations):
@@ -354,8 +356,8 @@ def test_batch_sizes_follow_the_observed_rate(monkeypatch):
     want, done, step, prev = [], 0, math.nan, math.nan
     while not want or min(steps[done - want[-1]:done]) > tol:
         rate = step / prev if prev > 0.0 else math.nan
-        size = 1 if not rate > 0.0 else 32 if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
-        want.append(min(max(size, 1), 32))
+        size = 1 if not rate > 0.0 else B if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
+        want.append(min(max(size, 1), B))
         done += want[-1]
         step, prev = steps[min(done, len(steps)) - 1], steps[min(done, len(steps)) - 2] if want[-1] > 1 else step
     assert _batch_sizes(M, monkeypatch, tol=tol)[0] == want
