@@ -9,7 +9,8 @@ between column rays.  All column pairs are scanned in O(d^3): screened
 on exact int16 differences of balanced, quantized logs, then the few
 pairs left in float64, one support rule confining every ratio to its
 column's support.  One pair at the metric's bound 1 settles ``c(M) = 1``,
-in O(d^2) when column 0 is in one.
+in O(d^2) when column 0 is in one, as it is for every exact zero in a row
+with support at ``zero_tol = 0``: the screen leaves such zeros alone.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -142,13 +143,11 @@ _SCAN_BLOCK_ROWS = 64
 _PARALLEL_SCAN_MIN_DIM = 512
 
 
-# The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps, a zero
-# numerator _LOG_ZERO and a denominator outside the support _LOG_OUTSIDE.  Their
-# differences, -16383..-8192 and 16384..32767, lie below and above every real one
-# (-8191..8191), and int16 never wraps.  A pair's range -(T + T.T) is exact in
-# int16 too: -16382..16382 for real pairs; _LOG_SURE, the int16 maximum, marks a
-# pair whose distance is exactly 1, and _LOG_BELOW the diagonal, which is no pair.
-_LOG_STEPS, _LOG_ZERO, _LOG_OUTSIDE, _LOG_SURE, _LOG_BELOW = 8191, -8192, -24576, 32767, -32768
+# The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps and a
+# denominator outside the support _LOG_OUTSIDE, whose differences (16384..32767)
+# lie above every real one (-8191..8191): int16 never wraps.  _LOG_BELOW marks
+# the diagonal of the exact pair ranges -(T + T.T) (-16382..16382), no pair.
+_LOG_STEPS, _LOG_OUTSIDE, _LOG_BELOW = 8191, -24576, -32768
 
 
 def _usable_cpus() -> int:
@@ -189,7 +188,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     if M.dtype.kind == "f":
         (denom, fold), op, top = _support_denominators(M, pos), np.divide, np.inf
     else:
-        denom, fold, op, top = M if pos.all() else np.where(pos, M, np.int16(_LOG_OUTSIDE)), np.minimum, np.subtract, _LOG_SURE
+        denom, fold, op, top = M if pos.all() else np.where(pos, M, np.int16(_LOG_OUTSIDE)), np.minimum, np.subtract, np.iinfo(M.dtype).max
     out = np.full((n, n), top, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
@@ -280,16 +279,17 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | N
     Under the guard of :func:`contraction_coeff`, at every size.  ``c(M)``
     does not change under positive row or column scaling, and in ``log2``
     space a pair's ``m`` is minus the range, over rows, of a column
-    difference.  So the float64 logs of the positive entries are balanced
-    (each row's minimum subtracted, then each column's) and quantized to
-    ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) / 8191``; a
-    zero numerator and a denominator outside ``pos`` become the sentinels
-    ``_LOG_ZERO`` and ``_LOG_OUTSIDE``.  :func:`_aleph_columns` builds
-    ``T[i, j] = min_k (Q[k, j] - Q[k, i])`` exactly, and ``T < -8191``
-    marks an aleph that is exactly 0, so a distance of exactly 1.
+    difference.  So the float64 logs of the used rows, those with support,
+    are balanced (each row's minimum subtracted, then each column's) and
+    quantized to ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) /
+    8191``; other rows divide nothing and take 0, and a denominator outside
+    ``pos`` becomes ``_LOG_OUTSIDE``.  An exact zero in a used row gives
+    None, leaving its aleph of exactly 0 to the float64 scan (see
+    :func:`_contraction`).  :func:`_aleph_columns` builds
+    ``T[i, j] = min_k (Q[k, j] - Q[k, i])`` exactly.
 
     The error proof: the shifts cancel in ``-log2 m``, and a balanced log
-    is within ``e = 2**-49 * max|log2 M|`` of the exact shifted one
+    is within ``e = 2**-49 * max|log2 M[used]|`` of the exact shifted one
     (``log2`` within 6 ulp, two subtractions).  A quantized log is within
     ``1/2 + e / delta`` steps of it and ``T`` within twice that, so for
     ``R = -(T + T.T)``, exact in int16, the exact ``-log2 m`` lies in
@@ -305,51 +305,41 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | N
     row-major order winning; more than ``n`` of them (ties) give None.
     """
     n = M.shape[1]
-    where = M > 0.0
-    if where.all():
-        where = True
-    with np.errstate(divide="ignore"):
-        L = np.log2(M)  # -inf at the zeros, which every reduction below skips
-    log_hi = float(L.max(where=where, initial=-np.inf))
-    shift = L.min(axis=1, where=where, initial=np.inf, keepdims=True)  # inf on an all-zero row, whose -inf stay -inf
+    used = pos.any(axis=1)
+    used = slice(None) if used.all() else used  # every row: M itself, no copy
+    with np.errstate(divide="ignore"):  # an exact zero's log is -inf
+        L = np.log2(M[used])
+    shift = L.min(axis=1, keepdims=True)
     log_lo = float(shift.min())
+    if log_lo == -math.inf:
+        return None
+    log_hi = float(L.max())
     L -= shift
-    L -= L.min(axis=0, where=where, initial=np.inf, keepdims=True)
-    span = float(L.max(where=where, initial=0.0))
-    delta = span / _LOG_STEPS if span > 0.0 else 1.0
+    L -= L.min(axis=0, keepdims=True)
+    delta = float(L.max()) / _LOG_STEPS or 1.0
     L /= delta
-    np.rint(L, out=L)
-    if where is not True:
-        L[~where] = _LOG_ZERO
-    Q = L.astype(np.int16)
-    del L, where  # the float64 logs go before the table is built
+    Q = np.zeros((n, n), np.int16)
+    Q[used] = np.rint(L, out=L)
+    del L  # the float64 logs go before the table is built
     T = _aleph_columns(Q, pos, workers)
     del Q
     R = np.add(T, T.T)
     np.negative(R, out=R)
-    if T.min() < -_LOG_STEPS:
-        zero = T < -_LOG_STEPS
-        R[zero | zero.T] = _LOG_SURE
     np.fill_diagonal(R, _LOG_BELOW)
     r_max = int(R.max())
 
     s = (2.0 + 4.0 * math.ldexp(max(log_hi, -log_lo), -49) / delta) * (1.0 + 2.0**-30)
-    # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(M) / min(M[M > 0])
+    # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(M[used]) / min(M[used])
     slack = 2.0**-50 + math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
 
-    def upper(r: int) -> float:
-        return 1.0 if r >= _LOG_SURE else _distance_bound((r + s) * delta, slack)
-
-    floor = 1.0 if r_max >= _LOG_SURE else _distance_bound((r_max - s) * delta, -slack)
-    # the least r with upper(r) >= floor, which r_max meets: gallop down to an r that fails (or to _LOG_BELOW), then bisect
-    above, step = r_max, max(1, math.ceil(2.0 * s))
-    below = max(above - step, _LOG_BELOW)
-    while below > _LOG_BELOW and upper(below) >= floor:
-        above, step = below, 2 * step
-        below = max(above - step, _LOG_BELOW)
+    floor = _distance_bound((r_max - s) * delta, -slack)
+    # the least r whose upper bound reaches the floor, as r_max's does: gallop down to an r that fails (or to _LOG_BELOW), then bisect
+    above, below, step = r_max, r_max, max(1, math.ceil(2.0 * s))
+    while below > _LOG_BELOW and _distance_bound((below + s) * delta, slack) >= floor:
+        above, below, step = below, max(below - step, _LOG_BELOW), 2 * step
     while above - below > 1:
         mid = (above + below) // 2
-        if upper(mid) >= floor:
+        if _distance_bound((mid + s) * delta, slack) >= floor:
             above = mid
         else:
             below = mid
@@ -379,7 +369,7 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     maximum and settles ``c = 1`` with the scan's witness.  Under the same
     guard, at every d, :func:`_screened_max_pair_distance` screens pairs on
     an int16 table of log differences and leaves the float64 scan only the
-    inputs it cannot split (ties).
+    inputs it cannot split (ties) and the exact zeros row 0 misses.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -393,7 +383,15 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
 
 
 def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> ContractionReport:
-    """:func:`contraction_coeff` of a validated ``M`` whose support is the mask ``pos``, a subset of ``M > 0``."""
+    """:func:`contraction_coeff` of a validated ``M`` whose support is the mask ``pos``, a subset of ``M > 0``.
+
+    Under the guard at ``zero_tol = 0``, an exact zero at ``(k, j)`` in a
+    row with support puts a pair ``(0, x)`` at distance exactly 1.0:
+    ``aleph(col_0, col_j) = 0`` if ``M[k, 0] > 0``, else
+    ``aleph(col_l, col_0) = 0`` for some ``M[k, l] > 0``.  So row 0 settles
+    such input before the screen, which refuses it; above ``zero_tol = 0``
+    row 0 misses the zeros of rows with ``M[k, 0]`` in ``(0, zero_tol]``.
+    """
     _check_cone_preserving(pos)
     n = M.shape[1]
     if n == 1:

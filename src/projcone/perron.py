@@ -134,8 +134,9 @@ def perron_iterate(
         and a larger ``zero_tol`` would count all of it as zero.
 
     Steps are tested in batches: one step, then as many as the rate of the
-    last two steps needs to reach ``tol``, rounded down and clipped to [1, 32].
-    Every output, refusals included, is that of testing each step.
+    last two steps needs to reach ``tol``, rounded down and clipped to [1, 128].
+    A batch may step past its converging step when the rate quickens within
+    it.  Every output, refusals included, is that of testing each step.
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(pos := _support(M, zero_tol))

@@ -1,10 +1,10 @@
 """The int16 log screen of the column-pair scan against the full float64 scan, and the routes contraction_coeff takes."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from projcone import contraction_coeff, psi_inverse
-from projcone.matrices import _aleph_columns, _max_pair_distance, _quotients_are_finite, _screened_max_pair_distance
+from projcone.matrices import _aleph_columns, _max_pair_distance, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
 
 from test_perron import _perron_loop_matrix
 
@@ -102,11 +102,61 @@ def test_screen_applies_and_refuses_where_documented():
     assert 1e-10 < _full_scan(near, 0.0)[0] < 1e-8
     with_zero = rng.uniform(0.1, 10.0, size=(40, 40))
     with_zero[3, 5] = 0.0
-    for M in (rng.uniform(0.1, 10.0, size=(40, 40)), _spanning(rng, 40, 2.0**60), _spanning(rng, 40, 2.0**900), near, with_zero):
+    for M in (rng.uniform(0.1, 10.0, size=(40, 40)), _spanning(rng, 40, 2.0**60), _spanning(rng, 40, 2.0**900), near):
         (c, witness), screened = _full_scan(M, 0.0), _screen(M, 0.0)
         assert (repr(screened[0]), screened[1]) == (repr(c), witness)
+    # an exact zero in a row with support: its aleph of exactly 0 is the float64 scan's to settle
+    assert _screen(with_zero, 0.0) is None
+    _assert_is_the_full_scan(contraction_coeff(with_zero), with_zero)
     # more than n candidates: ties
     assert _screen(rng.choice([1.0, 2.0, 3.0], size=(40, 40)), 0.0) is None
+
+
+@st.composite
+def zero_in_a_used_row(draw):
+    """Guarded cone-preserving matrices, entries from subnormal to 1e+-300, with an exact zero in a row with support."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo = draw(st.floats(-323.0, -300.0) | st.floats(-323.0, 300.0))  # subnormal entries often
+    hi = min(lo + draw(st.floats(0.0, 307.0)), 308.0)  # max / min stays below 1e307: the guard holds
+    M = 10.0 ** rng.uniform(lo, hi, size=(n, n))
+    M[rng.random((n, n)) < draw(st.floats(0.0, 0.5))] = 0.0
+    if draw(st.booleans()):  # all-zero rows too
+        M[rng.random(n) < 0.3] = 0.0
+    k, j = (int(v) for v in rng.integers(n, size=2))
+    M[k, j], M[k, (j + 1) % n] = 0.0, 10.0**lo
+    others = np.delete(np.arange(n), k)
+    for col in np.flatnonzero(~(M > 0.0).any(axis=0)):
+        M[int(rng.choice(others)), col] = 10.0**hi
+    if draw(st.booleans()):
+        M[M == 0.0] = -0.0
+    return M
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(M=zero_in_a_used_row())
+def test_exact_zeros_of_used_rows_are_settled_by_row_0(aleph_scans, M):
+    # at zero_tol = 0 the screen, which refuses these zeros, is never reached
+    aleph_scans.clear()
+    pos = M > 0.0
+    assert _quotients_are_finite(M, pos)
+    report = contraction_coeff(M)
+    assert aleph_scans == []
+    al = _aleph_columns(M, pos)
+    assert (_pair_distances(al[0, 1:], al[1:, 0]) == 1.0).any()
+    assert report.c == 1.0 and report.witness == _max_pair_distance(al)[1]
+    assert _screen(M, 0.0) is None
+
+
+def test_exact_zero_that_row_0_misses_takes_the_float64_scan(aleph_scans):
+    # M[7, 0] lies in (0, zero_tol]: no pair (0, x) reaches 1.0, but pair (1, 11) does
+    M = np.random.default_rng(5).uniform(1.0, 2.0, size=(64, 64))
+    M[7, 0], M[7, 11] = 0.3, 0.0
+    assert _screen(M, 0.5) is None
+    report = contraction_coeff(M, 0.5)
+    assert aleph_scans == [(64, np.float64)]
+    assert (report.c, report.witness, report.a_star) == (1.0, (1, 11), None)
+    assert _full_scan(M, 0.5) == (1.0, (1, 11))
 
 
 def _assert_is_the_full_scan(report, M):
@@ -130,7 +180,7 @@ def test_tie_heavy_input_at_512_falls_back_to_the_float64_scan(aleph_scans):
     _assert_is_the_full_scan(report, M)
 
 
-def test_entries_spanning_1e_pm_200_run_no_float32_pass(aleph_scans):
+def test_entries_spanning_1e_pm_200_run_only_the_float64_scan(aleph_scans):
     # max(M) / min(M) overflows: the guard admits no screen
     M = 10.0 ** np.random.default_rng(3104).uniform(-200.0, 200.0, size=(512, 512))
     with np.errstate(over="ignore", invalid="ignore"):
