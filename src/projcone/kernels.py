@@ -240,15 +240,13 @@ def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> Cont
 def relate_certificate_to_coefficient(grid: KernelGrid, zero_tol: float = 0.0) -> tuple[float, float]:
     """Pair ``(psi(A), c)`` for the grid certificate and grid coefficient.
 
-    The certificate constant upper-bounds the optimal sandwich constant and
-    ``psi`` is increasing, so ``psi(A)`` upper-bounds the contraction
-    coefficient; the pair is checked before being returned.
+    The symmetric sandwich certifies only ``c <= psi(A**2)``, so ``psi(A)``
+    is no bound: ``ArithmeticError`` where ``c`` exceeds it by more than
+    1e-10, as it does on some strictly positive grids.
     """
     cert = factorization_certificate(grid, zero_tol)
     report = kernel_contraction_estimate(grid, zero_tol)
     bound = psi(cert.A)
     if report.c > bound + 1e-10:
-        raise ArithmeticError(
-            f"grid coefficient {report.c} exceeds certificate bound psi(A) = {bound}; this should be unreachable"
-        )
+        raise ArithmeticError(f"grid coefficient {report.c} exceeds psi(A) = {bound}")
     return bound, report.c

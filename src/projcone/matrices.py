@@ -15,7 +15,8 @@ with support at ``zero_tol = 0``: the screen leaves such zeros alone.
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
 ``A**-1 * b[j] * h <= M e_j <= A * b[j] * h`` around a single direction
-``h``.  The optimal constant is ``a_star(M) = psi_inverse(c(M))``.
+``h``.  It certifies ``c(M) <= psi(A**2)``, not ``c(M) <= psi(A)``: every
+valid ``A`` has ``A**2 >= a_star(M) = psi_inverse(c(M))``.
 """
 
 from __future__ import annotations
@@ -114,8 +115,8 @@ def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
 class ContractionReport:
     """Contraction coefficient of a matrix together with certificate data.
 
-    ``is_strict`` is equivalent to ``c < 1``; ``a_star`` (the optimal
-    sandwich constant, ``psi_inverse(c)``) is present exactly in that case.
+    ``is_strict`` is equivalent to ``c < 1``; ``a_star = psi_inverse(c)``,
+    at most ``A**2`` for every sandwich's ``A``, is present exactly then.
     ``witness`` is a pair of column indices attaining the coefficient.
     """
 
@@ -126,11 +127,11 @@ class ContractionReport:
     method: str
 
 
-# Rows of float64 M divided per step of the aleph scan (the screen's int16 log
-# table takes four times as many), and rows of the pair table reduced per step.
-# Columns whose block holds at most 2**14 entries (n <= 256 in float64, 128 in
-# int16) are processed 1024 // n at a time, larger ones (grouped, measured no
-# faster) one at a time: each thread's buffer stays in cache, at most 512 KB at any n.
+# The one block of every pass of c(M) outside the n x n tables: rows of float64
+# M per step of the aleph scan (of the int16 log table, four times as many), and
+# rows of the pair table, columns of its row 0 and listed pairs per step.  The
+# scan takes max(1024 // n, 1) columns per step: each thread's buffer holds
+# 512 KB up to n = 1024 and 512 n bytes above.
 _SCAN_BLOCK_ROWS = 64
 
 
@@ -176,10 +177,10 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     ``M[k, :] - M[k, i]``, and a denominator outside ``pos`` becomes
     ``_LOG_OUTSIDE``, whose differences are never a minimum.
 
-    The scan walks row blocks outside and column blocks inside (see
-    ``_SCAN_BLOCK_ROWS``), combining the row block with each column of the
-    column block into one per-thread buffer of at most 512 KB and folding
-    the minima into those ``out[i]``.  Extra memory is ``out``, at most one
+    The scan walks row blocks outside and groups of ``max(1024 // n, 1)``
+    columns inside (see ``_SCAN_BLOCK_ROWS``), combining the row block with
+    each column of the group into one per-thread buffer and folding the
+    minima into those ``out[i]``.  Extra memory is ``out``, at most one
     n x n denominator copy and one block buffer per thread, in ``M``'s
     dtype.  Threads split the columns ``i`` and write disjoint rows of
     ``out``: the fan-out is deterministic.
@@ -193,7 +194,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
-    cols = 1024 // n if rows * n <= 1 << 14 else 1
+    cols = max(1024 // n, 1)
 
     def fill(lo: int, hi: int) -> None:
         width = min(cols, hi - lo)
@@ -365,11 +366,12 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     extra memory.  The witness is the lexicographically smallest attaining
     pair.  When ``max(M) / min(M[M > zero_tol])`` is finite and positive,
     no quotient of the scan overflows and no distance is NaN, so the bound
-    1.0, once reached in row 0 of the pair table (2 d^2 divisions), is the
-    maximum and settles ``c = 1`` with the scan's witness.  Under the same
-    guard, at every d, :func:`_screened_max_pair_distance` screens pairs on
-    an int16 table of log differences and leaves the float64 scan only the
-    inputs it cannot split (ties) and the exact zeros row 0 misses.
+    1.0, once reached in row 0 of the pair table (at most 2 d^2 divisions,
+    in 64-column blocks), is the maximum and settles ``c = 1`` with the
+    scan's witness.  Under the same guard, at every d,
+    :func:`_screened_max_pair_distance` screens pairs on an int16 table of
+    log differences and leaves the float64 scan only the inputs it cannot
+    split (ties) and the exact zeros row 0 misses.
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -398,9 +400,10 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
     guarded = _quotients_are_finite(M, pos)
     if guarded:
-        hits = np.flatnonzero(_listed_pair_distances(M, pos, slice(0, 1), slice(1, None)) == 1.0)
-        if hits.size:
-            return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, 1 + int(hits[0])), method="definitional")
+        for j0 in range(1, n, _SCAN_BLOCK_ROWS):
+            hits = np.flatnonzero(_listed_pair_distances(M, pos, slice(0, 1), slice(j0, j0 + _SCAN_BLOCK_ROWS)) == 1.0)
+            if hits.size:
+                return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, j0 + int(hits[0])), method="definitional")
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
     screened = _screened_max_pair_distance(M, pos, workers) if guarded else None
@@ -530,8 +533,8 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     for this particular pair, scanned over all entries above ``zero_tol``
     (once the pattern test passes, these are all entries in nonzero rows).
 
-    The returned ``A`` is always at least :func:`a_star`, the optimal
-    constant over *all* admissible pairs, and in general exceeds it.
+    The sandwich certifies ``c(M) <= psi(A**2)``, so ``A**2`` is at least
+    :func:`a_star`; ``A`` itself may lie below it.
     ``ArithmeticError`` when the sandwich fails its check (:func:`_sandwich`).
     """
     M = as_nonneg_matrix(M)
@@ -546,7 +549,7 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:
-    """Optimal sandwich constant, ``psi_inverse(c(M))``.
+    """``psi_inverse(c(M))``, at most ``A**2`` for every sandwich certificate's ``A``.
 
     Defined only for strictly contracting matrices; raises when ``c = 1``
     (no finite constant exists).

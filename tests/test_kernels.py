@@ -10,6 +10,7 @@ from projcone import (
     KernelGrid,
     KernelPatternError,
     builtin_kernel,
+    certificate_is_valid,
     contraction_coeff,
     discretize,
     factorization_certificate,
@@ -21,6 +22,7 @@ from projcone import (
     relate_certificate_to_coefficient,
     tabulate_kernel,
     uniform_grid,
+    uniform_positivity_certificate,
 )
 from test_cli_fuzz import ENTRIES
 
@@ -291,3 +293,25 @@ def test_relate_certificate_to_coefficient():
         bound, c = relate_certificate_to_coefficient(grid)
         assert c <= bound + 1e-10
         assert bound == psi(factorization_certificate(grid).A)
+
+
+@st.composite
+def positive_matrices(draw):
+    """n = 2..8, entries in [0.1, 3] or 10**[-3, 3]."""
+    n = draw(st.integers(2, 8))
+    entries = draw(st.sampled_from([st.floats(0.1, 3.0), st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)]))
+    return np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(M=positive_matrices())
+@example(M=np.array([[3.0, 2.4, 1.5], [1.3, 2.6, 0.4], [2.2, 2.4, 2.4]]) / 3.0)  # psi(A) < c for both certificates
+def test_both_certificates_bound_c_by_psi_of_A_squared(M):
+    # the symmetric sandwich keeps each column ratio within a factor A**2 of b_i / b_j: m >= A**-4, so c <= psi(A**2)
+    cert = uniform_positivity_certificate(M)
+    assert certificate_is_valid(M, cert)
+    assert contraction_coeff(M).c <= psi(cert.A ** 2) + 1e-12
+    grid = KernelGrid(*uniform_grid(len(M)), values=M)
+    fcert = factorization_certificate(grid)
+    assert factorization_is_valid(M, fcert)
+    assert kernel_contraction_estimate(grid).c <= psi(fcert.A ** 2) + 1e-12

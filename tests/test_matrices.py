@@ -31,7 +31,7 @@ from projcone import (
     uniform_positivity_certificate,
 )
 from projcone import matrices
-from projcone.matrices import _SCAN_BLOCK_ROWS, _aleph_columns, _max_pair_distance, _usable_cpus
+from projcone.matrices import _LOG_STEPS, _SCAN_BLOCK_ROWS, _aleph_columns, _max_pair_distance, _usable_cpus
 
 from _util import assert_batch_matches_scalar, batch_pseudo_distance, random_cone_preserving_matrix, random_cone_vector
 
@@ -340,12 +340,13 @@ def _same(a, b):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-@pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 203])
+@pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 203, 256, 257])
 def test_blocked_scan_is_bitwise_the_per_row_formula(n):
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
         al = _aleph_columns_per_row(M, zt)
-        assert np.array_equal(_aleph_columns(M, M > zt), al), label
+        for workers in (1, 2):
+            assert np.array_equal(_aleph_columns(M, M > zt, workers), al), (label, workers)
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
         if n > 1:
             c, witness = _max_pair_distance_dense(al)
@@ -354,6 +355,28 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
             assert _same(rep.c, reports[0].c), label
             assert rep.witness == reports[0].witness, label
             assert rep.a_star == reports[0].a_star, label
+
+
+def _aleph_columns_per_row_int16(Q, pos):
+    """The int16 table per row: the least exact difference ``Q[k, :] - Q[k, i]`` over the support of column ``i``."""
+    out = np.empty(Q.shape, np.int16)
+    for i in range(Q.shape[1]):
+        sup = pos[:, i]
+        out[i, :] = (Q[sup, :].astype(np.int32) - Q[sup, i, None]).min(axis=0)
+    return out
+
+
+@pytest.mark.parametrize("n", [128, 129, 300])
+def test_int16_scan_is_bitwise_the_per_row_differences(n):
+    # 8, 7 and 3 columns per step; holes in the mask put _LOG_OUTSIDE into the denominators
+    rng = np.random.default_rng(3000 + n)
+    Q = rng.integers(0, _LOG_STEPS + 1, size=(n, n)).astype(np.int16)
+    holes = rng.random((n, n)) < 0.2
+    holes[0] = False
+    for pos in (np.ones((n, n), bool), ~holes):
+        want = _aleph_columns_per_row_int16(Q, pos)
+        for workers in (1, 2):
+            assert np.array_equal(_aleph_columns(Q, pos, workers), want), (workers, pos.all())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -496,6 +519,15 @@ def test_pattern_shortcut_skips_the_scan_at_n_1024(aleph_scans):
     elapsed = time.perf_counter() - start
     assert rep.c == 1.0 and rep.witness[0] == 0 and rep.a_star is None
     assert aleph_scans == [] and elapsed < 1.0, elapsed
+
+
+def test_row_0_rule_finds_a_distance_of_1_past_its_first_block(aleph_scans):
+    M = np.random.default_rng(0).uniform(1.0, 2.0, size=(200, 200))
+    M[3, 0] = M[7, 150] = 1e-9
+    rep = contraction_coeff(M)
+    assert rep.c == 1.0 and rep.witness == (0, 150) and rep.a_star is None
+    assert aleph_scans == []
+    assert _max_pair_distance(_aleph_columns(M, M > 0.0)) == (1.0, (0, 150))
 
 
 def _route_matrix(rng, route):
