@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from itertools import chain
 
 import numpy as np
 
@@ -180,8 +179,9 @@ def _json_entry(v, i: int, j: int, path: str) -> float:
 def read_matrix(path: str) -> np.ndarray:
     """Read a nonnegative matrix from a CSV file or a JSON {"matrix": [[...]]} file.
 
-    A well-formed file takes one ``float()`` per CSV cell (or one ``np.array`` of the JSON numbers) and one vectorised
-    check; any failure reruns the per-cell route, whose first bad cell names the error.
+    A well-formed file takes numpy's ``loadtxt`` over the non-blank ``str.splitlines()`` lines of a CSV file (or one
+    ``np.array`` of the JSON numbers) and one vectorised check; any failure reruns the per-cell route, one ``float()`` per
+    cell, whose first bad cell names the error, and which alone reads cells like ``1_0`` or non-ASCII digits.
     """
     M = None
     if path.endswith(".json"):
@@ -197,10 +197,8 @@ def read_matrix(path: str) -> np.ndarray:
         rows = ([_json_entry(v, i, j, path) for j, v in enumerate(row)] for i, row in enumerate(raw))
     else:
         lines = [(lineno, line) for lineno, line in enumerate(_load(path, as_json=False).splitlines(), 1) if line.strip()]
-        if len({line.count(",") for _, line in lines}) == 1:
-            with contextlib.suppress(ValueError):  # a cell float() rejects
-                cells = chain.from_iterable(map(float, line.split(",")) for _, line in lines)  # a list of all cells would double the peak memory
-                M = np.fromiter(cells, float, len(lines) * (lines[0][1].count(",") + 1)).reshape(len(lines), -1)
+        with contextlib.suppress(ValueError):  # a cell numpy's reader refuses, or a ragged row; with no lines it would only warn
+            M = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2) if lines else None
         rows = ([_parse_entry(cell.strip(), f"{path}:{lineno}") for cell in line.split(",")] for lineno, line in lines)
     if M is not None and ((M >= 0.0) & (M < math.inf)).all():
         return M

@@ -56,20 +56,8 @@ def _support_denominators(f: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, n
     return f, np.minimum
 
 
-def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
-    """Validate and return ``f`` as a 1-d float array in the cone.
-
-    Entries must be finite and nonnegative, and at least one entry must
-    exceed ``zero_tol`` (the zero vector is not a cone point).
-
-    Parameters
-    ----------
-    f : array_like
-        Coordinate vector.
-    zero_tol : float
-        Entries at or below this finite, nonnegative threshold count as
-        zero for the nonzero-vector requirement.  Default 0.0 (exact zeros only).
-    """
+def _cone_vector(f, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`as_cone_vector` of ``f`` and its support mask, the one mask its checks build."""
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("cone vector must be a 1-d sequence with at least one entry")
@@ -77,18 +65,27 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
         raise ValueError("cone vector entries must be finite")
     if (arr < 0.0).any():
         raise ValueError("cone vector entries must be nonnegative")
-    if not _support(arr, zero_tol).any():
+    if not (pos := _support(arr, zero_tol)).any():
         raise ValueError("cone vector must have at least one positive entry")
-    return arr
+    return arr, pos
+
+
+def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
+    """Validate and return ``f`` as a 1-d float array in the cone.
+
+    Entries must be finite and nonnegative, and at least one entry must
+    exceed ``zero_tol``, a finite, nonnegative threshold (default 0.0,
+    exact zeros only): the zero vector is not a cone point.
+    """
+    return _cone_vector(f, zero_tol)[0]
 
 
 def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Validate two cone vectors, require equal shapes, and return them with their support masks."""
-    f = as_cone_vector(f, zero_tol)
-    g = as_cone_vector(g, zero_tol)
+    (f, pos_f), (g, pos_g) = _cone_vector(f, zero_tol), _cone_vector(g, zero_tol)
     if f.shape != g.shape:
         raise ValueError(f"dimension mismatch: {f.size} vs {g.size}")
-    return f, g, _support(f, zero_tol), _support(g, zero_tol)
+    return f, g, pos_f, pos_g
 
 
 def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray) -> np.floating | np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, _support, as_cone_vector, normalize
+from .cone import _aleph, _cone_vector, _support, normalize
 from .matrices import _check_cone_preserving, _contraction, _pair_distances, as_nonneg_matrix
 
 __all__ = [
@@ -68,8 +68,8 @@ def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None
     return q, top
 
 
-def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
-    """Extreme ratios (Mp)/p for a validated ``p``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
+def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, pos: np.ndarray, zero_tol: float) -> tuple[float, float]:
+    """Extreme ratios (Mp)/p for a validated ``p`` with support ``pos``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
 
     Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is the largest ratio itself, and
     both ends move one ulp outward.
@@ -77,7 +77,7 @@ def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
         Mp, _ = _image(M, p, zero_tol)
         support = _support(Mp, zero_tol)
-        lower = float(_aleph(p, Mp, _support(p, zero_tol)))
+        lower = float(_aleph(p, Mp, pos))
         a = float(_aleph(Mp, p, support))
         upper = math.inf if a == 0.0 else 1.0 / a
         if not (lower <= upper):  # a > 0, so p is positive on the support of Mp
@@ -96,13 +96,13 @@ def collatz_wielandt(M, f, zero_tol: float = 0.0) -> tuple[float, float]:
     zero entry.
     """
     M = as_nonneg_matrix(M)
-    f = as_cone_vector(f, zero_tol)
+    f, pos = _cone_vector(f, zero_tol)
     if f.size != M.shape[1]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
     if np.any(f <= 0.0):
         raise ValueError("collatz_wielandt requires a strictly positive vector")
     _check_cone_preserving(_support(M, zero_tol))
-    return _eigenvalue_bracket(M, f, zero_tol)
+    return _eigenvalue_bracket(M, f, pos, zero_tol)
 
 
 def perron_iterate(
@@ -188,7 +188,7 @@ def perron_iterate(
             size = 1 if not rate > 0.0 else _MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
             size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
     p = V[:, k].copy()
-    lower, upper = _eigenvalue_bracket(M, p, zero_tol)
+    lower, upper = _eigenvalue_bracket(M, p, pos[:, k], zero_tol)  # pos is the support of W, whose column k is p
     return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
                         error_bound=None if no_bound_reason else c / (1.0 - c) * step, converged=step <= tol, no_bound_reason=no_bound_reason)
 

@@ -1,8 +1,8 @@
-"""Shared random-corpus generators and a batched distance helper."""
+"""Shared random-corpus generators, a batched distance helper and a ``_support`` spy."""
 
 import numpy as np
 
-from projcone import pseudo_distance
+from projcone import cone, pseudo_distance
 
 
 def random_cone_vector(rng, dim, zero_prob=0.0, log_uniform=False):
@@ -51,3 +51,16 @@ def assert_batch_matches_scalar(F, G, count=5):
     d = batch_pseudo_distance(F, G)
     for k in range(min(count, F.shape[1])):
         assert d[k] == pseudo_distance(F[:, k], G[:, k])
+
+
+def support_calls(monkeypatch, *modules):
+    """Shapes of the arrays passed to ``_support``, through each module's name for it, from now on."""
+    shapes, support = [], cone._support
+
+    def spy(a, zero_tol):
+        shapes.append(np.shape(a))
+        return support(a, zero_tol)
+
+    for module in modules:
+        monkeypatch.setattr(module, "_support", spy)
+    return shapes

@@ -17,9 +17,10 @@ from projcone import (
     rays_equal,
     segment_distance,
 )
+from projcone import cone
 from projcone.cone import _aleph
 
-from _util import random_cone_vector
+from _util import random_cone_vector, support_calls
 from test_cli_fuzz import ENTRIES
 
 
@@ -51,6 +52,13 @@ def test_m_ratio_examples():
     assert m_ratio([3, 6], [1, 2]).m == 1.0
     pair = m_ratio([1, 0], [0, 1])
     assert pair.m == 0.0 and pair.aleph_fg == 0.0 and pair.aleph_gf == 0.0
+
+
+@pytest.mark.parametrize("f, g, m", [([1.0, 0.0, 2.0], [0.5, 1.0, 0.0], 0.0), ([1e-310, 1e-310], [1.0, 2.0], 0.5)], ids=["boundary", "overflow"])
+def test_m_ratio_builds_one_support_mask_per_vector(monkeypatch, f, g, m):
+    shapes = support_calls(monkeypatch, cone)
+    assert m_ratio(f, g).m == m
+    assert shapes == [(len(f),), (len(g),)]
 
 
 def test_vector_ratios_over_a_subnormal_entry_print_no_warning():

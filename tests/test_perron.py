@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from projcone import matrices, perron
+from projcone import cone, matrices, perron
 from projcone import (
     PerronResult,
     aleph,
@@ -21,7 +21,7 @@ from projcone import (
     pseudo_distance,
 )
 
-from _util import random_cone_preserving_matrix
+from _util import random_cone_preserving_matrix, support_calls
 from test_cli_fuzz import ENTRIES
 
 
@@ -402,6 +402,17 @@ def test_collatz_wielandt_is_bitwise_the_validating_route():
                     continue
                 got = struct.pack("<2d", *collatz_wielandt(M, f, zt))
                 assert got == struct.pack("<2d", *_validating_bracket(M, f, zt)), (n, zt)
+
+
+def test_collatz_wielandt_and_perron_iterate_build_one_support_mask_per_array(monkeypatch):
+    M, f = np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 2.0]
+    shapes = support_calls(monkeypatch, cone, perron)
+    assert collatz_wielandt(M, f) == (2.5, 4.0)
+    assert shapes == [(2,), (2, 2), (2,)]  # f, M and M f: the bracket reuses the mask of f
+    shapes.clear()
+    res = perron_iterate(M)
+    assert [s for s in shapes if len(s) == 1] == [(2,), (2,)]  # the start vector and the image of the last iterate
+    assert res.converged
 
 
 def _exact_root_2x2(M):

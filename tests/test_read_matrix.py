@@ -1,5 +1,11 @@
 """read_matrix's one-pass route against the per-cell route it falls back to.
 
+The one-pass route parses a CSV file's non-blank lines with numpy's
+``loadtxt`` (a JSON file with one ``np.array``).  Files it refuses, or whose
+entries fail the vectorised check, take the per-cell route: ragged rows,
+non-finite or negative entries, and cells that ``float()`` reads but numpy
+does not, such as ``1_0`` and non-ASCII digits.
+
 ``_per_cell_read`` is the reference: every cell through ``_parse_entry``
 (CSV) or the JSON entry checks, in file order, then the width check.  The
 one-pass route must return the same bits on every file it accepts, and every
@@ -139,6 +145,7 @@ def csv_texts(draw):
 @example(text="1,2\n3,4,\n")
 @example(text="1,x\n3\n")
 @example(text="\n \n")
+@example(text="0.5,-0,5e-324\r\n\n  1e-310 ,1.7976931348623157e308,\u3000 2 \n1_0,+3,.5\n")
 def test_csv_matches_the_per_cell_route(text):
     _same_outcome(".csv", text)
 
@@ -184,13 +191,53 @@ def test_json_matches_the_per_cell_route(text):
 
 
 # ---------------------------------------------------------------------------
+# pinned results on structural edge cases: the bits of the matrix, or the error and the line it names
+
+
+@pytest.mark.parametrize(
+    "content, expected",
+    [
+        ("1,2\n\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n \t\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\r3,4\r", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,2\n3\n", ("parse_error", "row 1 has 1 entries, expected 2", "")),
+        ("1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+        ("1,2,3\n", [[1.0, 2.0, 3.0]]),
+        ("1,2,\n3,4,\n", ("parse_error", "invalid numeric literal ''", ":1")),
+        ("\ufeff1,2\n3,4\n", ("parse_error", "invalid numeric literal '\\ufeff1'", ":1")),
+        ("\x1f1,2\n3,4\x1f\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("1,\u20282\n", ("parse_error", "invalid numeric literal ''", ":1")),
+        ("1,\x1c2\n", ("parse_error", "invalid numeric literal ''", ":1")),
+        ("1_0,2\n", [[10.0, 2.0]]),
+        ("\u0661\u0662,1\n", [[12.0, 1.0]]),
+        ("-0,1\n", [[-0.0, 1.0]]),
+        ("1,2\nnan,1\n", ("parse_error", "non-finite entry 'nan'", ":2")),
+        ("1e400,1\n", ("parse_error", "non-finite entry '1e400'", ":1")),
+        ("", ("parse_error", "no rows found", "")),
+    ],
+    ids=["blank-line", "whitespace-line", "crlf", "lone-cr", "ragged", "one-column", "one-row", "trailing-comma", "bom",
+         "x1f-padding", "u2028", "x1c", "underscore", "arabic-digits", "minus-zero", "nan", "1e400", "empty"],
+)
+def test_csv_edge_cases_keep_their_pinned_result(tmp_path, content, expected):
+    path = tmp_path / "m.csv"
+    path.write_text(content, encoding="utf-8", newline="")
+    if isinstance(expected, tuple):
+        code, message, line = expected
+        assert _outcome(read_matrix, str(path)) == ("error", code, message, str(path) + line)
+    else:
+        M = np.array(expected)
+        assert _outcome(read_matrix, str(path)) == ("matrix", "<f8", M.shape, M.tobytes())
+
+
+# ---------------------------------------------------------------------------
 # the one-pass route is the one well-formed files take
 
 
 @pytest.mark.parametrize(
     "suffix, content",
     [
-        (".csv", "0.5,-0,5e-324\r\n\n  1e-310 ,1.7976931348623157e308,\u3000 2 \n1_0,+3,.5\n"),
+        (".csv", "0.5,-0,5e-324\r\n\n  1e-310 ,1.7976931348623157e308,\u3000 2 \n10,+3,.5\n"),
         (".json", '{"matrix": [[0.5, -0.0, 5e-324], [9007199254740993, 18446744073709551617, 2], [0, 1, 1e300]]}'),
     ],
 )
