@@ -251,7 +251,7 @@ def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> N
 
 def cmd_dist(args) -> dict:
     if args.file and args.vectors:
-        raise CliError("bad_flags", "give either --file or two vector literals, not both", "dist")
+        raise CliError("bad_flags", "give either --file or two vector literals, not both", "projcone dist")
     if args.file:
         M = read_matrix(args.file)
         if M.shape[0] != 2:
@@ -260,7 +260,7 @@ def cmd_dist(args) -> dict:
         inputs = {"file": args.file}
     else:
         if len(args.vectors) != 2:
-            raise CliError("bad_flags", 'expected two vector literals, e.g. projcone dist "1,2" "2,1"', "dist")
+            raise CliError("bad_flags", 'expected two vector literals, e.g. projcone dist "1,2" "2,1"', "projcone dist")
         f = parse_vector_literal(args.vectors[0], "first vector")
         g = parse_vector_literal(args.vectors[1], "second vector")
         inputs = {"vectors": [f, g]}
@@ -369,7 +369,7 @@ def cmd_kernel(args) -> dict:
             kernel = builtin_kernel(args.builtin, **params)
             grid = tabulate_kernel(kernel, args.n, args.rule)
         except (ValueError, MemoryError) as exc:  # MemoryError: an n x n grid beyond the machine's memory
-            raise CliError("bad_flags", str(exc), "kernel") from None
+            raise CliError("bad_flags", str(exc), "projcone kernel") from None
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
     # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans
     try:

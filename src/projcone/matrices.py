@@ -165,7 +165,7 @@ def _quotients_are_finite(M: np.ndarray, pos: np.ndarray) -> bool:
 
 
 def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """All pairwise extreme ratios between columns: out[i, j] = aleph(col_i, col_j).
+    """All pairwise extreme ratios between the ``n`` columns of ``M``, of any number of rows: out[i, j] = aleph(col_i, col_j).
 
     For float ``M``, ``out[i, :]`` is the columnwise minimum of
     ``M[k, :] / M[k, i]`` over the support ``pos[:, i]`` of column ``i``, by
@@ -177,15 +177,15 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     ``M[k, :] - M[k, i]``, and a denominator outside ``pos`` becomes
     ``_LOG_OUTSIDE``, whose differences are never a minimum.
 
-    The scan walks row blocks outside and groups of ``max(1024 // n, 1)``
-    columns inside (see ``_SCAN_BLOCK_ROWS``), combining the row block with
-    each column of the group into one per-thread buffer and folding the
-    minima into those ``out[i]``.  Extra memory is ``out``, at most one
-    n x n denominator copy and one block buffer per thread, in ``M``'s
-    dtype.  Threads split the columns ``i`` and write disjoint rows of
-    ``out``: the fan-out is deterministic.
+    The scan walks blocks of ``M``'s rows outside and groups of
+    ``max(1024 // n, 1)`` columns inside (see ``_SCAN_BLOCK_ROWS``),
+    combining the row block with each column of the group in one
+    per-thread buffer and folding the minima into those ``out[i]``.  Extra
+    memory is the n x n ``out``, at most one denominator copy of ``M`` and
+    one block buffer per thread, in ``M``'s dtype.  Threads split the
+    columns ``i`` and write disjoint rows of ``out``: deterministic.
     """
-    n = M.shape[1]
+    height, n = M.shape
     if M.dtype.kind == "f":
         (denom, fold), op, top = _support_denominators(M, pos), np.divide, np.inf
     else:
@@ -193,7 +193,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     out = np.full((n, n), top, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
-    rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, n)
+    rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, height)
     cols = max(1024 // n, 1)
 
     def fill(lo: int, hi: int) -> None:
@@ -201,7 +201,7 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
         buf = np.empty((width, rows, n), M.dtype)
         block_min = np.empty((width, n), M.dtype)
         with np.errstate(**errstate):
-            for k0 in range(0, n, rows):
+            for k0 in range(0, height, rows):
                 chunk, by = M[None, k0:k0 + rows], denom[k0:k0 + rows].T[:, :, None]
                 quot = buf[:, : chunk.shape[1]]
                 for i0 in range(lo, hi, width):
@@ -274,18 +274,18 @@ def _distance_bound(x: float, slack: float) -> float:
     return (1.0 - m) / (1.0 + m)
 
 
-def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray | slice, workers: int | None) -> tuple[float, tuple[int, int]] | None:
     """``_max_pair_distance`` of the float64 aleph table, bit for bit, via an int16 log table; None where it does not split the pairs.
 
     Under the guard of :func:`contraction_coeff`, at every size.  ``c(M)``
     does not change under positive row or column scaling, and in ``log2``
     space a pair's ``m`` is minus the range, over rows, of a column
-    difference.  So the float64 logs of the used rows, those with support,
-    are balanced (each row's minimum subtracted, then each column's) and
-    quantized to ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) /
-    8191``; other rows divide nothing and take 0, and a denominator outside
-    ``pos`` becomes ``_LOG_OUTSIDE``.  An exact zero in a used row gives
-    None, leaving its aleph of exactly 0 to the float64 scan (see
+    difference.  So the float64 logs of the rows ``used``, those with
+    support, are balanced (each row's minimum subtracted, then each
+    column's) and quantized to ``Q = rint(L / delta)`` in ``0..8191``,
+    ``delta = max(L) / 8191``, one row of ``Q`` per used row; a denominator
+    outside ``pos`` becomes ``_LOG_OUTSIDE``.  An exact zero in a used row
+    gives None, leaving its aleph of exactly 0 to the float64 scan (see
     :func:`_contraction`).  :func:`_aleph_columns` builds
     ``T[i, j] = min_k (Q[k, j] - Q[k, i])`` exactly.
 
@@ -306,8 +306,6 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | N
     row-major order winning; more than ``n`` of them (ties) give None.
     """
     n = M.shape[1]
-    used = pos.any(axis=1)
-    used = slice(None) if used.all() else used  # every row: M itself, no copy
     with np.errstate(divide="ignore"):  # an exact zero's log is -inf
         L = np.log2(M[used])
     shift = L.min(axis=1, keepdims=True)
@@ -319,10 +317,9 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, workers: int | N
     L -= L.min(axis=0, keepdims=True)
     delta = float(L.max()) / _LOG_STEPS or 1.0
     L /= delta
-    Q = np.zeros((n, n), np.int16)
-    Q[used] = np.rint(L, out=L)
+    Q = np.rint(L, out=L).astype(np.int16)
     del L  # the float64 logs go before the table is built
-    T = _aleph_columns(Q, pos, workers)
+    T = _aleph_columns(Q, pos[used], workers)
     del Q
     R = np.add(T, T.T)
     np.negative(R, out=R)
@@ -393,6 +390,7 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
     ``aleph(col_l, col_0) = 0`` for some ``M[k, l] > 0``.  So row 0 settles
     such input before the screen, which refuses it; above ``zero_tol = 0``
     row 0 misses the zeros of rows with ``M[k, 0]`` in ``(0, zero_tol]``.
+    A row without support holds no denominator: both O(n^3) tables skip it.
     """
     _check_cone_preserving(pos)
     n = M.shape[1]
@@ -406,8 +404,10 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
                 return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, j0 + int(hits[0])), method="definitional")
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
-    screened = _screened_max_pair_distance(M, pos, workers) if guarded else None
-    c, witness = screened or _max_pair_distance(_aleph_columns(M, pos, workers))
+    used = pos.any(axis=1)
+    used = slice(None) if used.all() else used  # every row: M itself, no copy
+    screened = _screened_max_pair_distance(M, pos, used, workers) if guarded else None
+    c, witness = screened or _max_pair_distance(_aleph_columns(M[used], pos[used], workers))
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 

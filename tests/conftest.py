@@ -7,7 +7,7 @@ from projcone import matrices
 
 @pytest.fixture
 def aleph_scans(monkeypatch):
-    """``(n, dtype)`` of each table contraction_coeff builds with the ratio kernel ``_aleph_columns``, in call order."""
+    """``(rows, dtype)`` of each table contraction_coeff builds with the ratio kernel ``_aleph_columns``, in call order: its rows are those with support."""
     scans = []
     scan = matrices._aleph_columns
 

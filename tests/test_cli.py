@@ -43,6 +43,8 @@ def test_dumps_float_round_trip():
     assert dumps({"a": [1, True, None, "s"]}) == '{"a": [1,true,null,"s"]}'
     with pytest.raises(ValueError):
         dumps(math.nan)
+    with pytest.raises(TypeError, match="^cannot serialize object of type object$"):
+        dumps(object())
 
 
 def test_dumps_indent_is_valid_json():
@@ -158,6 +160,11 @@ def test_dist_from_two_row_file(tmp_path, capsys):
 
 def test_dist_dimension_mismatch(capsys):
     assert run_error(capsys, "dist", "1,2", "1,2,3")["code"] == "invalid_input"
+
+
+def test_dist_empty_vector_entry_is_a_parse_error(capsys):
+    assert run_error(capsys, "dist", "1,,2", "1,2,3") == {
+        "code": "parse_error", "message": "empty entry in vector literal '1,,2'", "location": "first vector"}
 
 
 @pytest.mark.parametrize("vectors", [("1,2", "2,1"), ("1,0", "0,1"), ("1e-310,1e-310", "1,2")])
@@ -536,6 +543,13 @@ def test_zero_tol_must_be_finite_and_nonnegative(tmp_path, capsys, value):
     (["perron", "M.csv", "--max-iter=--"], "argument --max-iter: expected one argument"),
     *((["dist", "1,2", "2,1", "--json-indent", value], f"argument --json-indent: must be an integer from 0 to 64, got '{value}'")
       for value in ("-1", str(10**20))),
+    (["kernel", "--builtin", "gaussian", "--param", "sigma=abc"], "argument --param: value 'abc' is not a number"),
+    # checked after parsing, and reported at the same place
+    (["dist", "1,2", "2,1", "--file", "M.csv"], "give either --file or two vector literals, not both"),
+    *((["dist", *vectors], 'expected two vector literals, e.g. projcone dist "1,2" "2,1"') for vectors in (["1,2"], ["1,2", "2,1", "3,4"])),
+    (["kernel", "--builtin", "nosuch"], "unknown builtin kernel 'nosuch'; expected one of ('constant', 'separable', 'poly1xy', 'gaussian')"),
+    (["kernel", "--builtin", "gaussian", "--n", "0"], "n must be at least 1"),
+    (["kernel", "--builtin", "gaussian", "--param", "tau=1"], "unexpected parameters for kernel 'gaussian': ['tau']"),
 ])
 def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
     # the file exists, so only the flag can be at fault
@@ -572,7 +586,7 @@ def test_kernel_flag_validation(capsys):
 def test_kernel_grid_beyond_memory_is_a_flag_error(capsys):
     # the nodes and weights fit; the 5e6 x 5e6 values request fails at once
     payload = run_error(capsys, "kernel", "--builtin", "constant", "--n", "5000000")
-    assert payload["code"] == "bad_flags" and payload["location"] == "kernel"
+    assert payload["code"] == "bad_flags" and payload["location"] == "projcone kernel"
     assert "allocate" in payload["message"]
 
 

@@ -45,6 +45,9 @@ def test_aleph_errors():
         aleph([1, -2], [1, 2])
     with pytest.raises(ValueError):
         aleph([1, np.nan], [1, 2])
+    for f in ([[1.0]], []):
+        with pytest.raises(ValueError, match="^cone vector must be a 1-d sequence with at least one entry$"):
+            aleph(f, [1.0])
 
 
 def test_m_ratio_examples():

@@ -70,6 +70,10 @@ def test_kernel_grid_validation():
         KernelGrid(**{**good, "values": [[1.0, 0.0], [1.0, 0.0]]})
     with pytest.raises(ValueError):
         KernelGrid(**{**good, "values": [[1.0, 1.0]]})
+    with pytest.raises(ValueError, match="^nodes must be a nonempty 1-d sequence$"):
+        KernelGrid(nodes=[], weights=[], values=[])
+    with pytest.raises(ValueError, match="^weights must be finite and match the number of nodes$"):
+        KernelGrid(**{**good, "weights": [1.0]})
 
 
 def test_builtin_kernels():
@@ -97,6 +101,8 @@ def test_builtin_kernels():
 def test_discretize_constant_kernel_two_nodes():
     grid = tabulate_kernel(builtin_kernel("constant"), 2)
     np.testing.assert_array_equal(discretize(grid), [[0.5, 0.5], [0.5, 0.5]])
+    assert grid.n == 2
+    np.testing.assert_array_equal(discretize((grid.nodes, grid.weights, grid.values)), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_discretize_separable_kernel_is_rank_one():

@@ -269,6 +269,9 @@ def test_certificate_is_valid_rejects_tampering():
     cert = uniform_positivity_certificate(M)
     bad = type(cert)(h=cert.h, b=cert.b, A=1.0, reference_row=0, reference_col=0)
     assert not certificate_is_valid(M, bad)
+    longer = type(cert)(h=np.append(cert.h, 1.0), b=cert.b, A=cert.A, reference_row=0, reference_col=0)
+    with pytest.raises(ValueError, match="^certificate dimensions do not match the matrix$"):
+        certificate_is_valid(M, longer)
 
 
 def test_a_star_examples():
@@ -294,7 +297,7 @@ def test_psi_roundtrip_on_random_matrices():
 
 def _aleph_columns_per_row(M, zero_tol):
     """One support copy and one quotient block per column, reduced at once."""
-    out = np.empty(M.shape)
+    out = np.empty((M.shape[1], M.shape[1]))
     for i in range(M.shape[1]):
         sup = M[:, i] > zero_tol
         out[i, :] = (M[sup, :] / M[sup, i, None]).min(axis=0)
@@ -359,7 +362,7 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
 
 def _aleph_columns_per_row_int16(Q, pos):
     """The int16 table per row: the least exact difference ``Q[k, :] - Q[k, i]`` over the support of column ``i``."""
-    out = np.empty(Q.shape, np.int16)
+    out = np.empty((Q.shape[1], Q.shape[1]), np.int16)
     for i in range(Q.shape[1]):
         sup = pos[:, i]
         out[i, :] = (Q[sup, :].astype(np.int32) - Q[sup, i, None]).min(axis=0)
@@ -377,6 +380,23 @@ def test_int16_scan_is_bitwise_the_per_row_differences(n):
         want = _aleph_columns_per_row_int16(Q, pos)
         for workers in (1, 2):
             assert np.array_equal(_aleph_columns(Q, pos, workers), want), (workers, pos.all())
+
+
+@pytest.mark.parametrize("dtype, rows, n", [(np.float64, 300, 512), (np.float64, 60, 100), (np.int16, 100, 512)])
+def test_scan_of_fewer_rows_than_columns_is_bitwise_the_per_row_formula(dtype, rows, n):
+    # contraction_coeff scans only the rows with support; holes in the mask (entries at or below zero_tol) stay
+    rng = np.random.default_rng(3100 + rows)
+    holes = rng.random((rows, n)) < 0.2
+    holes[0] = False
+    if dtype is np.int16:
+        M = rng.integers(0, _LOG_STEPS + 1, size=(rows, n)).astype(np.int16)
+        cases = [(pos, _aleph_columns_per_row_int16(M, pos)) for pos in (np.ones((rows, n), bool), ~holes)]
+    else:
+        M = np.where(holes, rng.uniform(0.01, 0.05, size=(rows, n)), rng.uniform(0.1, 10.0, size=(rows, n)))
+        cases = [(M > zt, _aleph_columns_per_row(M, zt)) for zt in (0.0, 0.05)]
+    for pos, want in cases:
+        for workers in (1, 2):
+            assert np.array_equal(_aleph_columns(M, pos, workers), want), (workers, pos.all())
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -531,9 +551,17 @@ def test_row_0_rule_finds_a_distance_of_1_past_its_first_block(aleph_scans):
 
 
 def _route_matrix(rng, route):
-    """(matrix, zero_tol) at n = 512 (n = 511 for "n = 511") that contraction_coeff sends down ``route``."""
+    """(matrix, zero_tol) at n = 512 that contraction_coeff sends down ``route``.
+
+    "n = 511" and "ties, 30% zero rows" sit just below the threaded scan, so their peak holds one scan buffer whatever the
+    CPU count: each further thread's buffer adds 0.25x the matrix at these sizes.
+    """
     if route == "ties":
         return rng.choice([1.0, 2.0, 3.0], size=(512, 512)), 0.0
+    if route == "ties, 30% zero rows":
+        M = rng.choice([1.0, 2.0, 3.0], size=(511, 511))
+        M[rng.random(511) < 0.3] = 0.0
+        return M, 0.0
     if route == "1e+-200":
         return 10.0 ** rng.uniform(-200.0, 200.0, size=(512, 512)), 0.0
     if route == "30% zeros":
@@ -545,14 +573,16 @@ def _route_matrix(rng, route):
     return M, 0.0
 
 
-# the int16 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the row-0 rule
+# the int16 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the row-0 rule;
+# both tables hold only the rows with support: 416 of 512 and 347 of 511 on the zero-row routes
 @pytest.mark.parametrize("route, scans", [
     ("dense", [(512, np.int16)]),
-    ("zero rows, zero_tol 0.5", [(512, np.int16)]),
+    ("zero rows, zero_tol 0.5", [(416, np.int16)]),
     ("ties", [(512, np.int16), (512, np.float64)]),
     ("1e+-200", [(512, np.float64)]),
     ("30% zeros", []),
     ("n = 511", [(511, np.int16)]),
+    ("ties, 30% zero rows", [(347, np.int16), (347, np.float64)]),
 ])
 def test_scan_peak_memory_is_at_most_2_5_times_the_matrix(aleph_scans, route, scans):
     M, zt = _route_matrix(np.random.default_rng(2032), route)

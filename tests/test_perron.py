@@ -160,6 +160,8 @@ def test_collatz_wielandt_examples():
     assert collatz_wielandt(np.eye(3), [1, 2, 3]) == (1.0, 1.0)
     with pytest.raises(ValueError):
         collatz_wielandt([[2, 1], [1, 2]], [1, 0])
+    with pytest.raises(ValueError, match="^dimension mismatch: matrix is 2x2, vector has 3 entries$"):
+        collatz_wielandt([[2, 1], [1, 2]], [1, 1, 1])
 
 
 def test_product_contraction_bound():

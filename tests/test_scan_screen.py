@@ -20,7 +20,7 @@ def _screen(M, zero_tol, workers=1):
     # and the log of a zero entry raises no RuntimeWarning (which the test configuration makes an error)
     pos = M > zero_tol
     with np.errstate(over="raise", under="raise"):
-        return _screened_max_pair_distance(M, pos, workers) if _quotients_are_finite(M, pos) else None
+        return _screened_max_pair_distance(M, pos, pos.any(axis=1), workers) if _quotients_are_finite(M, pos) else None
 
 
 def _near_rank_one(rng, n, eps=1e-9):
