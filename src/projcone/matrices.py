@@ -258,22 +258,6 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
-_LN2 = math.log(2.0)
-
-
-def _distance_bound(x: float, slack: float) -> float:
-    """Bound on the float64 distance ``_pair_distances`` gives a pair whose exact ``-log2 m`` is ``x``: lower for ``slack < 0``, upper for ``slack > 0``.
-
-    ``1 - 2**-x`` comes from ``expm1`` within 2**-50 relative, and
-    ``|slack| >= 2**-50`` covers the rounding of ``a64``, ``b64``, their
-    product and the arithmetic here.  Rounding is monotone, so the float64
-    ``phi`` of a bound on ``m`` bounds the float64 distance.
-    """
-    w = -math.expm1(-max(x, 0.0) * _LN2)
-    m = min(max(1.0 - (w * (1.0 + math.copysign(2.0**-50, slack)) + slack), 0.0), 1.0)
-    return (1.0 - m) / (1.0 + m)
-
-
 def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray | slice, workers: int | None) -> tuple[float, tuple[int, int]] | None:
     """``_max_pair_distance`` of the float64 aleph table, bit for bit, via an int16 log table; None where it does not split the pairs.
 
@@ -295,13 +279,20 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray
     ``1/2 + e / delta`` steps of it and ``T`` within twice that, so for
     ``R = -(T + T.T)``, exact in int16, the exact ``-log2 m`` lies in
     ``[(R - s) delta, (R + s) delta]`` with ``s = 2 + 4 e / delta`` (and
-    room for the roundings of ``s`` and ``(R +- s) delta``).
-    :func:`_distance_bound` turns these into float64 distance bounds that
-    cover the rounding of ``a64``, ``b64``, ``m`` and ``phi``, both
-    monotone in ``R``.  The floor is the lower bound at the largest ``R``.
-    Every pair attaining the maximum has an upper bound at or above it, and
-    those candidates are the pairs with ``R`` at or above one threshold,
-    found by bisection.  They are recomputed by
+    room for the roundings of ``s`` and ``(R +- s) delta``).  The scan's
+    float64 ``m``, ``min(fl(a64 b64), 1)`` of correctly rounded alephs, is
+    within a factor ``1 +- 2**-50`` of the exact one, give or take ``eta``
+    for subnormal products, so the pair at ``R = r_max`` has a float64 ``m``
+    of at most ``m_hi = 2**((s - r_max) delta) (1 + 2**-50) + eta``.  And
+    :func:`_pair_distances` gives a strictly smaller distance to a float64
+    ``m`` larger by ``2**-51``: rounding is monotone, ``fl(1 - m)`` drops by
+    at least ``3 * 2**-53``, ``fl(1 + m)`` does not drop, and the quotient,
+    at most 1, drops by more than one ulp.  So a pair attaining the maximum
+    has a float64 ``m`` below ``m_hi + 2**-51`` and an exact ``m`` below
+    ``(m_hi + 2**-51 + eta) / (1 - 2**-50)`` (and at most 1), which bounds
+    its ``R`` from below in one closed form; the constants' room and the
+    ``- 1`` cover its own roundings.  The candidates, the pairs with ``R``
+    at or above that cut, are recomputed by
     :func:`_listed_pair_distances`, 64 at a time, the first largest in
     row-major order winning; more than ``n`` of them (ties) give None.
     """
@@ -328,20 +319,10 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray
 
     s = (2.0 + 4.0 * math.ldexp(max(log_hi, -log_lo), -49) / delta) * (1.0 + 2.0**-30)
     # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(M[used]) / min(M[used])
-    slack = 2.0**-50 + math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
-
-    floor = _distance_bound((r_max - s) * delta, -slack)
-    # the least r whose upper bound reaches the floor, as r_max's does: gallop down to an r that fails (or to _LOG_BELOW), then bisect
-    above, below, step = r_max, r_max, max(1, math.ceil(2.0 * s))
-    while below > _LOG_BELOW and _distance_bound((below + s) * delta, slack) >= floor:
-        above, below, step = below, max(below - step, _LOG_BELOW), 2 * step
-    while above - below > 1:
-        mid = (above + below) // 2
-        if _distance_bound((mid + s) * delta, slack) >= floor:
-            above = mid
-        else:
-            below = mid
-    hits = R >= above  # each pair twice, as (i, j) and (j, i)
+    eta = math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
+    m_hi = 2.0 ** ((s - r_max) * delta) * (1.0 + 2.0**-50) + eta
+    cut = math.floor(-math.log2(min((m_hi + 2.0**-51 + eta) / (1.0 - 2.0**-50), 1.0)) / delta - s) - 1
+    hits = R >= max(cut, _LOG_BELOW + 1)  # each pair twice, as (i, j) and (j, i)
     if np.count_nonzero(hits) > 2 * n:
         return None
     rows, cols = np.nonzero(hits)

@@ -1,9 +1,9 @@
 """The int16 log screen of the column-pair scan against the full float64 scan, and the routes contraction_coeff takes."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from projcone import contraction_coeff, psi_inverse
+from projcone import builtin_kernel, contraction_coeff, discretize, kernel_contraction_estimate, psi_inverse, tabulate_kernel
 from projcone.matrices import _aleph_columns, _max_pair_distance, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
 
 from test_perron import _perron_loop_matrix
@@ -48,13 +48,25 @@ def _spanning(rng, n, ratio):
     return M
 
 
+def _near_one(rng, n):
+    """c near 1 (m about 1e-16): a Gaussian grid whose farthest columns are 30-40 nats apart, or uniform(1, 2) with two entries near 1e-8."""
+    if rng.random() < 0.5:
+        x = (np.arange(n) + 0.5) / n
+        span = x[-1] - x[0]
+        return np.exp(-rng.uniform(30.0, 40.0) * (x[:, None] - x[None, :]) ** 2 / (2.0 * span**2))
+    M = rng.uniform(1.0, 2.0, size=(n, n))
+    (i, j), (k, l) = rng.choice(n, size=2, replace=False), rng.choice(n, size=2, replace=False)
+    M[k, i], M[l, j] = 10.0 ** rng.uniform(-8.3, -7.7, size=2)
+    return M
+
+
 @st.composite
 def screen_cases(draw):
     """(matrix, zero_tol): n = 2..40, cone-preserving for its zero_tol, scaled by a power of two or its rows and columns scaled."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ties", "columns", "rank_one", "rank_one_1e-6", "rank_one_1e-12", "toeplitz",
-                                 "under_2_60", "over_2_60", "uniform"]))
+                                 "under_2_60", "over_2_60", "uniform", "near_one"]))
     if kind == "ties":
         M = rng.choice([1.0, 2.0, 3.0], size=(n, n))
     elif kind == "columns":
@@ -67,6 +79,8 @@ def screen_cases(draw):
         M = _toeplitz_grid(rng, n)
     elif kind == "uniform":
         M = rng.uniform(0.0, 1.0, size=(n, n))
+    elif kind == "near_one":
+        M = _near_one(rng, n)
     else:
         M = _spanning(rng, n, 2.0**60 * (1.0 - 2.0**-52 if kind == "under_2_60" else 1.0 + 2.0**-52))
     zero_tol = draw(st.sampled_from([0.0, 0.5]))
@@ -93,6 +107,21 @@ def test_screen_is_bitwise_the_full_float64_scan(case, workers):
     if screened is not None:
         c, witness = _full_scan(M, zero_tol)
         assert repr(screened[0]) == repr(c) and screened[1] == witness, (M.tolist(), zero_tol)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(m=st.floats(0.0, 1.0 - 2.0**-51) | st.integers(1, 1074).map(lambda k: 2.0**-k))
+@example(m=0.0)
+@example(m=2.0**-1074)
+@example(m=2.0**-53)
+@example(m=0.5)
+@example(m=1.0 - 2.0**-51)
+def test_a_larger_m_by_2_pow_minus_51_gives_a_strictly_smaller_distance(m):
+    # the lemma behind the screen's cut: fl(1 - m) drops by at least 3 * 2**-53 and fl(1 + m) does not drop
+    larger = m + 2.0**-51
+    assert larger <= 1.0
+    near, far = _pair_distances(np.array([m, larger]), np.ones(2))
+    assert far < near, (m, near, far)
 
 
 def test_screen_applies_and_refuses_where_documented():
@@ -194,6 +223,14 @@ def test_dimension_256_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
     report = contraction_coeff(M)
     assert aleph_scans == [(256, np.int16)]
     _assert_is_the_full_scan(report, M)
+
+
+def test_narrow_gaussian_grid_of_cli_scan_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
+    # m is about 2e-16: c is 4 ulp below 1, and the screen still splits the pairs
+    grid = tabulate_kernel(builtin_kernel("gaussian", sigma=0.05518444732177106), 512, "midpoint")
+    report = kernel_contraction_estimate(grid)
+    assert aleph_scans == [(512, np.int16)]
+    assert (report.c, report.witness) == _full_scan(discretize(grid), 0.0) == (0.9999999999999996, (0, 508))
 
 
 def test_perron_loop_family_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
