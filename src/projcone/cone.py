@@ -44,16 +44,14 @@ def _support(a: np.ndarray, zero_tol: float) -> np.ndarray:
     return a > zero_tol
 
 
-def _support_denominators(f: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ufunc]:
-    """Denominators and fold that confine the ratios ``g / f`` to the support ``pos`` of ``f``, a vector or columns.
+def _support_denominators(f: np.ndarray, pos: np.ndarray, outside: int = 0) -> np.ndarray:
+    """Denominators confining the ratios ``g / f`` to the support ``pos`` of ``f``, a vector or columns: the one masked copy.
 
-    With some entry outside the support, the denominators are a copy of ``f`` with those entries zeroed, whose quotients,
-    ``inf`` or NaN, the NaN-ignoring ``np.fmin`` passes over; a support quotient has a positive denominator and a finite
-    numerator, so it is never NaN.  Otherwise they are ``f`` itself, folded by ``np.minimum``.
+    ``f`` itself when ``pos`` is full, else a copy with the entries outside ``pos`` set to ``outside``.  Over a zeroed
+    float denominator a quotient is ``inf`` or NaN, which ``np.fmin``, the fold of every float minimum, passes over; a
+    support quotient has a positive denominator and a finite numerator, so it is never NaN.
     """
-    if not pos.all():
-        return np.where(pos, f, f.dtype.type(0)), np.fmin
-    return f, np.minimum
+    return f if pos.all() else np.where(pos, f, f.dtype.type(outside))
 
 
 def _cone_vector(f, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -94,8 +92,7 @@ def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray) -> np.floating | np.nd
     ``pos`` has an entry in every column.  The caller's errstate governs overflow and must ignore division by zero and
     0/0, which happen only outside ``pos``.
     """
-    denom, fold = _support_denominators(f, pos)
-    return fold.reduce(g / denom, axis=0)
+    return np.fmin.reduce(g / _support_denominators(f, pos), axis=0)
 
 
 def aleph(f, g, zero_tol: float = 0.0) -> float:

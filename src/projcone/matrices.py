@@ -187,9 +187,10 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
     """
     height, n = M.shape
     if M.dtype.kind == "f":
-        (denom, fold), op, top = _support_denominators(M, pos), np.divide, np.inf
-    else:
-        denom, fold, op, top = M if pos.all() else np.where(pos, M, np.int16(_LOG_OUTSIDE)), np.minimum, np.subtract, np.iinfo(M.dtype).max
+        outside, fold, op, top = 0, np.fmin, np.divide, np.inf
+    else:  # int16 has no NaN, and fmin is slower than minimum on it
+        outside, fold, op, top = _LOG_OUTSIDE, np.minimum, np.subtract, np.iinfo(M.dtype).max
+    denom = _support_denominators(M, pos, outside)
     out = np.full((n, n), top, dtype=M.dtype)
     # Pool threads start from numpy's default error state: carry the caller's into every fill.
     errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
@@ -467,7 +468,7 @@ def _sandwich(V: np.ndarray, h: np.ndarray, b: np.ndarray, pos: np.ndarray) -> f
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         prod = np.outer(h, b)
         r = V[pos] / prod[pos]
-        A = float(max(r.max(), (1.0 / r).max()))
+        A = float(max(r.max(), 1.0 / r.min()))  # fl(1/x) is monotone, so this is the largest 1/r without an n^2 temporary
     if not _sandwich_holds(V, prod, A, 1e-9):
         raise ArithmeticError(f"the sandwich with A = {A} fails its check")
     return A

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _aleph, _cone_vector, _support, normalize
-from .matrices import _check_cone_preserving, _contraction, _pair_distances, as_nonneg_matrix
+from .matrices import _check_cone_preserving, _contraction, _listed_pair_distances, as_nonneg_matrix
 
 __all__ = [
     "PerronResult",
@@ -174,7 +174,7 @@ def perron_iterate(
                 q /= top
             W = V[:, : k + 1]
             pos = _support(W, zero_tol)
-            steps = _pair_distances(_aleph(W[:, :-1], W[:, 1:], pos[:, :-1]), _aleph(W[:, 1:], W[:, :-1], pos[:, 1:]))
+            steps = _listed_pair_distances(W, pos, slice(None, -1), slice(1, None))
             hits = np.flatnonzero(steps <= tol)
             if not hits.size and refusal:
                 raise refusal  # where the step by step loop raises: no earlier step converged

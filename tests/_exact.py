@@ -1,0 +1,33 @@
+"""Exact reference values for the ratio functionals, in rational arithmetic.
+
+Every float is a dyadic rational, so ``fractions.Fraction`` holds each input
+entry, quotient and product without error.  The oracle shares no code with
+the library and uses only the standard library; it is for small inputs
+(``c`` of an n x n matrix costs O(n^3) Fraction operations).  Arguments are
+sequences of Python floats; a matrix is a list of rows.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+
+def aleph(f, g, zero_tol: float = 0.0) -> Fraction:
+    """Exact ``min g[k] / f[k]`` over the support ``f[k] > zero_tol``, which must not be empty."""
+    return min(Fraction(b) / Fraction(a) for a, b in zip(f, g) if a > zero_tol)
+
+
+def m(f, g, zero_tol: float = 0.0) -> Fraction:
+    """Exact ratio product ``min(aleph(f, g) * aleph(g, f), 1)``."""
+    return min(aleph(f, g, zero_tol) * aleph(g, f, zero_tol), Fraction(1))
+
+
+def contraction(M, zero_tol: float = 0.0) -> Fraction:
+    """Exact ``c(M)``: the largest ``(1 - m) / (1 + m)`` over pairs of columns; 0 for a single column."""
+    cols = [list(col) for col in zip(*M)]
+    best = Fraction(0)
+    for i in range(len(cols)):
+        for j in range(i + 1, len(cols)):
+            p = m(cols[i], cols[j], zero_tol)
+            best = max(best, (1 - p) / (1 + p))
+    return best

@@ -20,6 +20,7 @@ from projcone import (
 from projcone import cone
 from projcone.cone import _aleph
 
+import _exact
 from _util import random_cone_vector, support_calls
 from test_cli_fuzz import ENTRIES
 
@@ -32,6 +33,22 @@ def test_aleph_examples():
     assert aleph([1, 2], [2, 1]) == 0.5
     assert aleph([1, 1], [1, 1]) == 1.0
     assert aleph([1, 0], [0, 1]) == 0.0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
+def test_aleph_is_the_exact_minimum_correctly_rounded(data, zero_tol):
+    # each quotient is correctly rounded and rounding is monotone, so the least rounded quotient is the exact minimum
+    # rounded; where that overflows, so does every quotient
+    n = data.draw(st.integers(1, 8))
+    entries = st.sampled_from(ENTRIES) | st.integers(-300, 300).map(lambda k: 10.0 ** k)
+    f, g = (data.draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(2))
+    assume(max(f) > zero_tol and max(g) > zero_tol)
+    try:
+        want = float(_exact.aleph(f, g, zero_tol))
+    except OverflowError:
+        want = math.inf
+    assert aleph(f, g, zero_tol).hex() == want.hex()
 
 
 def test_aleph_errors():

@@ -301,6 +301,14 @@ def test_relate_certificate_to_coefficient():
         assert bound == psi(factorization_certificate(grid).A)
 
 
+def test_relate_certificate_to_coefficient_refuses_a_grid_beyond_psi_of_A():
+    # the symmetric sandwich certifies only c <= psi(A**2): this strictly positive grid exceeds psi(A)
+    values = [[3.0, 2.4, 1.5], [1.3, 2.6, 0.4], [2.2, 2.4, 2.4]]
+    grid = KernelGrid(*uniform_grid(3), values)
+    with pytest.raises(ArithmeticError, match=r"^grid coefficient 0\.7333333333333334 exceeds psi\(A\) = 0\.7241379310344828$"):
+        relate_certificate_to_coefficient(grid)
+
+
 @st.composite
 def positive_matrices(draw):
     """n = 2..8, entries in [0.1, 3] or 10**[-3, 3]."""

@@ -5,9 +5,11 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from projcone import (
     a_star,
@@ -33,7 +35,9 @@ from projcone import (
 from projcone import matrices
 from projcone.matrices import _LOG_STEPS, _SCAN_BLOCK_ROWS, _aleph_columns, _max_pair_distance, _usable_cpus
 
+import _exact
 from _util import assert_batch_matches_scalar, batch_pseudo_distance, random_cone_preserving_matrix, random_cone_vector
+from test_cli_fuzz import ENTRIES
 
 
 def test_as_nonneg_matrix_rejects_bad_input():
@@ -80,6 +84,22 @@ def test_contraction_coeff_examples():
 
     rep = contraction_coeff([[4.0]])
     assert rep.c == 0.0 and rep.witness == (0, 0)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
+def test_guarded_coefficient_is_within_4_units_of_2_to_the_minus_53_of_the_exact_one(data, zero_tol):
+    # fuzz entries, one band of 2**60 anywhere in the double range (subnormals included), or entries within 2**-37 of
+    # 1, where m is near 1 and its rounding moves c the most
+    n = data.draw(st.integers(2, 6))
+    lo = data.draw(st.integers(-1080, 960))
+    band = st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(lo, lo + 60))
+    near_one = st.integers(0, 8).map(lambda k: 1.0 + k * 2.0**-40)
+    entries = data.draw(st.sampled_from([st.sampled_from(ENTRIES), band | st.just(0.0), near_one]))
+    M = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)), dtype=float)
+    assume((M > zero_tol).any(axis=0).all() and _quotients_are_finite(M, zero_tol))
+    c = contraction_coeff(M, zero_tol).c
+    assert abs(Fraction(c) - _exact.contraction(M.tolist(), zero_tol)) <= Fraction(4, 2**53)
 
 
 def test_contraction_coeff_requires_cone_preserving():

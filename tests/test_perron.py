@@ -329,18 +329,18 @@ def test_batches_never_step_more_than_once_past_the_last_iteration(monkeypatch):
 
 
 def _batch_sizes(M, monkeypatch, **kwargs):
-    """Steps per batch of ``perron_iterate``, read off the width of the blocks its steps are measured on."""
-    sizes, kernel = [], perron._aleph
+    """Steps per batch of ``perron_iterate``, read off the step distances the pair kernel measures after each batch."""
+    sizes, kernel = [], perron._listed_pair_distances
 
-    def spy(f, g, pos):
-        if f.ndim == 2:
-            sizes.append(f.shape[1])
-        return kernel(f, g, pos)
+    def spy(W, pos, i, j):
+        steps = kernel(W, pos, i, j)
+        sizes.append(steps.size)
+        return steps
 
-    monkeypatch.setattr(perron, "_aleph", spy)
+    monkeypatch.setattr(perron, "_listed_pair_distances", spy)
     res = perron_iterate(M, **kwargs)
     monkeypatch.undo()
-    return sizes[::2], res  # two alephs per batch
+    return sizes, res
 
 
 def test_batch_sizes_follow_the_observed_rate(monkeypatch):
