@@ -44,18 +44,8 @@ def _support(a: np.ndarray, zero_tol: float) -> np.ndarray:
     return a > zero_tol
 
 
-def _support_denominators(f: np.ndarray, pos: np.ndarray, outside: int = 0) -> np.ndarray:
-    """Denominators confining the ratios ``g / f`` to the support ``pos`` of ``f``, a vector or columns: the one masked copy.
-
-    ``f`` itself when ``pos`` is full, else a copy with the entries outside ``pos`` set to ``outside``.  Over a zeroed
-    float denominator a quotient is ``inf`` or NaN, which ``np.fmin``, the fold of every float minimum, passes over; a
-    support quotient has a positive denominator and a finite numerator, so it is never NaN.
-    """
-    return f if pos.all() else np.where(pos, f, f.dtype.type(outside))
-
-
 def _cone_vector(f, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`as_cone_vector` of ``f`` and its support mask, the one mask its checks build."""
+    """:func:`as_cone_vector` of ``f`` and the copy the ratios read: every entry ``<= zero_tol``, and ``-0.0``, set to ``+0.0``."""
     arr = np.asarray(f, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("cone vector must be a 1-d sequence with at least one entry")
@@ -65,7 +55,7 @@ def _cone_vector(f, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("cone vector entries must be nonnegative")
     if not (pos := _support(arr, zero_tol)).any():
         raise ValueError("cone vector must have at least one positive entry")
-    return arr, pos
+    return arr, np.where(pos, arr, 0.0)
 
 
 def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
@@ -78,21 +68,22 @@ def as_cone_vector(f, zero_tol: float = 0.0) -> np.ndarray:
     return _cone_vector(f, zero_tol)[0]
 
 
-def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validate two cone vectors, require equal shapes, and return them with their support masks."""
-    (f, pos_f), (g, pos_g) = _cone_vector(f, zero_tol), _cone_vector(g, zero_tol)
+def _cone_pair(f, g, zero_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Validate two cone vectors, require equal shapes, and return their zeroed copies (see :func:`_cone_vector`)."""
+    (f, zf), (g, zg) = _cone_vector(f, zero_tol), _cone_vector(g, zero_tol)
     if f.shape != g.shape:
         raise ValueError(f"dimension mismatch: {f.size} vs {g.size}")
-    return f, g, pos_f, pos_g
+    return zf, zg
 
 
-def _aleph(f: np.ndarray, g: np.ndarray, pos: np.ndarray) -> np.floating | np.ndarray:
-    """Unchecked :func:`aleph` of validated ``f`` and ``g``, vectors or columns paired one to one, on the support ``pos`` of ``f``.
+def _aleph(f: np.ndarray, g: np.ndarray) -> np.floating | np.ndarray:
+    """Unchecked :func:`aleph` of nonnegative ``f`` and ``g``, vectors or columns paired one to one, neither holding ``-0.0``.
 
-    ``pos`` has an entry in every column.  The caller's errstate governs overflow and must ignore division by zero and
-    0/0, which happen only outside ``pos``.
+    Every column of ``f`` has a positive entry.  A quotient over a zero of ``f`` is ``inf`` or NaN, which ``np.fmin``
+    passes over, and one over ``-0.0`` would be a winning ``-inf``.  The caller's errstate governs overflow and must
+    ignore division by zero and 0/0.
     """
-    return np.fmin.reduce(g / _support_denominators(f, pos), axis=0)
+    return np.fmin.reduce(g / f, axis=0)
 
 
 def aleph(f, g, zero_tol: float = 0.0) -> float:
@@ -102,13 +93,14 @@ def aleph(f, g, zero_tol: float = 0.0) -> float:
     because ``f`` has at least one positive entry, unless it exceeds the
     double range (``g`` far above a subnormal ``f``), where it is ``inf``;
     zero exactly when ``g`` vanishes at some index where ``f`` is positive.
-    Quotients outside the support of ``f`` are dropped.
+    Quotients outside the support of ``f`` are dropped, and an entry at
+    or below ``zero_tol`` is a zero in ``f`` and in ``g`` alike.
 
     Scaling behaves as ``aleph(a*f, b*g) == (b/a) * aleph(f, g)``.
     """
-    f, g, pos_f, _ = _cone_pair(f, g, zero_tol)
+    f, g = _cone_pair(f, g, zero_tol)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a quotient over a subnormal entry of f may overflow to inf
-        return float(_aleph(f, g, pos_f))
+        return float(_aleph(f, g))
 
 
 @dataclass(frozen=True)
@@ -132,15 +124,15 @@ def m_ratio(f, g, zero_tol: float = 0.0) -> RatioPair:
     overflows to ``inf``, ``m``, which is scale invariant, is taken again
     with the smaller vector scaled to a largest entry of 1.
     """
-    f, g, pos_f, pos_g = _cone_pair(f, g, zero_tol)
+    f, g = _cone_pair(f, g, zero_tol)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # a quotient over a subnormal entry may overflow to inf
-        a_fg = float(_aleph(f, g, pos_f))
-        a_gf = float(_aleph(g, f, pos_g))
+        a_fg = float(_aleph(f, g))
+        a_gf = float(_aleph(g, f))
         m = a_fg * a_gf
         if math.inf in (a_fg, a_gf):  # only one can overflow; the smaller vector's largest entry is then below 1
-            small, big, pos_small, pos_big = (f, g, pos_f, pos_g) if a_fg == math.inf else (g, f, pos_g, pos_f)
-            scaled = small / small.max()  # scaled up, so no entry underflows; its support stays that of small
-            m = float(_aleph(scaled, big, pos_small)) * float(_aleph(big, scaled, pos_big))
+            small, big = (f, g) if a_fg == math.inf else (g, f)
+            scaled = small / small.max()  # scaled up, so no entry underflows
+            m = float(_aleph(scaled, big)) * float(_aleph(big, scaled))
     return RatioPair(aleph_fg=a_fg, aleph_gf=a_gf, m=min(m, 1.0))
 
 

@@ -5,12 +5,11 @@ the image of the j-th basis ray is the j-th column).  When no column is
 zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
-between column rays.  All column pairs are scanned in O(d^3): screened
-on exact int16 differences of balanced, quantized logs, then the few
-pairs left in float64, one support rule confining every ratio to its
-column's support.  One pair at the metric's bound 1 settles ``c(M) = 1``,
-in O(d^2) when column 0 is in one, as it is for every exact zero in a row
-with support at ``zero_tol = 0``: the screen leaves such zeros alone.
+between column rays.  The zero pattern decides ``c(M) = 1`` first, in
+O(d^2): two columns with different supports are at the metric's bound 1.
+Otherwise all column pairs of the rows with support, which hold no zero,
+are scanned in O(d^3): screened on exact int16 differences of balanced,
+quantized logs, then the few pairs left in float64.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits a sandwich certificate
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, _support, _support_denominators, as_cone_vector, psi_inverse
+from .cone import _aleph, _support, as_cone_vector, psi_inverse
 
 __all__ = [
     "ContractionReport",
@@ -144,11 +143,10 @@ _SCAN_BLOCK_ROWS = 64
 _PARALLEL_SCAN_MIN_DIM = 512
 
 
-# The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps and a
-# denominator outside the support _LOG_OUTSIDE, whose differences (16384..32767)
-# lie above every real one (-8191..8191): int16 never wraps.  _LOG_BELOW marks
-# the diagonal of the exact pair ranges -(T + T.T) (-16382..16382), no pair.
-_LOG_STEPS, _LOG_OUTSIDE, _LOG_BELOW = 8191, -24576, -32768
+# The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps, whose
+# differences (-8191..8191) never wrap.  _LOG_BELOW marks the diagonal of the
+# exact pair ranges -(T + T.T) (-16382..16382), no pair.
+_LOG_STEPS, _LOG_BELOW = 8191, -32768
 
 
 def _usable_cpus() -> int:
@@ -158,42 +156,34 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _quotients_are_finite(M: np.ndarray, pos: np.ndarray) -> bool:
-    """``max(M) / min(M[pos])`` is finite (support entries exceed ``zero_tol >= 0``): no quotient of the scan overflows and no distance is NaN."""
-    lo = float(M.min(initial=np.inf, where=pos))
-    return math.isfinite(float(M.max()) / lo)
+def _quotients_are_finite(P: np.ndarray) -> bool:
+    """``max(P) / min(P)`` is finite for a ``P`` with no zero: no quotient of the scan overflows and no distance is NaN."""
+    return math.isfinite(float(P.max()) / float(P.min()))
 
 
-def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> np.ndarray:
-    """All pairwise extreme ratios between the ``n`` columns of ``M``, of any number of rows: out[i, j] = aleph(col_i, col_j).
+def _aleph_columns(M: np.ndarray, workers: int | None = None) -> np.ndarray:
+    """All pairwise extreme ratios between the ``n`` columns of ``M``, of any number of rows and no zero: out[i, j] = aleph(col_i, col_j).
 
     For float ``M``, ``out[i, :]`` is the columnwise minimum of
-    ``M[k, :] / M[k, i]`` over the support ``pos[:, i]`` of column ``i``, by
-    the support rule of :func:`projcone.cone._aleph`.  Every quotient is the
+    ``M[k, :] / M[k, i]`` over every row ``k``.  Every quotient is the
     same correctly rounded division as in :func:`projcone.cone.aleph` on the
     column pair, and a minimum is exact in any grouping, so the result is
     bitwise identical to the scalar route.  For the int16 log table of
     :func:`_screened_max_pair_distance` the quotient is the exact difference
-    ``M[k, :] - M[k, i]``, and a denominator outside ``pos`` becomes
-    ``_LOG_OUTSIDE``, whose differences are never a minimum.
+    ``M[k, :] - M[k, i]``.
 
     The scan walks blocks of ``M``'s rows outside and groups of
     ``max(1024 // n, 1)`` columns inside (see ``_SCAN_BLOCK_ROWS``),
     combining the row block with each column of the group in one
     per-thread buffer and folding the minima into those ``out[i]``.  Extra
-    memory is the n x n ``out``, at most one denominator copy of ``M`` and
-    one block buffer per thread, in ``M``'s dtype.  Threads split the
-    columns ``i`` and write disjoint rows of ``out``: deterministic.
+    memory is the n x n ``out`` and one block buffer per thread, in ``M``'s
+    dtype.  Threads split the columns ``i`` and write disjoint rows of
+    ``out``: deterministic.
     """
     height, n = M.shape
-    if M.dtype.kind == "f":
-        outside, fold, op, top = 0, np.fmin, np.divide, np.inf
-    else:  # int16 has no NaN, and fmin is slower than minimum on it
-        outside, fold, op, top = _LOG_OUTSIDE, np.minimum, np.subtract, np.iinfo(M.dtype).max
-    denom = _support_denominators(M, pos, outside)
+    op, top = (np.divide, np.inf) if M.dtype.kind == "f" else (np.subtract, np.iinfo(M.dtype).max)
     out = np.full((n, n), top, dtype=M.dtype)
-    # Pool threads start from numpy's default error state: carry the caller's into every fill.
-    errstate = {**np.geterr(), "divide": "ignore", "invalid": "ignore"}
+    errstate = np.geterr()  # pool threads start from numpy's default error state: carry the caller's into every fill
     rows = min(_SCAN_BLOCK_ROWS * 8 // M.itemsize, height)
     cols = max(1024 // n, 1)
 
@@ -203,14 +193,14 @@ def _aleph_columns(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -
         block_min = np.empty((width, n), M.dtype)
         with np.errstate(**errstate):
             for k0 in range(0, height, rows):
-                chunk, by = M[None, k0:k0 + rows], denom[k0:k0 + rows].T[:, :, None]
+                chunk, by = M[None, k0:k0 + rows], M[k0:k0 + rows].T[:, :, None]
                 quot = buf[:, : chunk.shape[1]]
                 for i0 in range(lo, hi, width):
                     o = out[i0:min(i0 + width, hi)]
                     q, least = (quot, block_min) if len(o) == width else (quot[: len(o)], block_min[: len(o)])  # full groups skip two slices
                     op(chunk, by[i0:i0 + len(o)], out=q)
-                    fold.reduce(q, axis=1, out=least)
-                    fold(o, least, out=o)
+                    np.minimum.reduce(q, axis=1, out=least)
+                    np.minimum(o, least, out=o)
 
     if workers is None or workers <= 1 or n < 4:
         fill(0, n)
@@ -229,11 +219,10 @@ def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (1.0 - m) / (1.0 + m)
 
 
-def _listed_pair_distances(M: np.ndarray, pos: np.ndarray, i, j) -> np.ndarray:
-    """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's."""
+def _listed_pair_distances(M: np.ndarray, i, j) -> np.ndarray:
+    """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's; ``M`` as :func:`projcone.cone._aleph` takes it."""
     f, g = M[:, i], M[:, j]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _pair_distances(_aleph(f, g, pos[:, i]), _aleph(g, f, pos[:, j]))
+    return _pair_distances(_aleph(f, g), _aleph(g, f))
 
 
 def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
@@ -259,23 +248,21 @@ def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
     return best, witness
 
 
-def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray | slice, workers: int | None) -> tuple[float, tuple[int, int]] | None:
-    """``_max_pair_distance`` of the float64 aleph table, bit for bit, via an int16 log table; None where it does not split the pairs.
+def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+    """``_max_pair_distance`` of the float64 aleph table of ``P``, bit for bit, via an int16 log table; None where it does not split the pairs.
 
-    Under the guard of :func:`contraction_coeff`, at every size.  ``c(M)``
+    Under the guard of :func:`contraction_coeff`, at every size, on the
+    rows ``P`` of :func:`_contraction`, which hold no zero.  ``c(M)``
     does not change under positive row or column scaling, and in ``log2``
     space a pair's ``m`` is minus the range, over rows, of a column
-    difference.  So the float64 logs of the rows ``used``, those with
-    support, are balanced (each row's minimum subtracted, then each
-    column's) and quantized to ``Q = rint(L / delta)`` in ``0..8191``,
-    ``delta = max(L) / 8191``, one row of ``Q`` per used row; a denominator
-    outside ``pos`` becomes ``_LOG_OUTSIDE``.  An exact zero in a used row
-    gives None, leaving its aleph of exactly 0 to the float64 scan (see
-    :func:`_contraction`).  :func:`_aleph_columns` builds
-    ``T[i, j] = min_k (Q[k, j] - Q[k, i])`` exactly.
+    difference.  So the float64 logs of ``P`` are balanced (each row's
+    minimum subtracted, then each column's) and quantized to
+    ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) / 8191``.
+    :func:`_aleph_columns` builds ``T[i, j] = min_k (Q[k, j] - Q[k, i])``
+    exactly.
 
     The error proof: the shifts cancel in ``-log2 m``, and a balanced log
-    is within ``e = 2**-49 * max|log2 M[used]|`` of the exact shifted one
+    is within ``e = 2**-49 * max|log2 P|`` of the exact shifted one
     (``log2`` within 6 ulp, two subtractions).  A quantized log is within
     ``1/2 + e / delta`` steps of it and ``T`` within twice that, so for
     ``R = -(T + T.T)``, exact in int16, the exact ``-log2 m`` lies in
@@ -297,21 +284,17 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray
     :func:`_listed_pair_distances`, 64 at a time, the first largest in
     row-major order winning; more than ``n`` of them (ties) give None.
     """
-    n = M.shape[1]
-    with np.errstate(divide="ignore"):  # an exact zero's log is -inf
-        L = np.log2(M[used])
+    n = P.shape[1]
+    L = np.log2(P)
     shift = L.min(axis=1, keepdims=True)
-    log_lo = float(shift.min())
-    if log_lo == -math.inf:
-        return None
-    log_hi = float(L.max())
+    log_lo, log_hi = float(shift.min()), float(L.max())
     L -= shift
     L -= L.min(axis=0, keepdims=True)
     delta = float(L.max()) / _LOG_STEPS or 1.0
     L /= delta
     Q = np.rint(L, out=L).astype(np.int16)
     del L  # the float64 logs go before the table is built
-    T = _aleph_columns(Q, pos[used], workers)
+    T = _aleph_columns(Q, workers)
     del Q
     R = np.add(T, T.T)
     np.negative(R, out=R)
@@ -319,7 +302,7 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray
     r_max = int(R.max())
 
     s = (2.0 + 4.0 * math.ldexp(max(log_hi, -log_lo), -49) / delta) * (1.0 + 2.0**-30)
-    # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(M[used]) / min(M[used])
+    # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(P) / min(P)
     eta = math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
     m_hi = 2.0 ** ((s - r_max) * delta) * (1.0 + 2.0**-50) + eta
     cut = math.floor(-math.log2(min((m_hi + 2.0**-51 + eta) / (1.0 - 2.0**-50), 1.0)) / delta - s) - 1
@@ -331,7 +314,7 @@ def _screened_max_pair_distance(M: np.ndarray, pos: np.ndarray, used: np.ndarray
     rows, cols = rows[keep], cols[keep]
     d = np.empty(rows.size)
     for s0 in range(0, d.size, _SCAN_BLOCK_ROWS):
-        d[s0:s0 + _SCAN_BLOCK_ROWS] = _listed_pair_distances(M, pos, rows[s0:s0 + _SCAN_BLOCK_ROWS], cols[s0:s0 + _SCAN_BLOCK_ROWS])
+        d[s0:s0 + _SCAN_BLOCK_ROWS] = _listed_pair_distances(P, rows[s0:s0 + _SCAN_BLOCK_ROWS], cols[s0:s0 + _SCAN_BLOCK_ROWS])
     k = int(np.argmax(d))
     return float(d[k]), (int(rows[k]), int(cols[k]))
 
@@ -340,17 +323,19 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     """Contraction coefficient ``c(M)``: the best Lipschitz constant on rays.
 
     Computed definitionally as the maximum bounded-metric distance between
-    column rays, scanning all column pairs in O(d^3) (see
-    :func:`_aleph_columns`), then reducing the pairs row by row in O(d)
-    extra memory.  The witness is the lexicographically smallest attaining
-    pair.  When ``max(M) / min(M[M > zero_tol])`` is finite and positive,
-    no quotient of the scan overflows and no distance is NaN, so the bound
-    1.0, once reached in row 0 of the pair table (at most 2 d^2 divisions,
-    in 64-column blocks), is the maximum and settles ``c = 1`` with the
-    scan's witness.  Under the same guard, at every d,
-    :func:`_screened_max_pair_distance` screens pairs on an int16 table of
-    log differences and leaves the float64 scan only the inputs it cannot
-    split (ties) and the exact zeros row 0 misses.
+    column rays, an entry at or below ``zero_tol`` counting as zero.  A
+    matrix whose zero pattern is not uniformly positive has ``c = 1``,
+    settled in O(d^2) (see :func:`_contraction`).  Otherwise all column
+    pairs are scanned in O(d^3) (see :func:`_aleph_columns`), then reduced
+    row by row in O(d) extra memory.  The witness is the lexicographically
+    smallest attaining pair.  When ``max(P) / min(P)`` is finite over the
+    rows ``P`` with support, no quotient of the scan overflows and no
+    distance is NaN, so the bound 1.0, once reached in row 0 of the pair
+    table (at most 2 d^2 divisions, in 64-column blocks), is the maximum
+    and settles ``c = 1`` with the scan's witness.  Under the same guard,
+    at every d, :func:`_screened_max_pair_distance` screens pairs on an
+    int16 table of log differences and leaves the float64 scan only the
+    inputs it cannot split (ties).
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -366,30 +351,37 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
 def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> ContractionReport:
     """:func:`contraction_coeff` of a validated ``M`` whose support is the mask ``pos``, a subset of ``M > 0``.
 
-    Under the guard at ``zero_tol = 0``, an exact zero at ``(k, j)`` in a
-    row with support puts a pair ``(0, x)`` at distance exactly 1.0:
-    ``aleph(col_0, col_j) = 0`` if ``M[k, 0] > 0``, else
-    ``aleph(col_l, col_0) = 0`` for some ``M[k, l] > 0``.  So row 0 settles
-    such input before the screen, which refuses it; above ``zero_tol = 0``
-    row 0 misses the zeros of rows with ``M[k, 0]`` in ``(0, zero_tol]``.
-    A row without support holds no denominator: both O(n^3) tables skip it.
+    The zero pattern first: where column ``j``'s support differs from
+    column 0's, some row holds a zero of one of the two and an entry of the
+    other, so ``m`` of the pair ``(0, j)`` is exactly 0 and ``c = 1``; on a
+    cone-preserving ``M`` that happens exactly when a zero lies in a row
+    with support.  Otherwise every column has the support ``used`` of
+    column 0, and the rows ``P = M[used]`` hold no zero: the rows without
+    support hold no ratio, and no O(n^3) table or pair kernel needs a mask.
     """
     _check_cone_preserving(pos)
     n = M.shape[1]
     if n == 1:
         return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
-    guarded = _quotients_are_finite(M, pos)
+    differs = (pos != pos[:, :1]).any(axis=0)
+    if differs.any():
+        return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, int(np.argmax(differs))), method="definitional")
+    used = pos[:, 0]
+    P = M if used.all() else M[used]  # every row: M itself, no copy
+    guarded = _quotients_are_finite(P)
     if guarded:
         for j0 in range(1, n, _SCAN_BLOCK_ROWS):
-            hits = np.flatnonzero(_listed_pair_distances(M, pos, slice(0, 1), slice(j0, j0 + _SCAN_BLOCK_ROWS)) == 1.0)
+            hits = np.flatnonzero(_listed_pair_distances(P, slice(0, 1), slice(j0, j0 + _SCAN_BLOCK_ROWS)) == 1.0)
             if hits.size:
                 return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, j0 + int(hits[0])), method="definitional")
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
-    used = pos.any(axis=1)
-    used = slice(None) if used.all() else used  # every row: M itself, no copy
-    screened = _screened_max_pair_distance(M, pos, used, workers) if guarded else None
-    c, witness = screened or _max_pair_distance(_aleph_columns(M[used], pos[used], workers))
+    screened = _screened_max_pair_distance(P, workers) if guarded else None
+    if screened is None:
+        table = _aleph_columns(P, workers)
+        del P  # a copy of M's rows is freed before the pair reduction's temporaries
+        screened = _max_pair_distance(table)
+    c, witness = screened
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 

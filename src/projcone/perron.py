@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, _cone_vector, _support, normalize
+from .cone import _aleph, _cone_vector, _support
 from .matrices import _check_cone_preserving, _contraction, _listed_pair_distances, as_nonneg_matrix
 
 __all__ = [
@@ -68,20 +68,19 @@ def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None
     return q, top
 
 
-def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, pos: np.ndarray, zero_tol: float) -> tuple[float, float]:
-    """Extreme ratios (Mp)/p for a validated ``p`` with support ``pos``, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
+def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
+    """Extreme ratios (Mp)/p over the support of ``p``, as computed, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
 
-    Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is the largest ratio itself, and
-    both ends move one ulp outward.
+    ``M`` and ``p`` hold no ``-0.0``.  Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is
+    the largest ratio itself, and both ends move one ulp outward.
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
         Mp, _ = _image(M, p, zero_tol)
-        support = _support(Mp, zero_tol)
-        lower = float(_aleph(p, Mp, pos))
-        a = float(_aleph(Mp, p, support))
+        lower = float(_aleph(p, Mp))
+        a = float(_aleph(Mp, p))
         upper = math.inf if a == 0.0 else 1.0 / a
-        if not (lower <= upper):  # a > 0, so p is positive on the support of Mp
-            upper = float((Mp[support] / p[support]).max())
+        if not (lower <= upper):  # a > 0, so p is positive where Mp is, and fmax passes over the 0/0 elsewhere
+            upper = float(np.fmax.reduce(Mp / p))
             lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
 
@@ -92,17 +91,18 @@ def collatz_wielandt(M, f, zero_tol: float = 0.0) -> tuple[float, float]:
     For strictly positive ``f`` the minimum and maximum ratios enclose the
     Perron eigenvalue; the bracket tightens along power iteration when the
     matrix contracts strictly.  ``f`` must be strictly positive so that all
-    ratios are defined; the upper bound is ``inf`` only if ``M f`` has a
-    zero entry.
+    ratios are defined, and every coordinate counts, at or below
+    ``zero_tol`` too; the upper bound is ``inf`` only if ``M f`` has a
+    zero entry.  An entry of ``M`` at or below ``zero_tol`` is a zero.
     """
     M = as_nonneg_matrix(M)
-    f, pos = _cone_vector(f, zero_tol)
+    f, _ = _cone_vector(f, zero_tol)
     if f.size != M.shape[1]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
     if np.any(f <= 0.0):
         raise ValueError("collatz_wielandt requires a strictly positive vector")
-    _check_cone_preserving(_support(M, zero_tol))
-    return _eigenvalue_bracket(M, f, pos, zero_tol)
+    _check_cone_preserving(pos := _support(M, zero_tol))
+    return _eigenvalue_bracket(np.where(pos, M, 0.0), f, zero_tol)
 
 
 def perron_iterate(
@@ -130,8 +130,12 @@ def perron_iterate(
         an error, since matrices with ``c = 1`` may legitimately never
         settle.
     zero_tol : float
-        Must be below 1: every iterate is scaled to a largest entry of 1,
-        and a larger ``zero_tol`` would count all of it as zero.
+        Entries of ``M`` and ``f0`` at or below it are zeros: the iteration,
+        ``c(M)`` and the bracket are those of the matrix and start vector
+        with these entries set to 0.  The iterates are read as computed,
+        with no threshold.  Must be below 1: every iterate is scaled to a
+        largest entry of 1, and ``perron_iterate`` refuses an image whose
+        largest entry is at or below ``zero_tol``.
 
     Steps are tested in batches: one step, then as many as the rate of the
     last two steps needs to reach ``tol``, rounded down and clipped to [1, 128].
@@ -147,7 +151,8 @@ def perron_iterate(
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = M.shape[1]
-    p = normalize(np.ones(n) if f0 is None else f0, zero_tol)
+    _, p = _cone_vector(np.ones(n) if f0 is None else f0, zero_tol)
+    p /= p.max()
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
 
@@ -156,6 +161,7 @@ def perron_iterate(
     else:
         c = _contraction(M, pos).c
         no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
+    M = np.where(pos, M, 0.0)  # the matrix c(M) is of; no -0.0 reaches an iterate
     # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
     # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
     # A batch's iterates are the columns of V; its steps are measured after it, and the first within tol ends the loop.
@@ -172,9 +178,7 @@ def perron_iterate(
                     refusal, k = exc, k - 1  # the refused image is no iterate
                     break
                 q /= top
-            W = V[:, : k + 1]
-            pos = _support(W, zero_tol)
-            steps = _listed_pair_distances(W, pos, slice(None, -1), slice(1, None))
+            steps = _listed_pair_distances(V[:, : k + 1], slice(None, -1), slice(1, None))
             hits = np.flatnonzero(steps <= tol)
             if not hits.size and refusal:
                 raise refusal  # where the step by step loop raises: no earlier step converged
@@ -188,7 +192,7 @@ def perron_iterate(
             size = 1 if not rate > 0.0 else _MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
             size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
     p = V[:, k].copy()
-    lower, upper = _eigenvalue_bracket(M, p, pos[:, k], zero_tol)  # pos is the support of W, whose column k is p
+    lower, upper = _eigenvalue_bracket(M, p, zero_tol)
     return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
                         error_bound=None if no_bound_reason else c / (1.0 - c) * step, converged=step <= tol, no_bound_reason=no_bound_reason)
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 
 def aleph(f, g, zero_tol: float = 0.0) -> Fraction:
-    """Exact ``min g[k] / f[k]`` over the support ``f[k] > zero_tol``, which must not be empty."""
-    return min(Fraction(b) / Fraction(a) for a, b in zip(f, g) if a > zero_tol)
+    """Exact ``min g[k] / f[k]`` over the support ``f[k] > zero_tol``, which must not be empty; a ``g[k] <= zero_tol`` is 0."""
+    return min((Fraction(b) if b > zero_tol else Fraction(0)) / Fraction(a) for a, b in zip(f, g) if a > zero_tol)
 
 
 def m(f, g, zero_tol: float = 0.0) -> Fraction:
@@ -31,3 +31,9 @@ def contraction(M, zero_tol: float = 0.0) -> Fraction:
             p = m(cols[i], cols[j], zero_tol)
             best = max(best, (1 - p) / (1 + p))
     return best
+
+
+def first_pair_at_m_0(M, zero_tol: float = 0.0) -> tuple[int, int] | None:
+    """First column pair ``(i, j)``, ``i < j``, in row-major order whose exact ``m`` is 0, or None."""
+    cols = [list(col) for col in zip(*M)]
+    return next(((i, j) for i in range(len(cols)) for j in range(i + 1, len(cols)) if m(cols[i], cols[j], zero_tol) == 0), None)

@@ -138,6 +138,14 @@ def test_dist_boundary_pair_renders_inf(capsys):
     assert report["results"]["d_H"] == "inf"
 
 
+def test_dist_prints_no_negative_zero(capsys):
+    code, out, err = run(capsys, "dist", "--", "1,-0,2", "-0,1,0")
+    assert code == 0 and err == ""
+    results = json.loads(out, parse_int=float)["results"]  # "-0" reads as -0.0
+    for key in ("m", "aleph_fg", "aleph_gf"):
+        assert results[key] == 0.0 and math.copysign(1.0, results[key]) == 1.0, key
+
+
 def test_dist_over_a_subnormal_entry_prints_no_warning(capsys):
     report = run_report(capsys, "dist", "1e-310,1", "1,1")  # 1 / 1e-310 overflows, and stderr stays empty
     assert report["results"]["aleph_fg"] == 1.0 and report["results"]["d"] == 1.0
@@ -256,6 +264,15 @@ def test_check_identity(tmp_path, capsys):
     assert res["uniformly_positive"] is False
     assert res["strictly_contracting"] is False
     assert res["certificate"] is None
+
+
+def test_coeff_and_check_agree_on_entries_at_or_below_zero_tol(tmp_path, capsys):
+    # one reading of --zero-tol: 0.3 is a zero of the pattern and of c(M) alike
+    path = tmp_path / "m.csv"
+    path.write_text("1,0.3\n0.3,1\n")
+    coeff = run_report(capsys, "coeff", str(path), "--zero-tol", "0.5")["results"]
+    assert (coeff["c"], coeff["is_strict"]) == (1.0, False)
+    assert run_report(capsys, "check", str(path), "--zero-tol", "0.5")["results"]["strictly_contracting"] is False
 
 
 def test_check_non_preserving_warns(tmp_path, capsys):

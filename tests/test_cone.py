@@ -74,6 +74,24 @@ def test_m_ratio_examples():
     assert pair.m == 0.0 and pair.aleph_fg == 0.0 and pair.aleph_gf == 0.0
 
 
+@pytest.mark.parametrize("zero_tol", [0.0, 0.5])
+def test_entries_at_or_below_zero_tol_are_zeros_in_both_vectors(zero_tol):
+    # one reading of zero_tol: the ratios equal those of the vectors with such entries set to 0, as numerator and denominator
+    f, g = [1.0, 0.3, 2.0, 0.0], [0.4, 1.0, 3.0, 1.0]
+    zf, zg = ([x if x > zero_tol else 0.0 for x in v] for v in (f, g))
+    assert m_ratio(f, g, zero_tol) == m_ratio(zf, zg)
+    assert aleph(f, g, zero_tol) == aleph(zf, zg) == (0.0 if zero_tol else 0.4)
+    assert pseudo_distance([1.0, 0.3], [0.3, 1.0], zero_tol) == (1.0 if zero_tol else phi(0.09))
+
+
+def test_a_zero_aleph_is_positive_zero():
+    # a quotient over -0.0 would be -inf, and a -0.0 numerator gives -0.0: the ratios read the zeroed copies
+    for f, g in (([1.0, -0.0], [-0.0, 1.0]), ([1.0, 0.0], [-0.0, 1.0]), ([2.0, -0.0, 1.0], [-0.0, 1.0, 0.0])):
+        pair = m_ratio(f, g)
+        for x in (aleph(f, g), aleph(g, f), pair.aleph_fg, pair.aleph_gf, pair.m):
+            assert x == 0.0 and math.copysign(1.0, x) == 1.0
+
+
 @pytest.mark.parametrize("f, g, m", [([1.0, 0.0, 2.0], [0.5, 1.0, 0.0], 0.0), ([1e-310, 1e-310], [1.0, 2.0], 0.5)], ids=["boundary", "overflow"])
 def test_m_ratio_builds_one_support_mask_per_vector(monkeypatch, f, g, m):
     shapes = support_calls(monkeypatch, cone)
@@ -103,27 +121,30 @@ def test_m_is_taken_again_where_one_ratio_overflows():
     assert hilbert_distance(f, g) == hilbert_distance([1.0, 1.0], g)
     assert m_ratio([1e-310, 0.0], [1.0, 1.0]).m == 0.0
     assert pseudo_distance([1e-310, 0.0], [1.0, 1.0]) == 1.0 and hilbert_distance([1e-310, 0.0], [1.0, 1.0]) == math.inf
-    # the scaled vector keeps its own support: 5e-311 lies below zero_tol, its scaled 0.5 would not
-    assert m_ratio([1e-310, 5e-311], [1.0, 0.1], 6e-311).m == m_ratio([1.0, 0.5], [1.0, 0.1], 0.6).m == 1.0
+    # the scaled vector keeps its zeros: 5e-311 lies below zero_tol, its scaled 0.5 would not
+    assert m_ratio([1e-310, 5e-311], [1.0, 5e-311], 6e-311).m == m_ratio([1.0, 0.5], [1.0, 0.1], 0.6).m == 1.0
+    assert m_ratio([1e-310, 5e-311], [1.0, 0.1], 6e-311).m == m_ratio([1.0, 0.0], [1.0, 0.1]).m == 0.0
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
 def test_the_aleph_kernel_is_the_masked_minimum_bit_for_bit(data, zero_tol):
+    # the callers' zeroed copies: every entry <= zero_tol, -0.0 too, is +0.0
     n, k = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 4))
-    blocks = st.lists(st.sampled_from(ENTRIES), min_size=n * k, max_size=n * k).map(lambda v: np.reshape(v, (n, k)).astype(float))
+    blocks = st.lists(st.sampled_from(ENTRIES + [-0.0]), min_size=n * k, max_size=n * k).map(lambda v: np.reshape(v, (n, k)).astype(float))
     F, G = data.draw(blocks), data.draw(blocks)
     pos = F > zero_tol
     assume(pos.any(axis=0).all())  # every column of f has a support, as the callers guarantee
+    F, G = np.where(pos, F, 0.0), np.where(G > zero_tol, G, 0.0)
 
     def bits(x):
         return [float(v).hex() for v in np.ravel(x)]
     with warnings.catch_warnings(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         warnings.simplefilter("error")  # the callers' errstate leaves no raw warning
         want = [(G[pos[:, c], c] / F[pos[:, c], c]).min() for c in range(k)]
-        assert bits(_aleph(F, G, pos)) == bits(want)
+        assert bits(_aleph(F, G)) == bits(want)
         for c in range(k):
-            assert bits(_aleph(F[:, c], G[:, c], pos[:, c])) == bits(want[c])
+            assert bits(_aleph(F[:, c], G[:, c])) == bits(want[c])
 
 
 def test_ratio_functional_laws():

@@ -108,15 +108,36 @@ def test_contraction_coeff_requires_cone_preserving():
 
 
 def test_contraction_coeff_matches_pairwise_m_ratio():
-    rng = np.random.default_rng(21)
-    for _ in range(50):
-        dim = int(rng.integers(2, 7))
-        M = random_cone_preserving_matrix(rng, dim)
-        rep = contraction_coeff(M)
-        pairwise = max(
-            phi(m_ratio(M[:, i], M[:, j]).m) for i in range(dim) for j in range(i + 1, dim)
-        )
-        assert rep.c == pairwise  # bitwise: same divisions, same reductions
+    # guarded input (entries 0 or in [0.1, 10]); at zero_tol 0.5 the entries in (0.1, 0.5] are zeros of both
+    for zero_tol in (0.0, 1e-300, 0.5):
+        rng = np.random.default_rng(21)
+        checked = 0
+        for _ in range(60):
+            dim = int(rng.integers(2, 7))
+            M = random_cone_preserving_matrix(rng, dim)
+            if not (M > zero_tol).any(axis=0).all():
+                continue
+            rep = contraction_coeff(M, zero_tol)
+            pairwise = max(
+                phi(m_ratio(M[:, i], M[:, j], zero_tol).m) for i in range(dim) for j in range(i + 1, dim)
+            )
+            assert rep.c == pairwise, zero_tol  # bitwise: same divisions, same reductions
+            checked += 1
+        assert checked >= 40, zero_tol
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), zero_tol=st.sampled_from([0.0, 1e-300, 0.5]))
+def test_a_pattern_that_is_not_strictly_contracting_has_c_1_and_a_witness_at_m_0(data, zero_tol):
+    # the paper's theorem, at every zero_tol and on unguarded input too: c < 1 needs every zero in an all-zero row
+    n = data.draw(st.integers(2, 6))
+    M = np.array(data.draw(st.lists(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)), dtype=float)
+    assume((M > zero_tol).any(axis=0).all())
+    if not is_strictly_contracting(M, zero_tol):
+        rep = contraction_coeff(M, zero_tol)
+        assert (rep.c, rep.is_strict, rep.a_star) == (1.0, False, None)
+        i, j = rep.witness
+        assert _exact.m(M[:, i].tolist(), M[:, j].tolist(), zero_tol) == 0
 
 
 def test_contraction_coeff_deterministic_across_workers():
@@ -316,10 +337,11 @@ def test_psi_roundtrip_on_random_matrices():
 
 
 def _aleph_columns_per_row(M, zero_tol):
-    """One support copy and one quotient block per column, reduced at once."""
+    """One support copy and one quotient block per column, reduced at once; an entry at or below ``zero_tol`` is 0."""
+    M = np.where(M > zero_tol, M, 0.0)
     out = np.empty((M.shape[1], M.shape[1]))
     for i in range(M.shape[1]):
-        sup = M[:, i] > zero_tol
+        sup = M[:, i] > 0.0
         out[i, :] = (M[sup, :] / M[sup, i, None]).min(axis=0)
     return out
 
@@ -365,11 +387,15 @@ def _same(a, b):
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 203, 256, 257])
 def test_blocked_scan_is_bitwise_the_per_row_formula(n):
+    # the table is built on the rows with support of a uniformly positive pattern, which hold no zero
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
         al = _aleph_columns_per_row(M, zt)
-        for workers in (1, 2):
-            assert np.array_equal(_aleph_columns(M, M > zt, workers), al), (label, workers)
+        pos = M > zt
+        if is_uniformly_positive(M, zt):
+            P = M[pos.any(axis=1)]
+            for workers in (1, 2):
+                assert np.array_equal(_aleph_columns(P, workers), al), (label, workers)
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
         if n > 1:
             c, witness = _max_pair_distance_dense(al)
@@ -380,43 +406,37 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
             assert rep.a_star == reports[0].a_star, label
 
 
-def _aleph_columns_per_row_int16(Q, pos):
-    """The int16 table per row: the least exact difference ``Q[k, :] - Q[k, i]`` over the support of column ``i``."""
+def _aleph_columns_per_row_int16(Q):
+    """The int16 table per row: the least exact difference ``Q[k, :] - Q[k, i]`` over every row."""
     out = np.empty((Q.shape[1], Q.shape[1]), np.int16)
     for i in range(Q.shape[1]):
-        sup = pos[:, i]
-        out[i, :] = (Q[sup, :].astype(np.int32) - Q[sup, i, None]).min(axis=0)
+        out[i, :] = (Q.astype(np.int32) - Q[:, i, None]).min(axis=0)
     return out
 
 
 @pytest.mark.parametrize("n", [128, 129, 300])
 def test_int16_scan_is_bitwise_the_per_row_differences(n):
-    # 8, 7 and 3 columns per step; holes in the mask put _LOG_OUTSIDE into the denominators
+    # 8, 7 and 3 columns per step
     rng = np.random.default_rng(3000 + n)
     Q = rng.integers(0, _LOG_STEPS + 1, size=(n, n)).astype(np.int16)
-    holes = rng.random((n, n)) < 0.2
-    holes[0] = False
-    for pos in (np.ones((n, n), bool), ~holes):
-        want = _aleph_columns_per_row_int16(Q, pos)
-        for workers in (1, 2):
-            assert np.array_equal(_aleph_columns(Q, pos, workers), want), (workers, pos.all())
+    want = _aleph_columns_per_row_int16(Q)
+    for workers in (1, 2):
+        assert np.array_equal(_aleph_columns(Q, workers), want), workers
 
 
 @pytest.mark.parametrize("dtype, rows, n", [(np.float64, 300, 512), (np.float64, 60, 100), (np.int16, 100, 512)])
 def test_scan_of_fewer_rows_than_columns_is_bitwise_the_per_row_formula(dtype, rows, n):
-    # contraction_coeff scans only the rows with support; holes in the mask (entries at or below zero_tol) stay
+    # contraction_coeff scans only the rows with support
     rng = np.random.default_rng(3100 + rows)
-    holes = rng.random((rows, n)) < 0.2
-    holes[0] = False
+    small = rng.random((rows, n)) < 0.2
     if dtype is np.int16:
         M = rng.integers(0, _LOG_STEPS + 1, size=(rows, n)).astype(np.int16)
-        cases = [(pos, _aleph_columns_per_row_int16(M, pos)) for pos in (np.ones((rows, n), bool), ~holes)]
+        want = _aleph_columns_per_row_int16(M)
     else:
-        M = np.where(holes, rng.uniform(0.01, 0.05, size=(rows, n)), rng.uniform(0.1, 10.0, size=(rows, n)))
-        cases = [(M > zt, _aleph_columns_per_row(M, zt)) for zt in (0.0, 0.05)]
-    for pos, want in cases:
-        for workers in (1, 2):
-            assert np.array_equal(_aleph_columns(M, pos, workers), want), (workers, pos.all())
+        M = np.where(small, rng.uniform(0.01, 0.05, size=(rows, n)), rng.uniform(0.1, 10.0, size=(rows, n)))
+        want = _aleph_columns_per_row(M, 0.0)
+    for workers in (1, 2):
+        assert np.array_equal(_aleph_columns(M, workers), want), workers
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
@@ -460,7 +480,9 @@ def _shortcut_corpus(rng, count):
     Entries come from _SHORTCUT_VALUES or uniform(0, 1).  zero_tol cycles
     through 0, 0.5 with no entry in (0, 0.5], and 0.5 with such entries.
     Every fifth matrix writes its zeros as -0.0.  The first matrix has its
-    zeros in an all-zero row, and c rounds to 1.0 on its pair (0, 1).
+    zeros in an all-zero row, and c rounds to 1.0 on its pair (0, 1).  Then
+    ``count // 20`` uniform(1, 2) matrices whose pair (0, j) holds one 1e-9
+    each, so that its distance rounds to 1.0 on a uniformly positive pattern.
     """
     yield np.array([[1e-15, 1e15, 1.0], [1e15, 1e-15, 1.0], [0.0, 0.0, 0.0]]), 0.0
     for k in range(count):
@@ -481,6 +503,12 @@ def _shortcut_corpus(rng, count):
         if k % 5 == 0:
             M[M == 0.0] = -0.0
         yield M, zt
+    for _ in range(count // 20):
+        n = int(rng.integers(2, 71))
+        M = rng.uniform(1.0, 2.0, size=(n, n))
+        k, l = rng.choice(n, size=2, replace=False)
+        M[k, 0] = M[l, int(rng.integers(1, n))] = 1e-9
+        yield M, 0.0
 
 
 def _quotients_are_finite(M, zero_tol):
@@ -489,45 +517,60 @@ def _quotients_are_finite(M, zero_tol):
     return lo > 0.0 and math.isfinite(float(M.max()) / lo)
 
 
-def _row_0_decides(M, zero_tol, al):
-    """Whether c(M) = 1 may be settled without the scan, read off the full aleph table ``al``."""
-    if not _quotients_are_finite(M, zero_tol):
+def _row_0_decides(P, al):
+    """Whether c(M) = 1 may be settled without the scan, read off the full aleph table ``al`` of the rows ``P`` with support."""
+    if not _quotients_are_finite(P, 0.0):
         return False
     m = np.minimum(al[0, 1:] * al[1:, 0], 1.0)
     return bool(((1.0 - m) / (1.0 + m) == 1.0).any())
 
 
+def _rows_with_support(M, zero_tol):
+    return M[(M > zero_tol).any(axis=1)]
+
+
 def test_pattern_shortcut_is_bitwise_the_full_scan(aleph_scans):
     rng = np.random.default_rng(2024)
-    decided = beyond_pattern = refused = 0
+    patterns = row_0 = refused = 0
     for M, zt in _shortcut_corpus(rng, 600):
         scans = len(aleph_scans)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = contraction_coeff(M, zt)
-            al = _aleph_columns(M, M > zt)
-            c, witness = _max_pair_distance(al)
         label = (M.tolist(), zt)
+        if not is_uniformly_positive(M, zt):  # the zero pattern decides, with the first pair at exact m = 0
+            assert (rep.c, rep.witness, rep.a_star) == (1.0, _exact.first_pair_at_m_0(M.tolist(), zt), None), label
+            assert len(aleph_scans) == scans, label
+            patterns += 1
+            continue
+        P = _rows_with_support(M, zt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            al = _aleph_columns(P)
+            c, witness = _max_pair_distance(al)
         assert _same(rep.c, c) and rep.witness == witness, label
         assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
-        decides = _row_0_decides(M, zt, al)
+        decides = _row_0_decides(P, al)
         assert (len(aleph_scans) == scans) == decides, label
-        offender = not is_uniformly_positive(M, zt)
-        exact_zeros = not ((M > 0.0) & (M <= zt)).any()
-        decided += decides
-        beyond_pattern += decides and not (offender and exact_zeros)
+        row_0 += decides
         refused += not _quotients_are_finite(M, zt)
-    # every route is exercised: the rule, the rule where the zero pattern alone
-    # does not decide (entries in (0, zero_tol], zeros only in all-zero rows), and the overflow guard
-    assert decided >= 200 and beyond_pattern >= 50 and refused >= 10, (decided, beyond_pattern, refused)
+    # every route is exercised: the zero pattern, the row-0 rule on a distance saturated by rounding, and the
+    # overflow guard
+    assert patterns >= 200 and row_0 >= 10 and refused >= 10, (patterns, row_0, refused)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_pattern_shortcut_keeps_the_overflow_verdicts():
+    # a failed zero pattern divides nothing, so it settles c = 1 without an overflow
     rng = np.random.default_rng(2025)
     raised = 0
     for M, zt in _shortcut_corpus(rng, 300):
+        if not is_uniformly_positive(M, zt):
+            with np.errstate(over="raise"):
+                rep = contraction_coeff(M, zt)
+            assert (rep.c, rep.witness) == (1.0, _exact.first_pair_at_m_0(M.tolist(), zt)), (M.tolist(), zt)
+            continue
+        P = _rows_with_support(M, zt)
         verdicts = []
-        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(M, M > zt))):
+        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(P))):
             try:
                 with np.errstate(over="raise"):
                     rep = route()
@@ -540,16 +583,14 @@ def test_pattern_shortcut_keeps_the_overflow_verdicts():
     assert raised >= 20
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 def test_pattern_shortcut_leaves_the_nan_coefficient(aleph_scans):
-    # row 0 of the pair table reaches 1.0 at (0, 1), but 1e300 / 1e-310
-    # overflows, so pair (1, 2) is inf * 0 = NaN, as at full scan
+    # 1e300 / 1e-310 overflows, so at full scan pair (1, 2) is inf * 0 = NaN; but the zero at (3, 0) gives column 0
+    # a support that column 1 does not share, which settles c = 1 at pair (0, 1) before any division
     M = np.tile([1.0, 1e-310, 1e300, 1e-310], (4, 1))
     M[3, 0] = 0.0
     rep = contraction_coeff(M)
-    assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None
-    assert aleph_scans == [(4, np.float64)]
+    assert (rep.c, rep.witness, rep.a_star) == (1.0, (0, 1), None)
+    assert aleph_scans == []
 
 
 def test_pattern_shortcut_skips_the_scan_at_n_1024(aleph_scans):
@@ -567,7 +608,7 @@ def test_row_0_rule_finds_a_distance_of_1_past_its_first_block(aleph_scans):
     rep = contraction_coeff(M)
     assert rep.c == 1.0 and rep.witness == (0, 150) and rep.a_star is None
     assert aleph_scans == []
-    assert _max_pair_distance(_aleph_columns(M, M > 0.0)) == (1.0, (0, 150))
+    assert _max_pair_distance(_aleph_columns(M)) == (1.0, (0, 150))
 
 
 def _route_matrix(rng, route):
@@ -583,9 +624,8 @@ def _route_matrix(rng, route):
     if route == "30% zeros":
         return random_cone_preserving_matrix(rng, 512, zero_prob=0.3), 0.0
     M = rng.uniform(0.1, 10.0, size=(511, 511) if route == "n = 511" else (512, 512))
-    if route == "zero rows, zero_tol 0.5":
+    if route == "zero rows":
         M[rng.random(512) < 0.2] = 0.0
-        return M, 0.5
     return M, 0.0
 
 
@@ -593,7 +633,7 @@ def _route_matrix(rng, route):
 # both tables hold only the rows with support: 416 of 512 and 347 of 511 on the zero-row routes
 @pytest.mark.parametrize("route, scans", [
     ("dense", [(512, np.int16)]),
-    ("zero rows, zero_tol 0.5", [(416, np.int16)]),
+    ("zero rows", [(416, np.int16)]),
     ("ties", [(512, np.int16), (512, np.float64)]),
     ("1e+-200", [(512, np.float64)]),
     ("30% zeros", []),

@@ -13,6 +13,7 @@ from projcone import (
     PerronResult,
     aleph,
     apply,
+    as_cone_vector,
     collatz_wielandt,
     contraction_coeff,
     normalize,
@@ -86,6 +87,26 @@ def test_diagonal_gap_never_settles_projectively():
     assert res.eigenvalue_lower <= 2.0 <= res.eigenvalue_upper
 
 
+def test_iterates_below_zero_tol_are_measured_as_computed():
+    # both eigenvalues of [[1, 0], [1, 1]] are 1; the iterates (1/k, 1) creep toward (0, 1), and their first entry
+    # falls to zero_tol on step 2, which must neither end the iteration nor drop the ratio 1 from the bracket
+    res = perron_iterate([[1.0, 0.0], [1.0, 1.0]], zero_tol=0.5, max_iter=200)
+    assert res.iterations == 200 and not res.converged and res.final_step_distance > 1e-3
+    assert res.eigenvalue_lower <= 1.0 <= res.eigenvalue_upper
+    for max_iter in (2, 3):
+        res = perron_iterate([[1.0, 0.0], [1.0, 1.0]], zero_tol=0.5, max_iter=max_iter)
+        assert not res.converged and res.eigenvalue_lower <= 1.0 <= res.eigenvalue_upper
+
+
+def test_zero_tol_zeroes_the_matrix_it_iterates():
+    # c(M) is that of M with 0.1 and 0.3 set to 0, rank one (c = 0): the iteration, its bracket and its error bound 0
+    # are those of that matrix, whose Perron pair is 1 and (1, 0)
+    M = [[1.0, 1.0], [0.1, 0.3]]
+    res = perron_iterate(M, zero_tol=0.5)
+    assert _bits(res) == _bits(perron_iterate([[1.0, 1.0], [0.0, 0.0]]))
+    assert (res.eigenvalue_lower, res.eigenvalue_upper, res.error_bound, res.eigenvector.tolist()) == (1.0, 1.0, 0.0, [1.0, 0.0])
+
+
 def test_perron_input_validation():
     with pytest.raises(ValueError):
         perron_iterate([[1, 0], [1, 0]])  # not cone-preserving
@@ -155,6 +176,8 @@ def test_eigenvalue_bracket_shrinks_and_contains_truth():
 
 def test_collatz_wielandt_examples():
     assert collatz_wielandt([[2, 1], [1, 2]], [1, 1]) == (3.0, 3.0)
+    # every coordinate of the strictly positive f counts, at or below zero_tol too: the Perron root 2 stays in
+    assert collatz_wielandt([[1, 0], [0, 2]], [1, 0.1], zero_tol=0.5) == (1.0, 2.0)
     lo, hi = collatz_wielandt([[2, 1], [1, 2]], [1, 2])
     assert (lo, hi) == (2.5, 4.0)
     assert collatz_wielandt(np.eye(3), [1, 2, 3]) == (1.0, 1.0)
@@ -208,16 +231,26 @@ def test_no_bound_reason():
     assert res.error_bound is None and res.no_bound_reason == _SKIPPED
 
 
+def _zeroed(a, zero_tol):
+    """``a`` with every entry at or below ``zero_tol`` set to +0.0: the one reading of ``zero_tol``."""
+    return np.where(a > zero_tol, a, 0.0)
+
+
 def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
-    """The loop through the public, validating functions: normalize, pseudo_distance, aleph."""
+    """The loop through the public, validating functions: normalize, pseudo_distance, aleph.
+
+    ``zero_tol`` zeroes entries of ``M`` and ``f0`` and refuses an image whose largest entry is at or below it; the
+    iterates are measured as computed, at ``zero_tol = 0``.
+    """
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
-    p = normalize(np.ones(n) if f0 is None else f0, zero_tol)
+    p = normalize(_zeroed(as_cone_vector(np.ones(n) if f0 is None else f0, zero_tol), zero_tol))
     c = contraction_coeff(M, zero_tol).c if n <= 512 else None
+    M = _zeroed(M, zero_tol)
     step, iterations, converged = math.inf, 0, False
     for _ in range(max_iter):
         q = normalize(M @ p, zero_tol)
-        step = pseudo_distance(p, q, zero_tol)
+        step = pseudo_distance(p, q)
         p = q
         iterations += 1
         if step <= tol:
@@ -230,9 +263,10 @@ def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
 
 
 def _validating_bracket(M, p, zero_tol=0.0):
-    Mp = M @ p
-    a = aleph(Mp, p, zero_tol)
-    return aleph(p, Mp, zero_tol), math.inf if a == 0.0 else 1.0 / a
+    """Extreme ratios of ``M p`` and ``p`` as computed, for a zeroed ``M``; an image with no entry above ``zero_tol`` is refused."""
+    Mp = as_cone_vector(M @ p, zero_tol)
+    a = aleph(Mp, p)
+    return aleph(p, Mp), math.inf if a == 0.0 else 1.0 / a
 
 
 def _bits(res):
@@ -295,7 +329,7 @@ def test_loop_is_bitwise_the_validating_route():
     cases.append(("dimension limit", _slowly_mixing(np.random.default_rng(39), 513), {"tol": 1e-9}))
     M = _slowly_mixing(rng, 4)
     cases.append(("tol equal to the third step", M, {"tol": _validating_route(M, max_iter=3).final_step_distance}))
-    # the step kernel divides unmasked only while p and q lie wholly above zero_tol; these cases switch routes
+    # the iterates are read as computed: entries that fall below or rise above zero_tol are not thresholded
     cases.append(("iterate falls below zero_tol", [[1.0, 0.01], [0.01, 0.5]], {"zero_tol": 0.2}))
     cases.append(("iterate rises above zero_tol", [[1.0, 0.5], [0.5, 1.0]], {"f0": [1.0, 0.05], "zero_tol": 0.2}))
     cases.append(("subnormal start, q / p overflows", _slowly_mixing(rng, 3), {"f0": [1.0, 1e-310, 5e-324]}))
@@ -332,8 +366,8 @@ def _batch_sizes(M, monkeypatch, **kwargs):
     """Steps per batch of ``perron_iterate``, read off the step distances the pair kernel measures after each batch."""
     sizes, kernel = [], perron._listed_pair_distances
 
-    def spy(W, pos, i, j):
-        steps = kernel(W, pos, i, j)
+    def spy(W, i, j):
+        steps = kernel(W, i, j)
         sizes.append(steps.size)
         return steps
 
@@ -385,13 +419,12 @@ def test_loop_is_bitwise_the_validating_route_over_the_fuzz_entries(data, zero_t
         assert _same_outcome(got, want)
         return
     # 1 / aleph overflowed or rounded low in the reference's raw bracket, which the library mends: the other fields
-    # agree, and the library's bracket is ordered and holds every exact ratio (M p) / p on its side of the support
+    # agree, and the library's bracket is ordered and holds every exact ratio (M p) / p with p > 0
     assert not isinstance(got, str) and _bits(got)[:1] + _bits(got)[3:] == _bits(want)[:1] + _bits(want)[3:]
     p = got.eigenvector
-    ratios = [(Fraction(y) / Fraction(x), x > zero_tol, y > zero_tol) for x, y in zip(p, M @ p) if x > 0.0]
+    ratios = [Fraction(y) / Fraction(x) for x, y in zip(p, _zeroed(M, zero_tol) @ p) if x > 0.0]
     assert got.eigenvalue_lower <= got.eigenvalue_upper
-    assert all(got.eigenvalue_lower <= r for r, x_in, _ in ratios if x_in)
-    assert all(r <= got.eigenvalue_upper for r, _, y_in in ratios if y_in)
+    assert all(got.eigenvalue_lower <= r <= got.eigenvalue_upper for r in ratios)
 
 
 def test_collatz_wielandt_is_bitwise_the_validating_route():
@@ -402,18 +435,18 @@ def test_collatz_wielandt_is_bitwise_the_validating_route():
             for zt in (0.0, 0.5):
                 if not (M > zt).any(axis=0).all():
                     continue
-                got = struct.pack("<2d", *collatz_wielandt(M, f, zt))
-                assert got == struct.pack("<2d", *_validating_bracket(M, f, zt)), (n, zt)
+                got = _outcome(lambda M: struct.pack("<2d", *collatz_wielandt(M, f, zt)), M)
+                assert got == _outcome(lambda M: struct.pack("<2d", *_validating_bracket(_zeroed(M, zt), f, zt)), M), (n, zt)
 
 
 def test_collatz_wielandt_and_perron_iterate_build_one_support_mask_per_array(monkeypatch):
     M, f = np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 2.0]
     shapes = support_calls(monkeypatch, cone, perron)
     assert collatz_wielandt(M, f) == (2.5, 4.0)
-    assert shapes == [(2,), (2, 2), (2,)]  # f, M and M f: the bracket reuses the mask of f
+    assert shapes == [(2,), (2, 2)]  # f and M: the bracket reads M f as computed
     shapes.clear()
     res = perron_iterate(M)
-    assert [s for s in shapes if len(s) == 1] == [(2,), (2,)]  # the start vector and the image of the last iterate
+    assert [s for s in shapes if len(s) == 1] == [(2,)]  # the start vector: the iterates are read as computed
     assert res.converged
 
 

@@ -3,24 +3,23 @@
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from projcone import builtin_kernel, contraction_coeff, discretize, kernel_contraction_estimate, psi_inverse, tabulate_kernel
+from projcone import builtin_kernel, contraction_coeff, discretize, is_strictly_contracting, kernel_contraction_estimate, psi_inverse, tabulate_kernel
 from projcone.matrices import _aleph_columns, _max_pair_distance, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
 
+import _exact
 from test_perron import _perron_loop_matrix
 
 
-def _full_scan(M, zero_tol):
-    """The float64 scan and pair reduction that the screen must reproduce bit for bit."""
+def _full_scan(P):
+    """The float64 scan and pair reduction of rows ``P`` with no zero, which the screen must reproduce bit for bit."""
     with np.errstate(all="ignore"):
-        return _max_pair_distance(_aleph_columns(M, M > zero_tol))
+        return _max_pair_distance(_aleph_columns(P))
 
 
-def _screen(M, zero_tol, workers=1):
-    # under the guard, on these inputs, no quotient, product or distance of the screen overflows or underflows,
-    # and the log of a zero entry raises no RuntimeWarning (which the test configuration makes an error)
-    pos = M > zero_tol
+def _screen(P, workers=1):
+    # under the guard, on these inputs, no quotient, product or distance of the screen overflows or underflows
     with np.errstate(over="raise", under="raise"):
-        return _screened_max_pair_distance(M, pos, pos.any(axis=1), workers) if _quotients_are_finite(M, pos) else None
+        return _screened_max_pair_distance(P, workers) if _quotients_are_finite(P) else None
 
 
 def _near_rank_one(rng, n, eps=1e-9):
@@ -62,7 +61,7 @@ def _near_one(rng, n):
 
 @st.composite
 def screen_cases(draw):
-    """(matrix, zero_tol): n = 2..40, cone-preserving for its zero_tol, scaled by a power of two or its rows and columns scaled."""
+    """Rows with support of a uniformly positive matrix, which hold no zero: n = 2..40, scaled by a power of two or their rows and columns scaled."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["ties", "columns", "rank_one", "rank_one_1e-6", "rank_one_1e-12", "toeplitz",
@@ -83,30 +82,21 @@ def screen_cases(draw):
         M = _near_one(rng, n)
     else:
         M = _spanning(rng, n, 2.0**60 * (1.0 - 2.0**-52 if kind == "under_2_60" else 1.0 + 2.0**-52))
-    zero_tol = draw(st.sampled_from([0.0, 0.5]))
-    if draw(st.booleans()):  # zeros confined to all-zero rows
-        M[rng.random(n) < 0.3] = 0.0
-    if draw(st.booleans()):  # entries at or below zero_tol in nonzero rows
-        M[rng.random((n, n)) < 0.2] = rng.choice([0.0, 0.25, 0.5])
-    for j in np.flatnonzero(~(M > zero_tol).any(axis=0)):
-        M[int(rng.integers(n)), j] = 1.0
-    if draw(st.booleans()):
-        M[M == 0.0] = -0.0
+    if draw(st.booleans()):  # fewer rows than columns, as where all-zero rows are left out
+        M = M[: int(rng.integers(1, n + 1))]
     if draw(st.booleans()):  # a row- and column-scaled copy, whose scalings the screen's balancing takes out
-        return M * 2.0 ** rng.uniform(-20.0, 20.0, size=(n, 1)) * 2.0 ** rng.uniform(-20.0, 20.0, size=n), 0.0
-    # an exact scaling keeps the support; 2**-1020 makes the smallest entries subnormal
-    scale = draw(st.sampled_from([1.0, 2.0**-1020, 2.0**-600, 2.0**930]))
-    return M * scale, zero_tol * scale
+        return M * 2.0 ** rng.uniform(-20.0, 20.0, size=(len(M), 1)) * 2.0 ** rng.uniform(-20.0, 20.0, size=n)
+    # 2**-1020 makes the smallest entries subnormal
+    return M * draw(st.sampled_from([1.0, 2.0**-1020, 2.0**-600, 2.0**930]))
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(case=screen_cases(), workers=st.sampled_from([1, 2]))
-def test_screen_is_bitwise_the_full_float64_scan(case, workers):
-    M, zero_tol = case
-    screened = _screen(M, zero_tol, workers)
+@given(P=screen_cases(), workers=st.sampled_from([1, 2]))
+def test_screen_is_bitwise_the_full_float64_scan(P, workers):
+    screened = _screen(P, workers)
     if screened is not None:
-        c, witness = _full_scan(M, zero_tol)
-        assert repr(screened[0]) == repr(c) and screened[1] == witness, (M.tolist(), zero_tol)
+        c, witness = _full_scan(P)
+        assert repr(screened[0]) == repr(c) and screened[1] == witness, P.tolist()
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -124,21 +114,22 @@ def test_a_larger_m_by_2_pow_minus_51_gives_a_strictly_smaller_distance(m):
     assert far < near, (m, near, far)
 
 
-def test_screen_applies_and_refuses_where_documented():
+def test_screen_applies_and_refuses_where_documented(aleph_scans):
     rng = np.random.default_rng(3101)
     # any range the guard admits, and distances near 1e-9, which the balanced logs resolve
     near = _near_rank_one(rng, 40)
-    assert 1e-10 < _full_scan(near, 0.0)[0] < 1e-8
+    assert 1e-10 < _full_scan(near)[0] < 1e-8
     with_zero = rng.uniform(0.1, 10.0, size=(40, 40))
     with_zero[3, 5] = 0.0
     for M in (rng.uniform(0.1, 10.0, size=(40, 40)), _spanning(rng, 40, 2.0**60), _spanning(rng, 40, 2.0**900), near):
-        (c, witness), screened = _full_scan(M, 0.0), _screen(M, 0.0)
+        (c, witness), screened = _full_scan(M), _screen(M)
         assert (repr(screened[0]), screened[1]) == (repr(c), witness)
-    # an exact zero in a row with support: its aleph of exactly 0 is the float64 scan's to settle
-    assert _screen(with_zero, 0.0) is None
-    _assert_is_the_full_scan(contraction_coeff(with_zero), with_zero)
+    # an exact zero in a row with support: the zero pattern settles c = 1 before any table
+    aleph_scans.clear()
+    report = contraction_coeff(with_zero)
+    assert (report.c, report.witness, report.a_star, aleph_scans) == (1.0, (0, 5), None, [])
     # more than n candidates: ties
-    assert _screen(rng.choice([1.0, 2.0, 3.0], size=(40, 40)), 0.0) is None
+    assert _screen(rng.choice([1.0, 2.0, 3.0], size=(40, 40))) is None
 
 
 @st.composite
@@ -164,32 +155,28 @@ def zero_in_a_used_row(draw):
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(M=zero_in_a_used_row())
-def test_exact_zeros_of_used_rows_are_settled_by_row_0(aleph_scans, M):
-    # at zero_tol = 0 the screen, which refuses these zeros, is never reached
+def test_exact_zeros_of_used_rows_are_settled_by_the_pattern(aleph_scans, M):
+    # no table is built, and the witness is the first pair whose exact m is 0
     aleph_scans.clear()
-    pos = M > 0.0
-    assert _quotients_are_finite(M, pos)
     report = contraction_coeff(M)
     assert aleph_scans == []
-    al = _aleph_columns(M, pos)
-    assert (_pair_distances(al[0, 1:], al[1:, 0]) == 1.0).any()
-    assert report.c == 1.0 and report.witness == _max_pair_distance(al)[1]
-    assert _screen(M, 0.0) is None
+    assert (report.c, report.a_star) == (1.0, None)
+    assert report.witness == _exact.first_pair_at_m_0(M.tolist())
 
 
-def test_exact_zero_that_row_0_misses_takes_the_float64_scan(aleph_scans):
-    # M[7, 0] lies in (0, zero_tol]: no pair (0, x) reaches 1.0, but pair (1, 11) does
+def test_an_entry_at_or_below_zero_tol_is_a_zero_of_the_pattern(aleph_scans):
+    # M[7, 0] lies in (0, zero_tol]: a zero of column 0 in a row where column 1 has an entry, as numerator and as
+    # denominator alike, so pair (0, 1) has m = 0
     M = np.random.default_rng(5).uniform(1.0, 2.0, size=(64, 64))
     M[7, 0], M[7, 11] = 0.3, 0.0
-    assert _screen(M, 0.5) is None
     report = contraction_coeff(M, 0.5)
-    assert aleph_scans == [(64, np.float64)]
-    assert (report.c, report.witness, report.a_star) == (1.0, (1, 11), None)
-    assert _full_scan(M, 0.5) == (1.0, (1, 11))
+    assert aleph_scans == []
+    assert (report.c, report.witness, report.a_star) == (1.0, (0, 1), None)
+    assert _exact.m(M[:, 0].tolist(), M[:, 1].tolist(), 0.5) == 0 and not is_strictly_contracting(M, 0.5)
 
 
 def _assert_is_the_full_scan(report, M):
-    c, witness = _full_scan(M, 0.0)
+    c, witness = _full_scan(M)
     assert np.array_equal(report.c, c, equal_nan=True) and report.witness == witness
     assert report.a_star == (psi_inverse(c) if c < 1.0 else None)
 
@@ -230,7 +217,7 @@ def test_narrow_gaussian_grid_of_cli_scan_runs_one_int16_pass_and_no_float64_sca
     grid = tabulate_kernel(builtin_kernel("gaussian", sigma=0.05518444732177106), 512, "midpoint")
     report = kernel_contraction_estimate(grid)
     assert aleph_scans == [(512, np.int16)]
-    assert (report.c, report.witness) == _full_scan(discretize(grid), 0.0) == (0.9999999999999996, (0, 508))
+    assert (report.c, report.witness) == _full_scan(discretize(grid)) == (0.9999999999999996, (0, 508))
 
 
 def test_perron_loop_family_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
