@@ -4,8 +4,11 @@
 When c(M) < 1 the projective action is a strict contraction, so the
 normalized iteration p -> normalize(M p) converges geometrically to the
 Perron ray, and the last step length yields a rigorous a-posteriori bound
-c/(1-c) * step on the remaining distance. The eigenvalue is bracketed at
-every step by the extreme coordinate ratios (Mp)/p.
+tanh(K * atanh(step)) on the remaining distance (Birkhoff), where
+K = (1/m - 1)/2 <= c/(1-c) comes from one pivot column of M in O(n^2).
+(For K < 1 and a large step the bound can still exceed c/(1-c) * step.)
+The eigenvalue is bracketed at every step by the extreme coordinate
+ratios (Mp)/p.
 """
 
 import numpy as np

@@ -192,12 +192,12 @@ class FactorizationCertificate:
     reference_col: int
 
 
-def factorization_is_valid(values, cert: FactorizationCertificate, rtol: float = 1e-9) -> bool:
-    """Check the factorization sandwich at every grid point."""
+def factorization_is_valid(values, cert: FactorizationCertificate, rtol: float = 1e-9, zero_tol: float = 0.0) -> bool:
+    """Check the factorization sandwich at every grid point; a value at or below ``zero_tol`` is a zero."""
     V = as_nonneg_matrix(values)
     if np.size(cert.g1) != V.shape[0] or np.size(cert.g2) != V.shape[1]:
         raise ValueError("certificate dimensions do not match the value grid")
-    return _sandwich_holds(V, np.outer(cert.g1, cert.g2), cert.A, rtol)
+    return _sandwich_holds(np.where(_support(V, zero_tol), V, 0.0), np.outer(cert.g1, cert.g2), cert.A, rtol)
 
 
 def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> FactorizationCertificate:
@@ -207,7 +207,8 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     row-major order); ``g1`` is the column of values through ``j0``, ``g2``
     the row through ``k0`` scaled by the peak value, and ``A`` the smallest
     constant closing the sandwich over all grid points with positive kernel
-    value.
+    value.  A value at or below ``zero_tol`` is a zero, in the sandwich and
+    in its check.
 
     Requires the value grid's zeros to be confined to all-zero rows or
     columns; otherwise no finite ``A`` exists at this resolution and a
@@ -215,14 +216,14 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     ``ArithmeticError`` when the sandwich fails its check, as it does when
     ``A`` overflows to ``inf``.
     """
-    V = grid.values
-    pos = _support(V, zero_tol)
+    pos = _support(grid.values, zero_tol)
     offender = _first_pattern_offender(pos)
     if offender is not None:
         raise KernelPatternError(*offender)
-    k0, j0 = _first_argmax(V)
+    k0, j0 = _first_argmax(grid.values)
+    V = np.where(pos, grid.values, 0.0)
     g1 = V[:, j0].copy()
-    g2 = V[k0, :] / V[k0, j0]
+    g2 = V[k0, :] / grid.values[k0, j0]
     return FactorizationCertificate(g1=g1, g2=g2, A=_sandwich(V, g1, g2, pos), reference_row=k0, reference_col=j0)
 
 

@@ -487,14 +487,14 @@ def certificate_is_valid(M, cert: UniformPositivityCertificate, rtol: float = 1e
     """Check the certificate's sandwich on every basis vector.
 
     Inequalities are verified with slack ``rtol`` relative to the largest
-    matrix entry.
+    matrix entry; an entry at or below ``zero_tol`` is a zero.
     """
     M = as_nonneg_matrix(M)
     h = as_cone_vector(cert.h, zero_tol)
     b = np.asarray(cert.b, dtype=float)
     if h.size != M.shape[0] or b.size != M.shape[1]:
         raise ValueError("certificate dimensions do not match the matrix")
-    return _sandwich_holds(M, np.outer(h, b), cert.A, rtol)
+    return _sandwich_holds(np.where(_support(M, zero_tol), M, 0.0), np.outer(h, b), cert.A, rtol)
 
 
 def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivityCertificate:
@@ -503,7 +503,8 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     The reference indices are the row and column of the largest entry
     (first occurrence in row-major order), which necessarily lie in a
     nonzero row and column; ``h`` is the reference column, ``b`` the
-    reference row, and ``A`` the smallest constant making the sandwich hold
+    reference row, both of the matrix with its entries at or below
+    ``zero_tol`` set to 0, and ``A`` the smallest constant making the sandwich hold
     for this particular pair, scanned over all entries above ``zero_tol``
     (once the pattern test passes, these are all entries in nonzero rows).
 
@@ -516,10 +517,11 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     _check_cone_preserving(pos)
     if _first_pattern_offender(pos) is not None:
         raise ValueError("matrix is not uniformly positive: some zero entry lies in a nonzero row and a nonzero column")
-    i0, j0 = _first_argmax(M)
-    h = M[:, j0].copy()
-    b = M[i0, :].copy()
-    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(M, h, b, pos), reference_row=i0, reference_col=j0)
+    Z = np.where(pos, M, 0.0)
+    i0, j0 = _first_argmax(Z)
+    h = Z[:, j0].copy()
+    b = Z[i0, :].copy()
+    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(Z, h, b, pos), reference_row=i0, reference_col=j0)
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:

@@ -2,12 +2,23 @@
 
 Repeatedly applying a cone-preserving matrix and renormalizing drives the
 iterate toward the Perron ray when the matrix contracts strictly
-(``c(M) < 1``), at geometric rate ``c``.  The bounded projective metric is
-used as the stopping criterion because it stays finite even when iterates
-touch the cone boundary.  A Banach-style a-posteriori bound converts the
-last step length into a certified distance to the fixed ray:
+(``c(M) < 1``).  The bounded projective metric is used as the stopping
+criterion because it stays finite even when iterates touch the cone
+boundary.  The error bound is Birkhoff's, from one pivot column ``h`` of
+``M`` (the column of its largest entry) in O(n^2): with
 
-    ``d(p_final, p*) <= c / (1 - c) * d(p_prev, p_final)``
+    ``m = min_j aleph(h, M e_j) * aleph(M e_j, h)``,
+
+every image lies in ``{z : s h <= z <= s h / m}``, a set of Hilbert
+diameter at most ``2 log(1/m)``, so ``M`` contracts Hilbert's metric by
+``tau <= (1 - m) / (1 + m)``, and in the bounded metric
+
+    ``d(p_final, p*) <= tanh(K * atanh(d(p_prev, p_final)))``, ``K = tau / (1 - tau) = (1/m - 1) / 2``.
+
+``m`` is at least ``c(M)``'s smallest pair product, so ``K <= c / (1 - c)``.
+For ``K >= 1``, ``tanh(K u) <= K tanh(u)``, so the bound is at most ``c / (1 - c) * step``; for ``K < 1`` the
+inequality turns, and on a large step the bound can exceed ``c / (1 - c) * step`` (about 0.290 against 0.221 for
+``[[1, 0.8], [0.8, 1]]`` from ``[1, 0.1]`` after one step).
 
 Eigenvalue estimates come from the extreme coordinate ratios
 ``(M p) / p``, which bracket the Perron eigenvalue at every iterate.
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _aleph, _cone_vector, _support
-from .matrices import _check_cone_preserving, _contraction, _listed_pair_distances, as_nonneg_matrix
+from .matrices import _check_cone_preserving, _contraction, _first_argmax, _listed_pair_distances, as_nonneg_matrix
 
 __all__ = [
     "PerronResult",
@@ -32,7 +43,6 @@ __all__ = [
     "product_contraction_bound",
 ]
 
-_CONTRACTION_DIM_LIMIT = 512  # above this dimension perron_iterate skips the O(d^3) c(M) and reports no error bound
 _MAX_BATCH = 128  # most Perron steps between two convergence tests
 
 
@@ -42,9 +52,11 @@ class PerronResult:
 
     ``eigenvector`` is the canonical (sup-norm 1) representative of the last
     iterate.  ``error_bound`` is the certified bounded-metric distance from
-    it to the true fixed ray; present exactly when a contraction coefficient
-    ``c < 1`` was computed.  Otherwise ``no_bound_reason`` says why it is
-    absent: ``c = 1``, or a dimension above 512, where ``c`` is not computed.
+    it to the true fixed ray, from the pivot constant of the module
+    docstring, rounded upward.  It is absent where the pivot ``m`` rounds
+    to 0 (as it does whenever ``c = 1``) or ``tau = (1 - m)/(1 + m)`` rounds
+    to 1, where the last step is 1, and where the bound is not below 1;
+    ``no_bound_reason`` then says so, in one text for all these cases.
     """
 
     eigenvector: np.ndarray
@@ -66,6 +78,48 @@ def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None
     if not top > zero_tol:
         raise ValueError("cone vector must have at least one positive entry")
     return q, top
+
+
+def _up(x: float, ulps: int = 1) -> float:
+    """``x`` moved ``ulps`` ulps toward ``inf``."""
+    for _ in range(ulps):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _pivot_constant(Z: np.ndarray) -> float:
+    """Birkhoff's ``K = (1/m - 1) / 2`` of the pivot column, rounded upward; ``inf``, no bound, where ``m`` is 0 or ``tau`` rounds to 1.
+
+    ``m`` is the smallest ``aleph(h, Z e_j) * aleph(Z e_j, h)``, with ``h`` the column of ``Z``'s first largest entry.
+    Each aleph, their product and the fold move one ulp toward 0, so ``m`` is at most its exact value: an
+    ``aleph(Z e_j, h)`` that overflows (a column below ``h`` by the whole double range) becomes the largest double, and
+    no product is ``inf * 0`` or NaN.  Column ``h`` itself gives at most 1, as ``aleph(h, .)`` is at most 1 (``h``
+    holds ``max(Z)``), so no clamp is needed.  Under the caller's errstate, as ``_aleph`` requires.
+
+    Where ``tau = (1 - m) / (1 + m)`` rounds to 1 (``m`` below about ``2**-54``, ``K`` above about ``2**53``), a float
+    step can stall far from the ray: on ``[[1, 1e-20], [2e-20, 1]]``, ``M @ [1, 1]`` rounds to ``[1, 1]``, a step of 0,
+    while the Perron vector is near ``[0.707, 1]``.  Such a ``K`` times the step's rounding floor is not below 1, so it
+    certifies nothing.  Below that cut the rounding of the steps is still left out of the bound, as ``c(M)``'s was.
+    """
+    h = Z[:, _first_argmax(Z)[1], None]
+    products = np.nextafter(_aleph(h, Z), 0.0) * np.nextafter(_aleph(Z, h), 0.0)
+    m = math.nextafter(float(np.minimum.reduce(products)), 0.0)
+    return _up((_up(1.0 / m) - 1.0) / 2.0) if m > 0.0 and (1.0 - m) / (1.0 + m) < 1.0 else math.inf
+
+
+def _error_bound(K: float, step: float) -> float | None:
+    """``tanh(K * atanh(step))``, rounded upward; None where it is not below 1, ``K`` is ``inf`` or ``step`` is 1.
+
+    A step of 1 has no finite Hilbert distance, and a step of 0 gives 0 exactly.  The product is correctly rounded, so
+    one ulp up covers it, an underflow to 0 included; ``tanh`` and ``atanh`` take two, above the error of common libm
+    implementations.
+    """
+    if K == math.inf or step == 1.0:
+        return None
+    if step == 0.0:
+        return 0.0
+    bound = _up(math.tanh(_up(K * _up(math.atanh(step), 2))), 2)
+    return bound if bound < 1.0 else None
 
 
 def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[float, float]:
@@ -131,7 +185,7 @@ def perron_iterate(
         settle.
     zero_tol : float
         Entries of ``M`` and ``f0`` at or below it are zeros: the iteration,
-        ``c(M)`` and the bracket are those of the matrix and start vector
+        the error bound and the bracket are those of the matrix and start vector
         with these entries set to 0.  The iterates are read as computed,
         with no threshold.  Must be below 1: every iterate is scaled to a
         largest entry of 1, and ``perron_iterate`` refuses an image whose
@@ -156,12 +210,7 @@ def perron_iterate(
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
 
-    if n > _CONTRACTION_DIM_LIMIT:
-        c, no_bound_reason = None, f"contraction coefficient skipped for dimension > {_CONTRACTION_DIM_LIMIT}; error bound unavailable"
-    else:
-        c = _contraction(M, pos).c
-        no_bound_reason = None if c < 1.0 else "no contraction certificate (c = 1); error bound unavailable"
-    M = np.where(pos, M, 0.0)  # the matrix c(M) is of; no -0.0 reaches an iterate
+    M = np.where(pos, M, 0.0)  # the matrix the bound is of; no -0.0 reaches an iterate
     # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
     # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
     # A batch's iterates are the columns of V; its steps are measured after it, and the first within tol ends the loop.
@@ -170,6 +219,7 @@ def perron_iterate(
     cols = list(V.T)  # the contiguous columns, as views
     iterations, size, step, prev, refusal = 0, 1, math.nan, math.nan, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = _pivot_constant(M)
         while True:
             for k in range(1, size + 1):
                 try:
@@ -193,8 +243,12 @@ def perron_iterate(
             size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
     p = V[:, k].copy()
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)
+    bound = _error_bound(K, step)
     return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
-                        error_bound=None if no_bound_reason else c / (1.0 - c) * step, converged=step <= tol, no_bound_reason=no_bound_reason)
+                        error_bound=bound, converged=step <= tol,
+                        no_bound_reason=None if bound is not None else
+                        "no error bound: the pivot constant certifies no contraction (m = 0, as where c = 1, or tau rounds to 1), "
+                        "the last step is 1, or the bound is not below 1")
 
 
 def product_contraction_bound(Ms, zero_tol: float = 0.0) -> float:

@@ -131,6 +131,7 @@ _ZERO_TOL_CALLS = {
     "contraction_coeff": (_M,),
     "contraction_coeff_formula": (_M,),
     "factorization_certificate": (_GRID,),
+    "factorization_is_valid": (_GRID.values, projcone.factorization_certificate(_GRID)),
     "hilbert_distance": ([1.0, 2.0], [2.0, 1.0]),
     "is_cone_preserving": (_M,),
     "is_strictly_contracting": (_M,),

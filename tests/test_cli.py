@@ -284,8 +284,17 @@ def test_check_non_preserving_warns(tmp_path, capsys):
     assert report["warnings"]
 
 
+def test_check_certifies_a_matrix_whose_row_is_at_or_below_zero_tol(tmp_path, capsys):
+    # row 1's entries are zeros at --zero-tol 0.5, in the sandwich and in its check as in the pattern
+    path = tmp_path / "m.csv"
+    path.write_text("1,1\n0.3,0\n")
+    report = run_report(capsys, "check", str(path), "--zero-tol", "0.5")
+    assert report["results"]["strictly_contracting"] and report["warnings"] == []
+    assert report["results"]["certificate"] == {"h": [1, 0], "b": [1, 1], "A": 1, "i0": 0, "j0": 0}
+
+
 @pytest.mark.parametrize("text, flags", [
-    ("1,1\n0.3,0\n", ["--zero-tol", "0.5"]),  # row 1's only positive entry is at or below zero_tol
+    ("1,1e-300\n1e-300,1e-300\n", []),  # the product h[1] * b[1] underflows to 0 under a positive entry
     ("1e-310,1e-310\n1e-310,2e-310\n", []),  # subnormal entries
 ])
 def test_check_reports_a_failed_certificate(tmp_path, capsys, text, flags):
@@ -346,17 +355,17 @@ def test_perron_no_certificate_warning(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("2,0\n0,1\n")
     report = run_report(capsys, "perron", str(path), "--max-iter", "50")
-    assert any("no contraction certificate" in w for w in report["warnings"])
+    assert any(w.startswith("no error bound") for w in report["warnings"])
     assert any("max-iter" in w for w in report["warnings"])
     assert "error_bound" not in report["results"]
 
 
-def test_perron_skips_the_bound_above_dimension_512(tmp_path, capsys):
+def test_perron_bounds_the_error_above_dimension_512(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text(matrix_to_csv(np.random.default_rng(52).uniform(0.5, 1.5, size=(513, 513))))
     report = run_report(capsys, "perron", str(path))
-    assert report["warnings"] == ["contraction coefficient skipped for dimension > 512; error bound unavailable"]
-    assert report["results"]["converged"] and "error_bound" not in report["results"]
+    assert report["warnings"] == []
+    assert report["results"]["converged"] and 0.0 <= report["results"]["error_bound"] < 1e-11
 
 
 _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
@@ -365,14 +374,15 @@ _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
         '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
         '"results": {"eigenvector": [0.61803398874998616,1],"eigenvalue_lower": 2.6180339887495736e-310,'
         '"eigenvalue_upper": 2.6180339887500183e-310,"iterations": 15,"final_step_distance": 4.4902970230984616e-13,'
-        '"converged": true,"error_bound": 2.2451485115492305e-13},"warnings": []}\n',
+        '"converged": true,"error_bound": 2.2451485115492356e-13},"warnings": []}\n',
     ),
     (
         "1,1e-310,1e300,1e-310\n" * 4,
         '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
         '"results": {"eigenvector": [1,1,1,1],"eigenvalue_lower": 9.999999999999999e+299,'
         '"eigenvalue_upper": 1.0000000000000002e+300,"iterations": 1,"final_step_distance": 0,"converged": true},'
-        '"warnings": ["no contraction certificate (c = 1); error bound unavailable"]}\n',
+        '"warnings": ["no error bound: the pivot constant certifies no contraction (m = 0, as where c = 1, or tau rounds to 1), '
+        'the last step is 1, or the bound is not below 1"]}\n',
     ),
     (
         # iterates mix subnormal and normal entries, so a quotient of the step distance overflows
@@ -380,7 +390,8 @@ _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
         '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
         '"results": {"eigenvector": [0.29999999999999999,1,2.9999999999998426e-311],"eigenvalue_lower": 1,'
         '"eigenvalue_upper": 1,"iterations": 4,"final_step_distance": 0,"converged": true},'
-        '"warnings": ["no contraction certificate (c = 1); error bound unavailable"]}\n',
+        '"warnings": ["no error bound: the pivot constant certifies no contraction (m = 0, as where c = 1, or tau rounds to 1), '
+        'the last step is 1, or the bound is not below 1"]}\n',
     ),
 ]
 
@@ -391,8 +402,6 @@ def test_perron_bracket_raises_no_warning_at_the_ends_of_the_double_range(tmp_pa
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        if "1e300" in text:  # the c(M) scan of this matrix still overflows (inf * 0 = NaN); the bracket must not
-            warnings.filterwarnings("ignore", module=r"projcone\.matrices$")
         code, out, err = run(capsys, "perron", str(path))
     assert code == 0 and err == ""
     assert out.replace(str(path), "FILE") == expected
@@ -490,10 +499,17 @@ def test_kernel_zero_tol_reads_the_values(capsys):
 
 def test_kernel_failed_certificate_is_structured(tmp_path, capsys):
     path = tmp_path / "grid.json"
-    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1], [0.3, 0]]}))
-    payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.4")
+    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1], [1, 5e-324]]}))
+    payload = run_error(capsys, "kernel", "--file", str(path))
     assert payload["code"] == "certificate_failure"
     assert payload["location"] == "kernel"
+
+
+def test_kernel_certifies_a_grid_whose_row_is_at_or_below_zero_tol(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1], [0.3, 0]]}))
+    res = run_report(capsys, "kernel", "--file", str(path), "--zero-tol", "0.4")["results"]
+    assert res["c_grid"] == 0 and res["certificate"]["A"] == 1 and res["certificate"]["g1"] == [1, 0]
 
 
 @pytest.mark.parametrize("values", [

@@ -175,6 +175,16 @@ def test_certificate_survives_all_zero_row():
     assert cert.g1[1] == 0.0
 
 
+def test_a_row_at_or_below_zero_tol_is_a_zero_row_of_the_factorization():
+    grid = KernelGrid(nodes=[0.25, 0.75], weights=[0.5, 0.5], values=[[1.0, 2.0], [0.3, 0.01]])
+    cert = factorization_certificate(grid, 0.5)
+    assert (cert.A, cert.g1.tolist(), cert.g2.tolist()) == (1.0, [2.0, 0.0], [0.5, 1.0])
+    assert factorization_is_valid(grid.values, cert, zero_tol=0.5)
+    assert not factorization_is_valid(grid.values, cert)  # at zero_tol 0, row 1 is no zero row
+    assert factorization_is_valid([[1.0, 2.0], [0.0, 0.0]], cert)
+    assert relate_certificate_to_coefficient(grid, 0.5) == (0.0, 0.0)
+
+
 def test_factorization_is_valid_rejects_tampering():
     grid = tabulate_kernel(builtin_kernel("poly1xy"), 5)
     cert = factorization_certificate(grid)

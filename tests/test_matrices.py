@@ -315,6 +315,15 @@ def test_certificate_is_valid_rejects_tampering():
         certificate_is_valid(M, longer)
 
 
+def test_a_row_at_or_below_zero_tol_is_a_zero_row_of_the_certificate():
+    M = [[1.0, 2.0], [0.3, 0.01]]
+    assert is_strictly_contracting(M, 0.5) and contraction_coeff(M, 0.5).c == 0.0
+    cert = uniform_positivity_certificate(M, 0.5)
+    assert (cert.A, cert.h.tolist(), cert.b.tolist()) == (2.0, [2.0, 0.0], [1.0, 2.0])
+    assert certificate_is_valid(M, cert, zero_tol=0.5)
+    assert not certificate_is_valid(M, cert)  # at zero_tol 0, row 1 is no zero row
+
+
 def test_a_star_examples():
     assert a_star([[2, 1], [1, 2]]) == pytest.approx(2.0, abs=1e-12)
     assert a_star([[1, 1], [1, 1]]) == 1.0

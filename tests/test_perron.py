@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import warnings
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from projcone import cone, matrices, perron
 from projcone import (
@@ -16,12 +17,14 @@ from projcone import (
     as_cone_vector,
     collatz_wielandt,
     contraction_coeff,
+    m_ratio,
     normalize,
     perron_iterate,
     product_contraction_bound,
     pseudo_distance,
 )
 
+import _exact
 from _util import random_cone_preserving_matrix, support_calls
 from test_cli_fuzz import ENTRIES
 
@@ -211,24 +214,153 @@ def test_product_contraction_bound():
         product_contraction_bound([np.eye(2), np.eye(3)])
 
 
-def test_large_dimension_skips_error_bound():
+def test_large_dimension_gets_an_error_bound():
     rng = np.random.default_rng(35)
     M = rng.uniform(0.5, 1.5, size=(513, 513))
     res = perron_iterate(M, max_iter=500)
-    assert res.converged and res.error_bound is None
+    assert res.converged and res.error_bound is not None and res.no_bound_reason is None
+    w, V = np.linalg.eig(M)
+    assert pseudo_distance(res.eigenvector, np.abs(V[:, int(np.argmax(w.real))].real)) <= res.error_bound
 
 
-_SKIPPED = "contraction coefficient skipped for dimension > 512; error bound unavailable"
-_NO_CERTIFICATE = "no contraction certificate (c = 1); error bound unavailable"
+_NO_BOUND = ("no error bound: the pivot constant certifies no contraction (m = 0, as where c = 1, or tau rounds to 1), "
+             "the last step is 1, or the bound is not below 1")
 
 
 def test_no_bound_reason():
     res = perron_iterate([[2.0, 1.0], [1.0, 2.0]])
     assert res.error_bound is not None and res.no_bound_reason is None
     res = perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=10)
-    assert res.error_bound is None and res.no_bound_reason == _NO_CERTIFICATE
+    assert res.error_bound is None and res.no_bound_reason == _NO_BOUND
+    # aleph(h, M e_1) underflows to 0 (1e-310 / 1e300) while aleph(M e_1, h) overflows: m rounds to 0, no bound
+    res = perron_iterate([[1.0, 1e-310, 1e300, 1e-310]] * 4)
+    assert res.converged and res.error_bound is None and res.no_bound_reason == _NO_BOUND
+    # a start on the boundary: the one step has no finite Hilbert distance
+    res = perron_iterate([[2.0, 1.0], [1.0, 2.0]], [1.0, 0.0], max_iter=1)
+    assert res.final_step_distance == 1.0 and res.error_bound is None and res.no_bound_reason == _NO_BOUND
+    # m = 1e-10, K near 5e9, and a step near 3e-5: tanh rounds to 1, which bounds nothing
+    res = perron_iterate([[1.0, 1e-5], [1e-5, 1.0]], [1.0, 0.5], max_iter=1)
+    assert 0.0 < res.final_step_distance < 1.0 and res.error_bound is None and res.no_bound_reason == _NO_BOUND
+    # above n = 512 too: no dimension limit
     res = perron_iterate(np.random.default_rng(38).uniform(0.5, 1.5, size=(513, 513)))
-    assert res.error_bound is None and res.no_bound_reason == _SKIPPED
+    assert res.error_bound is not None and res.no_bound_reason is None
+
+
+@pytest.mark.parametrize("M, f0, p_star", [
+    ([[1.0, 1e-20], [2e-20, 1.0]], None, [2.0 ** -0.5, 1.0]),
+    ([[1.0, 1e-20], [1e-20, 1.0]], [1.0, 0.5], [1.0, 1.0]),
+])
+def test_a_stalled_step_certifies_nothing_where_tau_rounds_to_1(M, f0, p_star):
+    # M @ p rounds to p, a step of 0 far from the ray; m near 1e-40 is a normal double, K near 1e39 is finite
+    res = perron_iterate(M, f0)
+    assert res.converged and res.final_step_distance == 0.0
+    assert pseudo_distance(res.eigenvector, p_star) > 0.1
+    assert res.error_bound is None and res.no_bound_reason == _NO_BOUND
+
+
+def test_the_bound_can_exceed_c_over_1_minus_c_times_the_step_where_k_is_below_1():
+    # tanh(K u) >= K tanh(u) for K < 1: on one large step, Birkhoff's bound is above c / (1 - c) * step
+    M = [[1.0, 0.8], [0.8, 1.0]]  # m = 0.64, K = c / (1 - c) = 0.28125
+    res = perron_iterate(M, [1.0, 0.1], max_iter=1)
+    c = contraction_coeff(M).c
+    assert c / (1.0 - c) * res.final_step_distance < 0.222 < 0.289 < res.error_bound < 0.290
+    assert pseudo_distance(res.eigenvector, [1.0, 1.0]) <= res.error_bound
+
+
+def _exact_pivot_pairs(M):
+    """Exact ``(aleph(h, M e_j), aleph(M e_j, h))`` for every column, ``h`` the column of ``M``'s first largest entry."""
+    cols = [list(map(float, col)) for col in np.asarray(M, dtype=float).T]
+    h = cols[int(np.unravel_index(np.argmax(M), np.shape(M))[1])]
+    return [(_exact.aleph(h, g), _exact.aleph(g, h)) for g in cols]
+
+
+def _exact_m_min(M):
+    """Exact smallest pair product of ``c(M)``: ``c = (1 - m_min) / (1 + m_min)``; 1 for a single column."""
+    cols = [list(map(float, col)) for col in np.asarray(M, dtype=float).T]
+    return min((_exact.m(f, g) for f, g in itertools.combinations(cols, 2)), default=Fraction(1))
+
+
+def _exact_bound(K, step):
+    """``tanh(K * atanh(step))`` to 60 significant digits, for a Fraction ``K``: the working precision grows with the
+    digits that ``1 + s`` and ``exp(2x) - 1`` cancel."""
+    with localcontext() as ctx:
+        s = Decimal(step)
+        ctx.prec = 70 + max(0, -s.adjusted())
+        x = Decimal(K.numerator) / Decimal(K.denominator) * ((1 + s) / (1 - s)).ln() / 2
+        ctx.prec = 70 + max(0, -x.adjusted())
+        e = (2 * x).exp()
+        return (e - 1) / (e + 1)
+
+
+_NORMAL, _HUGE, _TAU_ROUNDS_TO_1 = Fraction(2) ** -1022, Fraction(2) ** 1023, Fraction(2) ** -54
+
+
+def _check_pivot_constant(M):
+    """``perron._pivot_constant`` against the exact pivot ``m`` and ``c(M)``'s exact ``m_min``; returns it."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        K = perron._pivot_constant(np.asarray(M, dtype=float))
+    pairs = _exact_pivot_pairs(M)
+    m = min(min(a * b, Fraction(1)) for a, b in pairs)
+    if m <= _TAU_ROUNDS_TO_1:  # the pattern fails (m = 0, as where c = 1), or tau = (1 - m) / (1 + m) rounds to 1: no bound
+        assert K == math.inf
+        return K
+    if all(_NORMAL <= x < _HUGE for pair in pairs for x in pair) and m >= 4 * _TAU_ROUNDS_TO_1:
+        # K lies above its exact value, by no more than its rounding
+        assert (1 / m - 1) / 2 <= Fraction(K) <= ((1 / m) * (1 + Fraction(2) ** -49) - 1) / 2 * (1 + Fraction(2) ** -51)
+        # and below c / (1 - c) = (1/m_min - 1) / 2 exactly, wherever the pivot pairs' m does not round onto m_min
+        m_min = _exact_m_min(M)
+        assert m >= m_min
+        if m >= m_min * (1 + Fraction(2) ** -48):
+            assert Fraction(K) <= (1 / m_min - 1) / 2
+        return K
+    # at the ends of the double range and next to the cut on tau, only soundness: no bound, or one above the exact value
+    assert K == math.inf or Fraction(K) >= (1 / m - 1) / 2
+    return K
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(M=st.integers(1, 5).flatmap(lambda n: st.lists(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)))
+@example(M=[[1.0, 1e-310], [2.0, 1e-310]])  # aleph(M e_1, h) overflows while aleph(h, M e_1) > 0: m is 1/2, not inf
+def test_pivot_constant_lies_between_its_exact_value_and_c_over_1_minus_c_over_the_fuzz_entries(M):
+    M = np.array(M, dtype=float)
+    assume((M > 0.0).any(axis=0).all())
+    _check_pivot_constant(M)
+
+
+def test_pivot_constant_lies_between_its_exact_value_and_c_over_1_minus_c_on_random_matrices():
+    rng = np.random.default_rng(43)
+    finite = below_c = 0
+    for k in range(600):
+        n = int(rng.integers(1, 8))
+        M = [rng.uniform(0.1, 3.0, size=(n, n)), 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n)),
+             random_cone_preserving_matrix(rng, n), _perron_loop_matrix(max(n, 2), 0.02)][k % 4]
+        K = _check_pivot_constant(M)
+        finite += K < math.inf
+        below_c += K < math.inf and Fraction(K) < (1 / _exact_m_min(M) - 1) / 2
+    assert finite >= 400 and below_c >= 100
+
+
+def test_error_bound_is_at_least_the_exact_formula_at_the_reported_step():
+    rng = np.random.default_rng(44)
+    checked = 0
+    for k in range(300):
+        n = int(rng.integers(2, 7))
+        M = [rng.uniform(0.1, 3.0, size=(n, n)), 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n)), _perron_loop_matrix(n, 0.05)][k % 3]
+        res = perron_iterate(M, rng.uniform(0.0, 1.0, size=n), max_iter=int(rng.integers(1, 40)))
+        if res.error_bound is not None:
+            m = min(min(a * b, Fraction(1)) for a, b in _exact_pivot_pairs(M))
+            assert Decimal(res.error_bound) >= _exact_bound((1 / m - 1) / 2, res.final_step_distance)
+            checked += 1
+    assert checked >= 150
+    # the rounding of tanh, atanh and the product alone, from K = 1e-16 to 1e16 and steps from 5e-324 to 1 - 2**-53
+    for _ in range(3000):
+        K, step = float(10.0 ** rng.uniform(-16.0, 16.0)), float(10.0 ** -rng.uniform(0.0, 330.0))
+        step = step if rng.random() < 0.8 else 1.0 - step if step >= 2.0 ** -53 else step
+        bound = perron._error_bound(K, step)
+        if bound is not None:
+            assert Decimal(bound) >= _exact_bound(Fraction(K), step), (K, step)
+            checked += 1
+    assert checked >= 1500
 
 
 def _zeroed(a, zero_tol):
@@ -245,7 +377,6 @@ def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     p = normalize(_zeroed(as_cone_vector(np.ones(n) if f0 is None else f0, zero_tol), zero_tol))
-    c = contraction_coeff(M, zero_tol).c if n <= 512 else None
     M = _zeroed(M, zero_tol)
     step, iterations, converged = math.inf, 0, False
     for _ in range(max_iter):
@@ -257,9 +388,19 @@ def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
             converged = True
             break
     lower, upper = _validating_bracket(M, p, zero_tol)
-    error_bound = c / (1.0 - c) * step if c is not None and c < 1.0 else None
-    no_bound_reason = None if error_bound is not None else _SKIPPED if c is None else _NO_CERTIFICATE
-    return PerronResult(p, lower, upper, iterations, step, error_bound, converged, no_bound_reason)
+    error_bound = perron._error_bound(_validating_pivot_constant(M), step)
+    return PerronResult(p, lower, upper, iterations, step, error_bound, converged, None if error_bound is not None else _NO_BOUND)
+
+
+def _down(x):
+    return math.nextafter(x, 0.0)
+
+
+def _validating_pivot_constant(Z):
+    """Birkhoff's ``K`` of a zeroed matrix through public ``m_ratio`` on the pivot pairs, with the library's rounding."""
+    h = Z[:, np.unravel_index(np.argmax(Z), Z.shape)[1]]
+    m = _down(min(_down(r.aleph_fg) * _down(r.aleph_gf) for r in (m_ratio(h, g) for g in Z.T)))
+    return perron._up((perron._up(1.0 / m) - 1.0) / 2.0) if m > 0.0 and (1.0 - m) / (1.0 + m) < 1.0 else math.inf
 
 
 def _validating_bracket(M, p, zero_tol=0.0):
@@ -326,7 +467,7 @@ def test_loop_is_bitwise_the_validating_route():
         cases.append((f"start with zeros n={n}", random_cone_preserving_matrix(rng, n), {"f0": f0}))
     cases.append(("c = 1, max_iter", [[0.0, 1.0], [1.0, 0.0]], {"f0": [1.0, 2.0], "max_iter": 37}))
     cases.append(("block diagonal, max_iter", np.kron(np.eye(2), np.ones((2, 2))), {"f0": [1, 2, 3, 4], "max_iter": 5}))
-    cases.append(("dimension limit", _slowly_mixing(np.random.default_rng(39), 513), {"tol": 1e-9}))
+    cases.append(("n = 513", _slowly_mixing(np.random.default_rng(39), 513), {"tol": 1e-9}))
     M = _slowly_mixing(rng, 4)
     cases.append(("tol equal to the third step", M, {"tol": _validating_route(M, max_iter=3).final_step_distance}))
     # the iterates are read as computed: entries that fall below or rise above zero_tol are not thresholded
@@ -408,10 +549,9 @@ def test_loop_is_bitwise_the_validating_route_over_the_fuzz_entries(data, zero_t
     M = np.array(data.draw(st.lists(vectors, min_size=n, max_size=n)), dtype=float)
     assume((M > zero_tol).any(axis=0).all())  # the reference route does not check cone preservation
     kwargs = {"f0": data.draw(st.none() | vectors), "max_iter": data.draw(st.integers(1, 50)), "zero_tol": zero_tol}
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = _outcome(perron_iterate, M, **kwargs)
-    assert all(w.filename.endswith("matrices.py") for w in caught)  # c(M)'s raw warnings are a separate defect
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         want = _reference_outcome(M, **kwargs)
