@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import _support, psi
 from .matrices import ContractionReport, as_nonneg_matrix
-from .matrices import _contraction, _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
+from .matrices import _check_cone_preserving, _contraction, _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
 
 __all__ = [
     "FactorizationCertificate",
@@ -210,13 +210,14 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     value.  A value at or below ``zero_tol`` is a zero, in the sandwich and
     in its check.
 
-    Requires the value grid's zeros to be confined to all-zero rows or
-    columns; otherwise no finite ``A`` exists at this resolution and a
+    A column with no value above ``zero_tol`` is a ``ValueError``.  The
+    value grid's zeros must be confined to all-zero rows or columns;
+    otherwise no finite ``A`` exists at this resolution and a
     :class:`KernelPatternError` identifies an offending grid point.
-    ``ArithmeticError`` when the sandwich fails its check, as it does when
-    ``A`` overflows to ``inf``.
+    ``ArithmeticError`` when the sandwich fails its check (``A = inf``).
     """
     pos = _support(grid.values, zero_tol)
+    _check_cone_preserving(pos)
     offender = _first_pattern_offender(pos)
     if offender is not None:
         raise KernelPatternError(*offender)

@@ -116,7 +116,10 @@ class ContractionReport:
 
     ``is_strict`` is equivalent to ``c < 1``; ``a_star = psi_inverse(c)``,
     at most ``A**2`` for every sandwich's ``A``, is present exactly then.
-    ``witness`` is a pair of column indices attaining the coefficient.
+    ``witness`` is the first column pair ``(i, j)``, ``i < j``, in
+    row-major order at the largest distance ``c``.  Where the zero pattern
+    settles ``c = 1`` it is the first pair whose exact ``m`` is 0; a
+    1x1 matrix has the witness ``(0, 0)``.
     """
 
     c: float
@@ -128,7 +131,7 @@ class ContractionReport:
 
 # The one block of every pass of c(M) outside the n x n tables: rows of float64
 # M per step of the aleph scan (of the int16 log table, four times as many), and
-# rows of the pair table, columns of its row 0 and listed pairs per step.  The
+# columns of the pair table's row 0 and listed pairs per step.  The
 # scan takes max(1024 // n, 1) columns per step: each thread's buffer holds
 # 512 KB up to n = 1024 and 512 n bytes above.
 _SCAN_BLOCK_ROWS = 64
@@ -144,9 +147,8 @@ _PARALLEL_SCAN_MIN_DIM = 512
 
 
 # The screen's int16 log table: balanced logs in 0.._LOG_STEPS steps, whose
-# differences (-8191..8191) never wrap.  _LOG_BELOW marks the diagonal of the
-# exact pair ranges -(T + T.T) (-16382..16382), no pair.
-_LOG_STEPS, _LOG_BELOW = 8191, -32768
+# differences (-8191..8191) never wrap, nor do the pair ranges -(T + T.T).
+_LOG_STEPS = 8191
 
 
 def _usable_cpus() -> int:
@@ -225,31 +227,28 @@ def _listed_pair_distances(M: np.ndarray, i, j) -> np.ndarray:
     return _pair_distances(_aleph(f, g), _aleph(g, f))
 
 
-def _max_pair_distance(al: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Largest distance ``_pair_distances(al[i, j], al[j, i])`` over pairs ``i < j``, and its first pair.
+def _first_farthest(blocks) -> tuple[float, tuple[int, int]]:
+    """Largest distance over ``(d, rows, cols)`` blocks listed in row-major order, and its first pair: every route of ``c(M)`` that reads distances picks it here.
 
-    One block of ``_SCAN_BLOCK_ROWS`` rows at a time, where ``j <= i`` reads
-    -1.  The strict comparison across blocks and ``argmax`` within a block
-    keep the lexicographically smallest attaining pair.  A NaN distance (an
-    ``inf * 0`` product at the ends of the double range) wins at its first
-    occurrence, as a NaN does under ``argmax``.
+    ``d`` is a 1-d block of distances of the pairs ``(rows[k], cols[k])``,
+    ``rows`` and ``cols`` broadcasting to its length.  ``argmax`` within a
+    block and a strict ``>`` across blocks keep the first attaining pair.
+    A NaN distance (an ``inf * 0`` product at the ends of the double range)
+    wins where it first occurs, as under ``argmax``, and ends the reduction.
     """
-    n = al.shape[0]
-    best, witness = -1.0, (0, 1)
-    for i0 in range(0, n - 1, _SCAN_BLOCK_ROWS):
-        i1 = min(i0 + _SCAN_BLOCK_ROWS, n - 1)
-        d = np.where(np.arange(n) > np.arange(i0, i1)[:, None], _pair_distances(al[i0:i1], al[:, i0:i1].T), -1.0)
-        i, j = np.unravel_index(int(np.argmax(d)), d.shape)
-        v, pair = float(d[i, j]), (i0 + int(i), int(j))
-        if math.isnan(v):
-            return v, pair
-        if v > best:
-            best, witness = v, pair
-    return best, witness
+    best, pair = -1.0, (0, 1)
+    for d, rows, cols in blocks:
+        k = int(np.argmax(d))
+        v = float(d[k])
+        if v > best or math.isnan(v):
+            best, pair = v, tuple(int(ix[k]) for ix in np.broadcast_arrays(rows, cols, d)[:2])
+            if math.isnan(v):
+                break
+    return best, pair
 
 
 def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
-    """``_max_pair_distance`` of the float64 aleph table of ``P``, bit for bit, via an int16 log table; None where it does not split the pairs.
+    """The float64 scan's ``(c, witness)`` on the rows ``P``, bit for bit, via an int16 log table; None where it does not split the pairs.
 
     Under the guard of :func:`contraction_coeff`, at every size, on the
     rows ``P`` of :func:`_contraction`, which hold no zero.  ``c(M)``
@@ -281,8 +280,8 @@ def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[flo
     its ``R`` from below in one closed form; the constants' room and the
     ``- 1`` cover its own roundings.  The candidates, the pairs with ``R``
     at or above that cut, are recomputed by
-    :func:`_listed_pair_distances`, 64 at a time, the first largest in
-    row-major order winning; more than ``n`` of them (ties) give None.
+    :func:`_listed_pair_distances` 64 at a time, in row-major order, for
+    :func:`_first_farthest`; more than ``n`` of them (ties) give None.
     """
     n = P.shape[1]
     L = np.log2(P)
@@ -298,25 +297,23 @@ def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[flo
     del Q
     R = np.add(T, T.T)
     np.negative(R, out=R)
-    np.fill_diagonal(R, _LOG_BELOW)
-    r_max = int(R.max())
+    r_max = int(R.max())  # a pair's range is at least the diagonal's 0
 
     s = (2.0 + 4.0 * math.ldexp(max(log_hi, -log_lo), -49) / delta) * (1.0 + 2.0**-30)
     # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(P) / min(P)
     eta = math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
     m_hi = 2.0 ** ((s - r_max) * delta) * (1.0 + 2.0**-50) + eta
     cut = math.floor(-math.log2(min((m_hi + 2.0**-51 + eta) / (1.0 - 2.0**-50), 1.0)) / delta - s) - 1
-    hits = R >= max(cut, _LOG_BELOW + 1)  # each pair twice, as (i, j) and (j, i)
-    if np.count_nonzero(hits) > 2 * n:
+    hits = R >= cut
+    np.fill_diagonal(hits, False)
+    if np.count_nonzero(hits) > 2 * n:  # each pair twice, as (i, j) and (j, i)
         return None
     rows, cols = np.nonzero(hits)
     keep = rows < cols
     rows, cols = rows[keep], cols[keep]
-    d = np.empty(rows.size)
-    for s0 in range(0, d.size, _SCAN_BLOCK_ROWS):
-        d[s0:s0 + _SCAN_BLOCK_ROWS] = _listed_pair_distances(P, rows[s0:s0 + _SCAN_BLOCK_ROWS], cols[s0:s0 + _SCAN_BLOCK_ROWS])
-    k = int(np.argmax(d))
-    return float(d[k]), (int(rows[k]), int(cols[k]))
+    B = _SCAN_BLOCK_ROWS
+    return _first_farthest((_listed_pair_distances(P, rows[k:k + B], cols[k:k + B]), rows[k:k + B], cols[k:k + B])
+                           for k in range(0, rows.size, B))
 
 
 def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> ContractionReport:
@@ -326,13 +323,14 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     column rays, an entry at or below ``zero_tol`` counting as zero.  A
     matrix whose zero pattern is not uniformly positive has ``c = 1``,
     settled in O(d^2) (see :func:`_contraction`).  Otherwise all column
-    pairs are scanned in O(d^3) (see :func:`_aleph_columns`), then reduced
-    row by row in O(d) extra memory.  The witness is the lexicographically
-    smallest attaining pair.  When ``max(P) / min(P)`` is finite over the
-    rows ``P`` with support, no quotient of the scan overflows and no
-    distance is NaN, so the bound 1.0, once reached in row 0 of the pair
-    table (at most 2 d^2 divisions, in 64-column blocks), is the maximum
-    and settles ``c = 1`` with the scan's witness.  Under the same guard,
+    pairs are scanned in O(d^3) (see :func:`_aleph_columns`), then read
+    row by row over ``i < j`` in O(d) extra memory.  The witness follows
+    :class:`ContractionReport`'s rule: every route that reads distances
+    picks it with :func:`_first_farthest`.  When ``max(P) / min(P)`` is
+    finite over the rows ``P`` with support, no quotient of the scan
+    overflows and no distance is NaN, so the bound 1.0, where row 0 of the
+    pair table holds it (2 d^2 divisions, in 64-column blocks), is the
+    maximum and settles ``c = 1`` with the scan's witness.  Under the same guard,
     at every d, :func:`_screened_max_pair_distance` screens pairs on an
     int16 table of log differences and leaves the float64 scan only the
     inputs it cannot split (ties).
@@ -368,20 +366,17 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
         return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, int(np.argmax(differs))), method="definitional")
     used = pos[:, 0]
     P = M if used.all() else M[used]  # every row: M itself, no copy
-    guarded = _quotients_are_finite(P)
-    if guarded:
-        for j0 in range(1, n, _SCAN_BLOCK_ROWS):
-            hits = np.flatnonzero(_listed_pair_distances(P, slice(0, 1), slice(j0, j0 + _SCAN_BLOCK_ROWS)) == 1.0)
-            if hits.size:
-                return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, j0 + int(hits[0])), method="definitional")
+    B, col, farthest = _SCAN_BLOCK_ROWS, np.arange(n), None
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
-    screened = _screened_max_pair_distance(P, workers) if guarded else None
-    if screened is None:
-        table = _aleph_columns(P, workers)
-        del P  # a copy of M's rows is freed before the pair reduction's temporaries
-        screened = _max_pair_distance(table)
-    c, witness = screened
+    if _quotients_are_finite(P):  # the guard: row 0 of the pair table settles c = 1 where it holds the bound 1.0
+        farthest = _first_farthest((_listed_pair_distances(P, slice(0, 1), slice(j, j + B)), 0, col[j:j + B]) for j in range(1, n, B))
+        if farthest[0] < 1.0:
+            farthest = _screened_max_pair_distance(P, workers)
+    if farthest is None:
+        al = _aleph_columns(P, workers)
+        farthest = _first_farthest((_pair_distances(al[i, i + 1:], al[i + 1:, i]), i, col[i + 1:]) for i in range(n - 1))
+    c, witness = farthest
     a = psi_inverse(c) if c < 1.0 else None
     return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
 

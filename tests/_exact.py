@@ -22,15 +22,21 @@ def m(f, g, zero_tol: float = 0.0) -> Fraction:
     return min(aleph(f, g, zero_tol) * aleph(g, f, zero_tol), Fraction(1))
 
 
+def distance(f, g, zero_tol: float = 0.0) -> Fraction:
+    """Exact bounded-metric distance ``(1 - m) / (1 + m)`` of two cone vectors."""
+    p = m(f, g, zero_tol)
+    return (1 - p) / (1 + p)
+
+
+def image(M, f) -> list[Fraction]:
+    """Exact ``M @ f``."""
+    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, f)), Fraction(0)) for row in M]
+
+
 def contraction(M, zero_tol: float = 0.0) -> Fraction:
-    """Exact ``c(M)``: the largest ``(1 - m) / (1 + m)`` over pairs of columns; 0 for a single column."""
+    """Exact ``c(M)``: the largest :func:`distance` over pairs of columns; 0 for a single column."""
     cols = [list(col) for col in zip(*M)]
-    best = Fraction(0)
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            p = m(cols[i], cols[j], zero_tol)
-            best = max(best, (1 - p) / (1 + p))
-    return best
+    return max((distance(cols[i], cols[j], zero_tol) for i in range(len(cols)) for j in range(i + 1, len(cols))), default=Fraction(0))
 
 
 def first_pair_at_m_0(M, zero_tol: float = 0.0) -> tuple[int, int] | None:

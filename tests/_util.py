@@ -1,8 +1,9 @@
-"""Shared random-corpus generators, a batched distance helper and a ``_support`` spy."""
+"""Shared random-corpus generators, a batched distance helper, the float64 pair reduction and a ``_support`` spy."""
 
 import numpy as np
 
 from projcone import cone, pseudo_distance
+from projcone.matrices import _first_farthest, _pair_distances
 
 
 def random_cone_vector(rng, dim, zero_prob=0.0, log_uniform=False):
@@ -27,6 +28,12 @@ def random_cone_preserving_matrix(rng, dim, zero_prob=0.3):
         if mask[:, j].all():
             mask[int(rng.integers(dim)), j] = False
     return np.where(mask, 0.0, M)
+
+
+def farthest_pair(al):
+    """``(c, witness)`` of the float64 aleph table ``al``, read row by row over ``i < j`` by ``_first_farthest``."""
+    n = al.shape[0]
+    return _first_farthest((_pair_distances(al[i, i + 1:], al[i + 1:, i]), i, np.arange(i + 1, n)) for i in range(n - 1))
 
 
 def batch_pseudo_distance(F, G):

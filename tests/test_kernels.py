@@ -185,6 +185,15 @@ def test_a_row_at_or_below_zero_tol_is_a_zero_row_of_the_factorization():
     assert relate_certificate_to_coefficient(grid, 0.5) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("values, col", [([[0.3]], 0), ([[1.0, 0.3], [2.0, 0.2]], 1)])
+def test_a_column_at_or_below_zero_tol_has_no_factorization(values, col):
+    # the library names the column, not numpy's empty maximum or a certificate with g2[col] = 0
+    nodes, weights = uniform_grid(len(values))
+    grid = KernelGrid(nodes=nodes, weights=weights, values=values)
+    with pytest.raises(ValueError, match=f"column {col} has no positive entry"):
+        factorization_certificate(grid, 0.5)
+
+
 def test_factorization_is_valid_rejects_tampering():
     grid = tabulate_kernel(builtin_kernel("poly1xy"), 5)
     cert = factorization_certificate(grid)

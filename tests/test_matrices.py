@@ -33,10 +33,10 @@ from projcone import (
     uniform_positivity_certificate,
 )
 from projcone import matrices
-from projcone.matrices import _LOG_STEPS, _SCAN_BLOCK_ROWS, _aleph_columns, _max_pair_distance, _usable_cpus
+from projcone.matrices import _LOG_STEPS, _SCAN_BLOCK_ROWS, _aleph_columns, _usable_cpus
 
 import _exact
-from _util import assert_batch_matches_scalar, batch_pseudo_distance, random_cone_preserving_matrix, random_cone_vector
+from _util import assert_batch_matches_scalar, batch_pseudo_distance, farthest_pair, random_cone_preserving_matrix, random_cone_vector
 from test_cli_fuzz import ENTRIES
 
 
@@ -138,6 +138,19 @@ def test_a_pattern_that_is_not_strictly_contracting_has_c_1_and_a_witness_at_m_0
         assert (rep.c, rep.is_strict, rep.a_star) == (1.0, False, None)
         i, j = rep.witness
         assert _exact.m(M[:, i].tolist(), M[:, j].tolist(), zero_tol) == 0
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_theorem_1_holds_exactly_on_the_fuzz_entries(data):
+    # d(Mf, Mg) <= c(M) d(f, g) <= d(f, g) in rational arithmetic, with no tolerance, for cone-preserving M
+    n = data.draw(st.integers(2, 4))
+    vector = st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n)
+    M = data.draw(st.lists(vector, min_size=n, max_size=n))
+    f, g = data.draw(vector), data.draw(vector)
+    assume(all(any(row[j] > 0 for row in M) for j in range(n)) and any(f) and any(g))
+    d = _exact.distance(f, g)
+    assert _exact.distance(_exact.image(M, f), _exact.image(M, g)) <= _exact.contraction(M) * d <= d, (M, f, g)
 
 
 def test_contraction_coeff_deterministic_across_workers():
@@ -379,6 +392,9 @@ def _scan_corpus(rng, n):
     tiny = rng.uniform(0.0, 1e-310, size=(n, n))
     tiny[rng.random((n, n)) < 0.3] = 1.0
     tiny[0] = 5e-324
+    # pair (0, n - 1) alone has m near 1e-18, a distance of 1.0: the row-0 rule's witness, in row 0's last block
+    row_0 = rng.uniform(1.0, 2.0, size=(n, n))
+    row_0[0, 0] = row_0[-1, -1] = 1e-9
     return [
         ("dense", dense, 0.0),
         ("30% zeros", zeros, 0.0),
@@ -386,6 +402,8 @@ def _scan_corpus(rng, n):
         ("zero_tol 0.5", tol, 0.5),
         ("1e+-300", wide, 0.0),
         ("subnormal", tiny, 0.0),
+        ("row 0 at its last column", row_0, 0.0),
+        ("ties", rng.choice([1.0, 2.0, 3.0], size=(n, n)), 0.0),
     ]
 
 
@@ -394,8 +412,8 @@ def _same(a, b):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
-@pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 203, 256, 257])
-def test_blocked_scan_is_bitwise_the_per_row_formula(n):
+@pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 2 * _SCAN_BLOCK_ROWS + 2, 203, 256, 257])
+def test_blocked_scan_is_bitwise_the_per_row_formula(n, aleph_scans):
     # the table is built on the rows with support of a uniformly positive pattern, which hold no zero
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
@@ -405,7 +423,10 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n):
             P = M[pos.any(axis=1)]
             for workers in (1, 2):
                 assert np.array_equal(_aleph_columns(P, workers), al), (label, workers)
+        aleph_scans.clear()
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
+        if label == "row 0 at its last column":  # settled without a table
+            assert aleph_scans == [] and reports[0].c == float(n > 1)
         if n > 1:
             c, witness = _max_pair_distance_dense(al)
             assert _same(reports[0].c, c) and reports[0].witness == witness, label
@@ -554,7 +575,7 @@ def test_pattern_shortcut_is_bitwise_the_full_scan(aleph_scans):
         P = _rows_with_support(M, zt)
         with np.errstate(over="ignore", invalid="ignore"):
             al = _aleph_columns(P)
-            c, witness = _max_pair_distance(al)
+            c, witness = farthest_pair(al)
         assert _same(rep.c, c) and rep.witness == witness, label
         assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
         decides = _row_0_decides(P, al)
@@ -579,7 +600,7 @@ def test_pattern_shortcut_keeps_the_overflow_verdicts():
             continue
         P = _rows_with_support(M, zt)
         verdicts = []
-        for route in (lambda: contraction_coeff(M, zt), lambda: _max_pair_distance(_aleph_columns(P))):
+        for route in (lambda: contraction_coeff(M, zt), lambda: farthest_pair(_aleph_columns(P))):
             try:
                 with np.errstate(over="raise"):
                     rep = route()
@@ -617,7 +638,7 @@ def test_row_0_rule_finds_a_distance_of_1_past_its_first_block(aleph_scans):
     rep = contraction_coeff(M)
     assert rep.c == 1.0 and rep.witness == (0, 150) and rep.a_star is None
     assert aleph_scans == []
-    assert _max_pair_distance(_aleph_columns(M)) == (1.0, (0, 150))
+    assert farthest_pair(_aleph_columns(M)) == (1.0, (0, 150))
 
 
 def _route_matrix(rng, route):

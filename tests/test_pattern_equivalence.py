@@ -145,11 +145,14 @@ def test_zero_pattern_and_sandwich_match_reference_formulas():
             continue
         grid = KernelGrid(nodes=nodes, weights=weights, values=M)
         offender = _ref_offender(M, zt)
-        if offender is not None:
+        if dead is not None:  # cone preservation first, as for the matrix certificate
+            with pytest.raises(ValueError, match=f"column {dead} has no positive entry"):
+                factorization_certificate(grid, zt)
+        elif offender is not None:
             with pytest.raises(KernelPatternError) as info:
                 factorization_certificate(grid, zt)
             assert (info.value.row, info.value.col) == offender, label
-        elif (M > zt).any():
+        else:
             ref = _ref_factorization(M, zt)
             if factorization_is_valid(M, ref, zero_tol=zt):
                 assert _bits(factorization_certificate(grid, zt)) == _bits(ref), label
@@ -158,7 +161,4 @@ def test_zero_pattern_and_sandwich_match_reference_formulas():
                 with pytest.raises(ArithmeticError):
                     factorization_certificate(grid, zt)
                 unvalidated += 1
-        else:
-            with pytest.raises(ValueError):
-                factorization_certificate(grid, zt)
     assert certified > 100 and factorized > 100 and unvalidated == 0

@@ -4,16 +4,17 @@ import numpy as np
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from projcone import builtin_kernel, contraction_coeff, discretize, is_strictly_contracting, kernel_contraction_estimate, psi_inverse, tabulate_kernel
-from projcone.matrices import _aleph_columns, _max_pair_distance, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
+from projcone.matrices import _aleph_columns, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
 
 import _exact
+from _util import farthest_pair
 from test_perron import _perron_loop_matrix
 
 
 def _full_scan(P):
     """The float64 scan and pair reduction of rows ``P`` with no zero, which the screen must reproduce bit for bit."""
     with np.errstate(all="ignore"):
-        return _max_pair_distance(_aleph_columns(P))
+        return farthest_pair(_aleph_columns(P))
 
 
 def _screen(P, workers=1):
