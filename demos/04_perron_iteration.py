@@ -3,12 +3,16 @@
 
 When c(M) < 1 the projective action is a strict contraction, so the
 normalized iteration p -> normalize(M p) converges geometrically to the
-Perron ray, and the last step length yields a rigorous a-posteriori bound
-tanh(K * atanh(step)) on the remaining distance (Birkhoff), where
-K = (1/m - 1)/2 <= c/(1-c) comes from one pivot column of M in O(n^2).
-(For K < 1 and a large step the bound can still exceed c/(1-c) * step.)
-The eigenvalue is bracketed at every step by the extreme coordinate
-ratios (Mp)/p.
+Perron ray, and the last step yields a rigorous a-posteriori bound on the
+remaining distance (Birkhoff): in Hilbert's metric,
+d_H(p, p*) <= K d_H(v, p) + (1 + K) eps_H, where v is the iterate before
+p, K = (1/m - 1)/2 <= c/(1-c) comes from one pivot column of M in O(n^2),
+and eps_H covers the rounding of the last image; without eps_H the bound
+reads tanh(K * atanh(step)).  So a last step of 0 still leaves a bound of
+rounding size.  (For K < 1 and a large step the bound can still exceed
+c/(1-c) * step.)  Long runs jump ahead by binary powering of M and then
+step on, so the bound always comes from a plain step.  The eigenvalue is
+bracketed at every step by the extreme coordinate ratios (Mp)/p.
 """
 
 import numpy as np

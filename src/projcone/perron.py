@@ -10,20 +10,25 @@ boundary.  The error bound is Birkhoff's, from one pivot column ``h`` of
     ``m = min_j aleph(h, M e_j) * aleph(M e_j, h)``,
 
 every image lies in ``{z : s h <= z <= s h / m}``, a set of Hilbert
-diameter at most ``2 log(1/m)``, so ``M`` contracts Hilbert's metric by
-``tau <= (1 - m) / (1 + m)``, and in the bounded metric
+diameter at most ``2 log(1/m)``, so ``M`` contracts Hilbert's metric ``d_H`` by
+``tau <= (1 - m) / (1 + m)``.  With ``K = tau / (1 - tau) = (1/m - 1) / 2``, ``v`` the last iterate before ``p``, and
+``eps_H`` a bound on ``d_H`` from ``p`` to the exact ray of ``M v`` (the last image's rounding),
 
-    ``d(p_final, p*) <= tanh(K * atanh(d(p_prev, p_final)))``, ``K = tau / (1 - tau) = (1/m - 1) / 2``.
+    ``d_H(p, p*) <= K d_H(v, p) + (1 + K) eps_H``, reported as ``d(p, p*) <= tanh`` of half of it.
 
-``m`` is at least ``c(M)``'s smallest pair product, so ``K <= c / (1 - c)``.
-For ``K >= 1``, ``tanh(K u) <= K tanh(u)``, so the bound is at most ``c / (1 - c) * step``; for ``K < 1`` the
-inequality turns, and on a large step the bound can exceed ``c / (1 - c) * step`` (about 0.290 against 0.221 for
-``[[1, 0.8], [0.8, 1]]`` from ``[1, 0.1]`` after one step).
+Without ``eps_H`` this is ``tanh(K * atanh(step))``, which a step at rounding level, or of exactly 0, would
+certify as near 0 however far the rounding left ``p`` from the ray.  ``m`` is at least ``c(M)``'s smallest pair
+product, so ``K <= c / (1 - c)``.  For ``K >= 1``, ``tanh(K u) <= K tanh(u)``, so the step's share is at most
+``c / (1 - c) * step``; for ``K < 1`` the inequality turns, and on a large step the bound can exceed
+``c / (1 - c) * step`` (about 0.290 against 0.221 for ``[[1, 0.8], [0.8, 1]]`` from ``[1, 0.1]`` after one step).
 
 Eigenvalue estimates come from the extreme coordinate ratios
 ``(M p) / p``, which bracket the Perron eigenvalue at every iterate.
 A step is ``M.dot`` and ``argmax`` (on a C-ordered ``M``, ``dot`` gives ``matmul``'s bits at half
-its dispatch cost); steps are tested in batches sized by the observed rate, which changes no output.
+its dispatch cost); steps are tested in batches sized by the observed rate, which changes no output.  Where the
+rate predicts a long run, the loop jumps instead: it applies ``M^k`` by binary powering, ``floor(log2 k)`` n x n
+products in place of ``k`` steps, and then steps on, so the reported iterate, step and bound always come from plain
+steps.
 """
 
 from __future__ import annotations
@@ -51,11 +56,15 @@ class PerronResult:
     """Outcome of projective power iteration.
 
     ``eigenvector`` is the canonical (sup-norm 1) representative of the last
-    iterate.  ``error_bound`` is the certified bounded-metric distance from
-    it to the true fixed ray, from the pivot constant of the module
-    docstring, rounded upward.  It is absent where the pivot ``m`` rounds
-    to 0 (as it does whenever ``c = 1``) or ``tau = (1 - m)/(1 + m)`` rounds
-    to 1, where the last step is 1, and where the bound is not below 1;
+    iterate, which is ``M^iterations f0`` up to rounding: a jump of ``k``
+    powers counts as ``k`` iterations.  ``error_bound`` is the certified
+    bounded-metric distance from it to the true fixed ray, from the pivot
+    constant of the module docstring and the rounding term ``eps_H`` of
+    the last step, rounded upward.  It is absent where the pivot ``m``
+    rounds to 0 (as it does whenever ``c = 1``) or ``tau = (1 - m)/(1 + m)``
+    rounds to 1, where the last step is 1, and where the bound is not
+    below 1, which includes an infinite ``eps_H`` (the last image lost an
+    entry to underflow, or its relative error can reach 1);
     ``no_bound_reason`` then says so, in one text for all these cases.
     """
 
@@ -99,7 +108,7 @@ def _pivot_constant(Z: np.ndarray) -> float:
     Where ``tau = (1 - m) / (1 + m)`` rounds to 1 (``m`` below about ``2**-54``, ``K`` above about ``2**53``), a float
     step can stall far from the ray: on ``[[1, 1e-20], [2e-20, 1]]``, ``M @ [1, 1]`` rounds to ``[1, 1]``, a step of 0,
     while the Perron vector is near ``[0.707, 1]``.  Such a ``K`` times the step's rounding floor is not below 1, so it
-    certifies nothing.  Below that cut the rounding of the steps is still left out of the bound, as ``c(M)``'s was.
+    certifies nothing.  Below that cut the last step's rounding enters the bound as :func:`_error_bound`'s ``eps_H``.
     """
     h = Z[:, _first_argmax(Z)[1], None]
     products = np.nextafter(_aleph(h, Z), 0.0) * np.nextafter(_aleph(Z, h), 0.0)
@@ -107,18 +116,55 @@ def _pivot_constant(Z: np.ndarray) -> float:
     return _up((_up(1.0 / m) - 1.0) / 2.0) if m > 0.0 and (1.0 - m) / (1.0 + m) < 1.0 else math.inf
 
 
-def _error_bound(K: float, step: float) -> float | None:
-    """``tanh(K * atanh(step))``, rounded upward; None where it is not below 1, ``K`` is ``inf`` or ``step`` is 1.
+def _power(M: np.ndarray, p: np.ndarray, k: int) -> np.ndarray | None:
+    """``M^k p`` scaled to a largest entry of 1, by binary powering of ``P = M / max(M)``; None where an image underflows to 0.
 
-    A step of 1 has no finite Hilbert distance, and a step of 0 gives 0 exactly.  The product is correctly rounded, so
-    one ulp up covers it, an underflow to 0 included; ``tanh`` and ``atanh`` take two, above the error of common libm
-    implementations.
+    For each set bit of ``k``, lowest first, the current power is applied and the image normalized; between bits the
+    power is squared and rescaled to a largest entry of 1, so one n x n power is held at a time and no entry exceeds
+    ``n``.  ``floor(log2 k)`` squarings replace ``k`` steps.  ``P`` is C-ordered, so every layout of ``M`` gives the same
+    bits.
     """
-    if K == math.inf or step == 1.0:
+    P = np.ascontiguousarray(M / M.max())
+    while True:
+        if k & 1:
+            q = P.dot(p)
+            top = q.max()
+            if not top > 0.0:
+                return None
+            p = q / top
+        k >>= 1
+        if not k:
+            return p
+        P = P @ P
+        P /= P.max()
+
+
+def _error_bound(K: float, M: np.ndarray, v: np.ndarray, p: np.ndarray, top: float) -> float | None:
+    """Upper bound on ``d(p, p*)`` for the computed step ``p = fl(fl(M v) / top)``, ``top`` the image's largest entry; None
+    where it is not below 1.  Under the caller's errstate.
+
+    With ``T`` the exact projective map, ``d_H(p, p*) <= d_H(p, T v) + tau d_H(v, p*)``, and the triangle inequality on
+    ``d_H(v, p*)`` gives ``d_H(p, p*) <= K d_H(v, p) + (1 + K) eps_H``, returned as ``tanh`` of its half.  ``d_H(v, p)``
+    is ``-log`` of the alephs' product, each rounded toward 0 as in :func:`_pivot_constant`.  ``eps_H`` bounds
+    ``d_H(p, T v)``: a nonnegative dot product of length ``n`` is within ``gamma_n`` of its exact value, relatively,
+    plus ``n 2**-1075`` for products that underflow, and the division by ``top`` adds ``2**-53`` and ``2**-1075``, so
+    every entry of ``p`` on its support is within ``e = gamma_{n+1} + (1 + n / top) 2**-1074 / min(p)`` of its exact
+    ray's, relatively, and ``eps_H = log((1 + e) / (1 - e))``.  No bound where ``e >= 1``, or where an entry of ``p``
+    is 0 while its exact image is not (the ray moved off a face); that check alone is O(n^2), where ``p`` has a zero.
+    Every term is rounded upward; ``log``, ``log1p`` and ``tanh`` take two ulps.
+    """
+    n = p.size
+    m = math.nextafter(float(np.nextafter(_aleph(v, p), 0.0) * np.nextafter(_aleph(p, v), 0.0)), 0.0)
+    support = p > 0.0
+    if K == math.inf or not m > 0.0 or (not support.all() and (M.dot(v > 0.0) > 0.0)[~support].any()):
         return None
-    if step == 0.0:
-        return 0.0
-    bound = _up(math.tanh(_up(K * _up(math.atanh(step), 2))), 2)
+    gamma = _up((n + 1) * 2.0 ** -53 / (1.0 - (n + 1) * 2.0 ** -53))
+    e = _up(gamma + _up(_up(_up(n * _up(2.0 ** -1074 / top)) + 2.0 ** -1074) / float(p[support].min())))  # no n / top to overflow
+    if not e < 1.0:
+        return None
+    eps = _up(math.log1p(_up(2.0 * e / math.nextafter(1.0 - e, 0.0))), 2)
+    x = _up(_up(K * _up(-math.log(m), 2)) + _up(_up(1.0 + K) * eps))
+    bound = _up(math.tanh(_up(x / 2.0)), 2)
     return bound if bound < 1.0 else None
 
 
@@ -194,7 +240,14 @@ def perron_iterate(
     Steps are tested in batches: one step, then as many as the rate of the
     last two steps needs to reach ``tol``, rounded down and clipped to [1, 128].
     A batch may step past its converging step when the rate quickens within
-    it.  Every output, refusals included, is that of testing each step.
+    it.  Where that rate is below 1 and its prediction ``size`` exceeds
+    ``n * size.bit_length()``, so that ``floor(log2 size)`` n x n products
+    cost less than ``size`` steps, the loop jumps ``min(size, max_iter -
+    iterations - 1)`` powers of ``M`` instead, and then tests steps one, one,
+    then by the rate again; a jump may pass the converging step too.  No
+    jump is taken where ``2 n max(M)`` overflows, so every refusal is raised
+    where testing each step raises it; runs with no jump give the outputs
+    of testing each step.
     """
     M = as_nonneg_matrix(M)
     _check_cone_preserving(pos := _support(M, zero_tol))
@@ -216,18 +269,20 @@ def perron_iterate(
     # A batch's iterates are the columns of V; its steps are measured after it, and the first within tol ends the loop.
     V = np.empty((n, min(max_iter, _MAX_BATCH) + 1), order="F")
     V[:, 0] = p
-    cols = list(V.T)  # the contiguous columns, as views
+    cols, tops = list(V.T), [math.nan] * V.shape[1]  # the contiguous columns, as views, and the images' largest entries
     iterations, size, step, prev, refusal = 0, 1, math.nan, math.nan, None
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K = _pivot_constant(M)
+        # a step's image is at most n max(M) (1 + gamma_{n-1}) < 2 n max(M): where that is finite no step is refused
+        jumps = 2.0 * n * float(M.max()) < math.inf
         while True:
             for k in range(1, size + 1):
                 try:
-                    q, top = _image(M, cols[k - 1], zero_tol, cols[k])
+                    q, tops[k] = _image(M, cols[k - 1], zero_tol, cols[k])
                 except ValueError as exc:
                     refusal, k = exc, k - 1  # the refused image is no iterate
                     break
-                q /= top
+                q /= tops[k]
             steps = _listed_pair_distances(V[:, : k + 1], slice(None, -1), slice(1, None))
             hits = np.flatnonzero(steps <= tol)
             if not hits.size and refusal:
@@ -240,10 +295,13 @@ def perron_iterate(
             V[:, 0] = V[:, k]
             rate = step / prev if prev > 0.0 else math.nan  # undefined after the first step, where a batch is 1 step
             size = 1 if not rate > 0.0 else _MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
+            if jumps and rate < 1.0 and size > n * size.bit_length() and (jump := min(size, max_iter - iterations - 1)):
+                if (w := _power(M, V[:, 0], jump)) is not None:
+                    V[:, 0], iterations, size, step = w, iterations + jump, 1, math.nan  # the next step has no previous one
             size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
-    p = V[:, k].copy()
+        p = V[:, k].copy()
+        bound = _error_bound(K, M, V[:, k - 1], p, float(tops[k]))
     lower, upper = _eigenvalue_bracket(M, p, zero_tol)
-    bound = _error_bound(K, step)
     return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
                         error_bound=bound, converged=step <= tol,
                         no_bound_reason=None if bound is not None else

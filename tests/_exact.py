@@ -3,12 +3,15 @@
 Every float is a dyadic rational, so ``fractions.Fraction`` holds each input
 entry, quotient and product without error.  The oracle shares no code with
 the library and uses only the standard library; it is for small inputs
-(``c`` of an n x n matrix costs O(n^3) Fraction operations).  Arguments are
-sequences of Python floats; a matrix is a list of rows.
+(``c`` of an n x n matrix costs O(n^3) Fraction operations).  The 2 x 2
+Perron ray holds a square root, so it is a ``Decimal`` of a chosen
+precision.  Arguments are sequences of Python floats; a matrix is a list
+of rows.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -43,3 +46,39 @@ def first_pair_at_m_0(M, zero_tol: float = 0.0) -> tuple[int, int] | None:
     """First column pair ``(i, j)``, ``i < j``, in row-major order whose exact ``m`` is 0, or None."""
     cols = [list(col) for col in zip(*M)]
     return next(((i, j) for i in range(len(cols)) for j in range(i + 1, len(cols)) if m(cols[i], cols[j], zero_tol) == 0), None)
+
+
+def _decimal(x: Fraction) -> Decimal:
+    """``x`` rounded to the context's precision."""
+    return Decimal(x.numerator) / Decimal(x.denominator)
+
+
+def perron_ray_2x2(M, digits: int = 80) -> list[Decimal] | None:
+    """The Perron eigenvector of a nonnegative ``[[a, b], [c, d]]`` to ``digits`` significant digits, from the larger root
+    ``lambda`` of its characteristic quadratic; None where every ray is an eigenray (``b = c = 0`` and ``a = d``).
+
+    ``(lambda - d, c)`` and ``(b, lambda - a)`` both solve ``(M - lambda) x = 0``, and the first that is not 0 is
+    returned.  ``lambda - x = ((y - x) + s) / 2`` with ``s = sqrt((a - d)^2 + 4 b c)`` is taken as ``2 b c / (s + x - y)``
+    where ``y < x``, so no digits cancel.
+    """
+    (a, b), (c, d) = ([Fraction(x) for x in row] for row in M)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        s = _decimal((a - d) ** 2 + 4 * b * c).sqrt()
+
+        def above(x, y):
+            return (_decimal(y - x) + s) / 2 if y >= x else _decimal(2 * b * c) / (s + _decimal(x - y))
+
+        return next((ray for ray in ([above(d, a), _decimal(c)], [_decimal(b), above(a, d)]) if any(ray)), None)
+
+
+def ray_distance(f, x, digits: int = 80) -> Decimal:
+    """Bounded-metric distance from a float vector ``f`` to a Decimal vector ``x``, to ``digits`` digits; 1 where their supports differ."""
+    f = [Decimal(a) for a in f]
+    if [a > 0 for a in f] != [b > 0 for b in x]:
+        return Decimal(1)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pairs = [(a, b) for a, b in zip(f, x) if a > 0]
+        p = min(b / a for a, b in pairs) * min(a / b for a, b in pairs)
+        return (1 - p) / (1 + p)

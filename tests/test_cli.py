@@ -372,9 +372,9 @@ _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
     (
         "1e-310,1e-310\n1e-310,2e-310\n",
         '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
-        '"results": {"eigenvector": [0.61803398874998616,1],"eigenvalue_lower": 2.6180339887495736e-310,'
-        '"eigenvalue_upper": 2.6180339887500183e-310,"iterations": 15,"final_step_distance": 4.4902970230984616e-13,'
-        '"converged": true,"error_bound": 2.2451485115492356e-13},"warnings": []}\n',
+        '"results": {"eigenvector": [0.61803398874990678,1],"eigenvalue_lower": 2.6180339887498207e-310,'
+        '"eigenvalue_upper": 2.6180339887499689e-310,"iterations": 16,"final_step_distance": 6.6668892628745093e-14,'
+        '"converged": true,"error_bound": 1.2552212194336434e-13},"warnings": []}\n',
     ),
     (
         "1,1e-310,1e300,1e-310\n" * 4,
@@ -389,7 +389,7 @@ _PERRON_AT_THE_ENDS_OF_THE_DOUBLE_RANGE = [
         "1e-300,0.3,0\n1e-300,1,2\n1e-310,0,1e-310\n",
         '{"command": "perron","inputs": {"file": "FILE","tol": 9.9999999999999998e-13,"max_iter": 10000,"zero_tol": 0},'
         '"results": {"eigenvector": [0.29999999999999999,1,2.9999999999998426e-311],"eigenvalue_lower": 1,'
-        '"eigenvalue_upper": 1,"iterations": 4,"final_step_distance": 0,"converged": true},'
+        '"eigenvalue_upper": 1,"iterations": 278,"final_step_distance": 8.2323037275962135e-14,"converged": true},'
         '"warnings": ["no error bound: the pivot constant certifies no contraction (m = 0, as where c = 1, or tau rounds to 1), '
         'the last step is 1, or the bound is not below 1"]}\n',
     ),

@@ -102,12 +102,13 @@ def test_iterates_below_zero_tol_are_measured_as_computed():
 
 
 def test_zero_tol_zeroes_the_matrix_it_iterates():
-    # c(M) is that of M with 0.1 and 0.3 set to 0, rank one (c = 0): the iteration, its bracket and its error bound 0
-    # are those of that matrix, whose Perron pair is 1 and (1, 0)
+    # c(M) is that of M with 0.1 and 0.3 set to 0, rank one (c = 0): the iteration, its bracket and its error bound
+    # are those of that matrix, whose Perron pair is 1 and (1, 0); the bound is the rounding term of the last image alone
     M = [[1.0, 1.0], [0.1, 0.3]]
     res = perron_iterate(M, zero_tol=0.5)
     assert _bits(res) == _bits(perron_iterate([[1.0, 1.0], [0.0, 0.0]]))
-    assert (res.eigenvalue_lower, res.eigenvalue_upper, res.error_bound, res.eigenvector.tolist()) == (1.0, 1.0, 0.0, [1.0, 0.0])
+    assert (res.eigenvalue_lower, res.eigenvalue_upper, res.eigenvector.tolist()) == (1.0, 1.0, [1.0, 0.0])
+    assert 3 * 2.0 ** -53 < res.error_bound < 4 * 2.0 ** -53  # about gamma_3
 
 
 def test_perron_input_validation():
@@ -280,16 +281,28 @@ def _exact_m_min(M):
     return min((_exact.m(f, g) for f, g in itertools.combinations(cols, 2)), default=Fraction(1))
 
 
-def _exact_bound(K, step):
-    """``tanh(K * atanh(step))`` to 60 significant digits, for a Fraction ``K``: the working precision grows with the
-    digits that ``1 + s`` and ``exp(2x) - 1`` cancel."""
+def _exact_bound(K, d, e):
+    """``tanh(K atanh(d) + (1 + K) atanh(e))`` to 60 significant digits, for Fractions ``K``, ``d`` and ``e``: the
+    bound's exact value, ``d`` the bounded distance of the last step and ``e`` the rounding term's relative error.  The
+    working precision grows with the digits that ``1 + s`` and ``exp(2x) - 1`` cancel."""
     with localcontext() as ctx:
-        s = Decimal(step)
-        ctx.prec = 70 + max(0, -s.adjusted())
-        x = Decimal(K.numerator) / Decimal(K.denominator) * ((1 + s) / (1 - s)).ln() / 2
+        x = Decimal(0)
+        for weight, s in ((K, d), (1 + K, e)):
+            if s:
+                t = 2 * s / (1 - s)  # atanh(s) = log(1 + t) / 2, with 1 + t exact
+                ctx.prec = 70 + max(0, -(Decimal(t.numerator) / Decimal(t.denominator)).adjusted())
+                x += Decimal(weight.numerator) / Decimal(weight.denominator) * ((Decimal((1 + t).numerator) / Decimal((1 + t).denominator)).ln() / 2)
+        if not x:
+            return x
         ctx.prec = 70 + max(0, -x.adjusted())
         e = (2 * x).exp()
         return (e - 1) / (e + 1)
+
+
+def _exact_rounding_error(n, p, top):
+    """Exact ``e = gamma_{n+1} + (1 + n / top) 2**-1074 / min(p)`` over the support of ``p``."""
+    u = Fraction(2) ** -53
+    return (n + 1) * u / (1 - (n + 1) * u) + (1 + n / Fraction(top)) * Fraction(2) ** -1074 / Fraction(min(x for x in p if x > 0.0))
 
 
 _NORMAL, _HUGE, _TAU_ROUNDS_TO_1 = Fraction(2) ** -1022, Fraction(2) ** 1023, Fraction(2) ** -54
@@ -346,21 +359,56 @@ def test_error_bound_is_at_least_the_exact_formula_at_the_reported_step():
     for k in range(300):
         n = int(rng.integers(2, 7))
         M = [rng.uniform(0.1, 3.0, size=(n, n)), 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n)), _perron_loop_matrix(n, 0.05)][k % 3]
-        res = perron_iterate(M, rng.uniform(0.0, 1.0, size=n), max_iter=int(rng.integers(1, 40)))
+        kwargs = {"f0": rng.uniform(0.0, 1.0, size=n), "max_iter": int(rng.integers(1, 40))}
+        res = perron_iterate(M, **kwargs)
         if res.error_bound is not None:
+            _, v, top, _ = _validating_run(M, **kwargs)
             m = min(min(a * b, Fraction(1)) for a, b in _exact_pivot_pairs(M))
-            assert Decimal(res.error_bound) >= _exact_bound((1 / m - 1) / 2, res.final_step_distance)
+            p = list(map(float, res.eigenvector))
+            want = _exact_bound((1 / m - 1) / 2, _exact.distance(list(map(float, v)), p), _exact_rounding_error(n, p, top))
+            assert Decimal(res.error_bound) >= want
             checked += 1
     assert checked >= 150
-    # the rounding of tanh, atanh and the product alone, from K = 1e-16 to 1e16 and steps from 5e-324 to 1 - 2**-53
+    # the rounding of every term alone, from K = 1e-16 to 1e16, steps from 5e-324 to 1 - 2**-53, and images from
+    # subnormal to huge whose smallest entry is from 1 down to subnormal
+    ones = np.ones((2, 2))
     for _ in range(3000):
-        K, step = float(10.0 ** rng.uniform(-16.0, 16.0)), float(10.0 ** -rng.uniform(0.0, 330.0))
-        step = step if rng.random() < 0.8 else 1.0 - step if step >= 2.0 ** -53 else step
-        bound = perron._error_bound(K, step)
+        K, x = float(10.0 ** rng.uniform(-16.0, 16.0)), float(10.0 ** -rng.uniform(0.0, 330.0))
+        p, top = np.array([1.0, x]), float(10.0 ** rng.uniform(-320.0, 300.0))
+        v = np.array([1.0, float(x * (1.0 + 10.0 ** -rng.uniform(0.0, 17.0)))]) if rng.random() < 0.8 else np.array([x, 1.0])
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            bound = perron._error_bound(K, ones, v, p, top)
         if bound is not None:
-            assert Decimal(bound) >= _exact_bound(Fraction(K), step), (K, step)
+            want = _exact_bound(Fraction(K), _exact.distance(list(v), list(p)), _exact_rounding_error(2, p, top))
+            assert Decimal(bound) >= want, (K, v, p, top)
             checked += 1
     assert checked >= 1500
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(M=st.lists(st.lists(st.sampled_from(ENTRIES), min_size=2, max_size=2), min_size=2, max_size=2), tol=st.sampled_from([1e-12, 1e-300]))
+@example(M=[[2.0, 0.3], [1.0, 1.0]], tol=1e-300)  # a step of 0 next to the ray, which the bound without the rounding term certified as 0
+@example(M=[[1e20, 2e20], [1e-300, 3e-300]], tol=1e-12)  # the eigenvector's second entry is subnormal: the division by top rounds it
+def test_error_bound_holds_against_the_exact_2x2_perron_ray_over_the_fuzz_entries(M, tol):
+    assume((np.array(M) > 0.0).any(axis=0).all())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = _outcome(perron_iterate, M, tol=tol)
+    ray = _exact.perron_ray_2x2(M)
+    if isinstance(res, str) or res.error_bound is None or ray is None:
+        return
+    assert Decimal(res.error_bound) >= _exact.ray_distance(res.eigenvector, ray)
+
+
+def test_error_bound_holds_against_the_exact_2x2_perron_ray_at_the_rounding_level():
+    # at tol 1e-300 the runs end on a step of rounding size, or 0, where the bound is its rounding term alone
+    rng = np.random.default_rng(7)
+    below = 0
+    for _ in range(400):
+        M = rng.uniform(0.1, 3.0, size=(2, 2))
+        res = perron_iterate(M, tol=1e-300)
+        below += Decimal(res.error_bound) < _exact.ray_distance(res.eigenvector, _exact.perron_ray_2x2(M.tolist()))
+    assert below == 0
 
 
 def _zeroed(a, zero_tol):
@@ -368,28 +416,68 @@ def _zeroed(a, zero_tol):
     return np.where(a > zero_tol, a, 0.0)
 
 
-def _validating_route(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
-    """The loop through the public, validating functions: normalize, pseudo_distance, aleph.
+def _validating_run(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
+    """The loop through the public, validating functions (normalize, pseudo_distance, aleph) and numpy products: the
+    result, the last iterate ``v`` before the eigenvector, the largest entry of ``M v``, and the schedule, a list of
+    ``("batch", size)`` and ``("jump", power)``.
 
     ``zero_tol`` zeroes entries of ``M`` and ``f0`` and refuses an image whose largest entry is at or below it; the
-    iterates are measured as computed, at ``zero_tol = 0``.
+    iterates are measured as computed, at ``zero_tol = 0``.  The schedule is the library's: one step, one step, then
+    as many as the rate of the last two steps needs to reach ``tol``, clipped to [1, 128] and to the budget; where that
+    rate is below 1, ``2 n max(M)`` is finite and the prediction ``size`` exceeds ``n * size.bit_length()``, a jump of
+    ``min(size, max_iter - iterations - 1)`` powers of ``M`` instead, after which the schedule starts again.
     """
     M = np.asarray(M, dtype=float)
     n = M.shape[1]
     p = normalize(_zeroed(as_cone_vector(np.ones(n) if f0 is None else f0, zero_tol), zero_tol))
     M = _zeroed(M, zero_tol)
-    step, iterations, converged = math.inf, 0, False
-    for _ in range(max_iter):
-        q = normalize(M @ p, zero_tol)
-        step = pseudo_distance(p, q)
-        p = q
-        iterations += 1
-        if step <= tol:
-            converged = True
+    jumps = 2.0 * n * float(M.max()) < math.inf
+    v, top, iterations, size, steps, schedule = p, math.nan, 0, 1, [], []
+    while True:
+        schedule.append(("batch", size))
+        for _ in range(size):
+            image = M @ p
+            q = normalize(image, zero_tol)
+            steps.append(pseudo_distance(p, q))
+            v, top, p = p, image.max(), q
+            iterations += 1
+            if steps[-1] <= tol:
+                break
+        if steps[-1] <= tol or iterations == max_iter:
             break
+        step, prev = steps[-1], steps[-2] if len(steps) > 1 else math.nan
+        rate = step / prev if prev > 0.0 else math.nan
+        size = 1 if not rate > 0.0 else perron._MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
+        jump = min(size, max_iter - iterations - 1)
+        if jumps and rate < 1.0 and size > n * size.bit_length() and jump > 0 and (w := _validating_power(M, p, jump)) is not None:
+            schedule.append(("jump", jump))
+            p, iterations, size, steps = w, iterations + jump, 1, []
+        size = min(max(size, 1), perron._MAX_BATCH, max_iter - iterations)
     lower, upper = _validating_bracket(M, p, zero_tol)
-    error_bound = perron._error_bound(_validating_pivot_constant(M), step)
-    return PerronResult(p, lower, upper, iterations, step, error_bound, converged, None if error_bound is not None else _NO_BOUND)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        error_bound = perron._error_bound(_validating_pivot_constant(M), M, v, p, top)
+    res = PerronResult(p, lower, upper, iterations, steps[-1], error_bound, steps[-1] <= tol, None if error_bound is not None else _NO_BOUND)
+    return res, v, top, schedule
+
+
+def _validating_route(M, **kwargs):
+    return _validating_run(M, **kwargs)[0]
+
+
+def _validating_power(M, p, k):
+    """``M^k p`` normalized, by binary powering of ``M / max(M)`` with numpy products; None where an image vanishes."""
+    P = np.ascontiguousarray(M / M.max())
+    while True:
+        if k & 1:
+            image = P @ p
+            if not image.max() > 0.0:
+                return None
+            p = normalize(image)
+        k >>= 1
+        if not k:
+            return p
+        P = P @ P
+        P = P / P.max()
 
 
 def _down(x):
@@ -445,14 +533,38 @@ def _perron_loop_matrix(n, eps):
 
 
 def _batch_rule_cases():
-    """Cases for the loop's rate-sized batches: long runs, budgets around the largest batch, one step, a large n."""
+    """Cases for the loop's schedule: long runs that jump, one cut by the budget, budgets around the largest batch, one
+    step, a large n, and a slowly mixing matrix at 1e308 scale, where the steps could overflow and no jump is taken."""
     slow = _perron_loop_matrix(8, 0.01)
-    cases = [(f"perron-loop n={n} eps=0.01", _perron_loop_matrix(n, 0.01), {}) for n in (8, 128)]
+    cases = [(f"perron-loop n={n} eps={eps}", _perron_loop_matrix(n, eps), {}) for n, eps in ((8, 0.01), (16, 0.01), (128, 0.01))]
+    cases.append(("perron-loop n=8, a jump cut by max_iter", slow, {"max_iter": 60}))
     B = perron._MAX_BATCH
     cases += [(f"max_iter {k}", slow, {"max_iter": k}) for k in (1, 2, B - 1, B, B + 1, 2 * B + 1)]
     cases.append(("rank one, converges on step 1", np.outer([1.0, 2.0, 3.0], [0.5, 1.0, 4.0]), {"f0": [2.0, 4.0, 6.0]}))
     cases.append(("slow n=600", _slowly_mixing(np.random.default_rng(40), 600), {}))
+    cases.append(("perron-loop n=8 at 1e308 scale", 1e308 * slow, {}))
     return cases
+
+
+def _schedule(M, monkeypatch, **kwargs):
+    """The batches and jumps of ``perron_iterate``, as ``_validating_run`` lists them: a batch's size is read off the
+    step distances the pair kernel measures after it, a jump's power off ``_power``."""
+    schedule, kernel, power = [], perron._listed_pair_distances, perron._power
+
+    def measured(W, i, j):
+        steps = kernel(W, i, j)
+        schedule.append(("batch", steps.size))
+        return steps
+
+    def jumped(M, p, k):
+        schedule.append(("jump", k))
+        return power(M, p, k)
+
+    monkeypatch.setattr(perron, "_listed_pair_distances", measured)
+    monkeypatch.setattr(perron, "_power", jumped)
+    res = perron_iterate(M, **kwargs)
+    monkeypatch.undo()
+    return schedule, res
 
 
 def test_loop_is_bitwise_the_validating_route():
@@ -479,7 +591,7 @@ def test_loop_is_bitwise_the_validating_route():
     cases.append(("first image overflows", [[1e308, 1e308], [1e308, 1e308]], {}))
     cases += _batch_rule_cases()
     M, f0 = 1e308 * np.array([[1.745, 0.056], [0.684, 1.28]]), [0.001, 0.98]  # images grow as the iterates align
-    cases.append(("image overflows one step past convergence", M, {"f0": f0, "tol": _validating_route(M, f0, max_iter=13).final_step_distance}))
+    cases.append(("image overflows one step past convergence", M, {"f0": f0, "tol": _validating_route(M, f0=f0, max_iter=13).final_step_distance}))
     for label, M, kwargs in cases:
         assert _same_outcome(_outcome(perron_iterate, M, **kwargs), _reference_outcome(M, **kwargs)), label
     assert (tiny @ [1.0, 1e-20, 1e-30])[1] == 0.0
@@ -488,8 +600,10 @@ def test_loop_is_bitwise_the_validating_route():
     assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
 
 
-def test_batches_never_step_more_than_once_past_the_last_iteration(monkeypatch):
+def test_steps_and_jumps_pass_the_reported_iteration_by_less_than_the_last_batch(monkeypatch):
+    # a jump of k powers counts as k steps; only the last batch may run past the step that ends the loop
     image = perron._image
+    jumped = 0
     for label, M, kwargs in _batch_rule_cases():
         outs = []  # the images written into a given output: the loop's steps, not the bracket's product
 
@@ -498,47 +612,32 @@ def test_batches_never_step_more_than_once_past_the_last_iteration(monkeypatch):
             return image(M, p, zero_tol, out)
 
         monkeypatch.setattr(perron, "_image", counting)
-        res = perron_iterate(M, **kwargs)
-        monkeypatch.undo()
-        assert res.iterations <= sum(outs) <= res.iterations + 1, label
-
-
-def _batch_sizes(M, monkeypatch, **kwargs):
-    """Steps per batch of ``perron_iterate``, read off the step distances the pair kernel measures after each batch."""
-    sizes, kernel = [], perron._listed_pair_distances
-
-    def spy(W, i, j):
-        steps = kernel(W, i, j)
-        sizes.append(steps.size)
-        return steps
-
-    monkeypatch.setattr(perron, "_listed_pair_distances", spy)
-    res = perron_iterate(M, **kwargs)
-    monkeypatch.undo()
-    return sizes, res
+        schedule, res = _schedule(M, monkeypatch, **kwargs)
+        powers = sum(k for kind, k in schedule if kind == "jump")
+        assert res.iterations <= sum(outs) + powers < res.iterations + schedule[-1][1], label
+        jumped += powers > 0
+    assert jumped >= 3
 
 
 def test_batch_sizes_follow_the_observed_rate(monkeypatch):
     # steps that never shrink (rate 1) take the largest batch, B, and the budget cuts the last one
     B = perron._MAX_BATCH
-    sizes, res = _batch_sizes([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=3 * B + 4)
-    assert sizes == [1, 1, B, B, B, 2] and res.iterations == 3 * B + 4
-    # a converging run: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, B], from the steps
-    M, tol = _perron_loop_matrix(8, 0.01), 1e-12
-    p, steps = normalize(np.ones(8)), []
-    for _ in range(perron_iterate(M, tol=tol).iterations):
-        q = normalize(M @ p)
-        steps.append(pseudo_distance(p, q))
-        p = q
-    want, done, step, prev = [], 0, math.nan, math.nan
-    while not want or min(steps[done - want[-1]:done]) > tol:
-        rate = step / prev if prev > 0.0 else math.nan
-        size = 1 if not rate > 0.0 else B if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
-        want.append(min(max(size, 1), B))
-        done += want[-1]
-        step, prev = steps[min(done, len(steps)) - 1], steps[min(done, len(steps)) - 2] if want[-1] > 1 else step
-    assert _batch_sizes(M, monkeypatch, tol=tol)[0] == want
-    assert len(want) < 20 < len(steps)
+    schedule, res = _schedule([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=3 * B + 4)
+    assert schedule == [("batch", k) for k in (1, 1, B, B, B, 2)] and res.iterations == 3 * B + 4
+    # converging runs: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, B], or a jump where that
+    # prediction exceeds n times its bit length, after which the schedule starts again
+    seen = set()
+    for label, M, kwargs in _batch_rule_cases():
+        schedule = _schedule(M, monkeypatch, **kwargs)[0]
+        assert schedule == _validating_run(M, **kwargs)[3], label
+        seen.update(kind for kind, _ in schedule)
+    assert seen == {"batch", "jump"}
+    slow = _perron_loop_matrix(8, 0.01)
+    schedule = _schedule(slow, monkeypatch)[0]
+    assert ("jump", 494) in schedule and len(schedule) < 20 < sum(k for _, k in schedule)
+    # the budget cuts a jump so that one plain step is left, and at 1e308 scale, where a step could overflow, none is taken
+    assert _schedule(slow, monkeypatch, max_iter=60)[0] == [("batch", 1), ("batch", 1), ("jump", 57), ("batch", 1)]
+    assert {kind for kind, _ in _schedule(1e308 * slow, monkeypatch)[0]} == {"batch"}
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
