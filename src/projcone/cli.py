@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .cone import _support, m_ratio, phi, psi, psi_inverse
+from .cone import m_ratio, phi, psi, psi_inverse
 from .kernels import (
     KernelGrid,
     KernelPatternError,
@@ -30,9 +30,6 @@ from .kernels import (
     tabulate_kernel,
 )
 from .matrices import (
-    _check_cone_preserving,
-    _first_dead_column,
-    as_nonneg_matrix,
     contraction_coeff,
     contraction_coeff_formula,
     is_cone_preserving,
@@ -241,14 +238,6 @@ def _report(command: str, inputs: dict, results: dict, warnings: list[str]) -> d
     return {"command": command, "inputs": inputs, "results": results, "warnings": warnings}
 
 
-def _require_cone_preserving(M: np.ndarray, zero_tol: float, location: str) -> None:
-    if M.shape[0] != M.shape[1]:
-        as_nonneg_matrix(M)  # read_matrix checked every entry but not the shape: the library's refusal
-    j = _first_dead_column(_support(M, zero_tol))
-    if j is not None:
-        raise CliError("not_cone_preserving", f"column {j} has no positive entry", f"{location}: column {j}")
-
-
 def cmd_dist(args) -> dict:
     if args.file and args.vectors:
         raise CliError("bad_flags", "give either --file or two vector literals, not both", "projcone dist")
@@ -278,16 +267,10 @@ def cmd_dist(args) -> dict:
 def cmd_coeff(args) -> dict:
     M = read_matrix(args.file)
     zt = args.zero_tol
-    _require_cone_preserving(M, zt, args.file)
     inputs = {"file": args.file, "formula": bool(args.formula), "zero_tol": zt}
     start = time.perf_counter()
     if args.formula:
-        try:
-            c = contraction_coeff_formula(M, zt)
-        except ValueError as exc:
-            if _support(M, zt).all():
-                raise  # the double-range refusal of a strictly positive matrix: invalid_input
-            raise CliError("not_strictly_positive", str(exc), args.file) from None
+        c = contraction_coeff_formula(M, zt)
         witness, method, a_star = None, "closed_form", psi_inverse(c) if c < 1.0 else None
     else:
         report = contraction_coeff(M, zt)
@@ -335,7 +318,6 @@ def cmd_check(args) -> dict:
 def cmd_perron(args) -> dict:
     M = read_matrix(args.file)
     zt = args.zero_tol
-    _require_cone_preserving(M, zt, args.file)
     inputs = {"file": args.file, "tol": args.tol, "max_iter": args.max_iter, "zero_tol": zt}
     if args.start is not None:
         inputs["start"] = args.start
@@ -371,13 +353,9 @@ def cmd_kernel(args) -> dict:
         except (ValueError, MemoryError) as exc:  # MemoryError: an n x n grid beyond the machine's memory
             raise CliError("bad_flags", str(exc), "projcone kernel") from None
         inputs = {"builtin": args.builtin, "n": args.n, "rule": args.rule, "params": params, "zero_tol": zt}
-    # O(n^2) checks first, so a grid they reject never pays for the O(n^3) scans
     try:
-        _check_cone_preserving(_support(grid.values, zt))
-        cert = factorization_certificate(grid, zt)
+        cert = factorization_certificate(grid, zt)  # O(n^2): a grid it refuses never pays for the O(n^3) scan
         report = kernel_contraction_estimate(grid, zt)
-    except KernelPatternError as exc:
-        raise CliError("pattern_failure", str(exc), f"values[{exc.row}][{exc.col}]") from None
     except ArithmeticError:
         raise CliError("certificate_failure", "the constructed factorization certificate failed validation", "kernel") from None
     c_values_only = contraction_coeff(grid.values, zt).c
@@ -488,11 +466,19 @@ def main(argv=None) -> int:
         report = args.func(args)
         sys.stdout.write(dumps(report, indent=args.json_indent) + "\n")
         return 0
-    except (CliError, ValueError) as err:
-        if not isinstance(err, CliError):  # the library refused the input
-            err = CliError("invalid_input", str(err), command)
-        sys.stderr.write(dumps({"code": err.code, "message": err.message, "location": err.location}) + "\n")
-        return 1
+    except CliError as exc:
+        err = exc
+    except KernelPatternError as exc:
+        err = CliError("pattern_failure", str(exc), f"values[{exc.row}][{exc.col}]")
+    except ValueError as exc:  # the library refused the input; its cone and positivity refusals carry their facts
+        if hasattr(exc, "column"):
+            err = CliError("not_cone_preserving", f"column {exc.column} has no positive entry", f"{args.file or command}: column {exc.column}")
+        elif hasattr(exc, "entry"):
+            err = CliError("not_strictly_positive", str(exc), args.file)
+        else:
+            err = CliError("invalid_input", str(exc), command)
+    sys.stderr.write(dumps({"code": err.code, "message": err.message, "location": err.location}) + "\n")
+    return 1
 
 
 if __name__ == "__main__":

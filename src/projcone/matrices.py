@@ -64,10 +64,12 @@ def _first_dead_column(pos: np.ndarray) -> int | None:
 
 
 def _check_cone_preserving(pos: np.ndarray) -> None:
-    """Raise ``ValueError`` naming the first column of the support mask ``pos`` with no entry."""
+    """Raise ``ValueError`` naming the first column of the support mask ``pos`` with no entry; it carries it as ``column``."""
     j = _first_dead_column(pos)
     if j is not None:
-        raise ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
+        exc = ValueError(f"matrix is not cone-preserving: column {j} has no positive entry")
+        exc.column = j
+        raise exc
 
 
 def _first_argmax(V: np.ndarray) -> tuple[int, int]:
@@ -392,14 +394,18 @@ def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:
     on that domain it agrees with :func:`contraction_coeff` and is kept as
     an independent O(d^4) cross-check and benchmark baseline.  With zero
     entries the expression needs a 0/0 convention that is unsound for
-    rank-deficient patterns, so this function refuses them; use
-    :func:`contraction_coeff` instead.  It also refuses matrices where a
+    rank-deficient patterns, so this function refuses them, after the
+    cone refusal, naming the first in row-major order as the ``ValueError``'s
+    ``entry``; use :func:`contraction_coeff` instead.  It also refuses matrices where a
     product of two entries, or the sum of two such products, leaves the
     normal double range: the ratios would then be NaN or lose their digits.
     """
     M = as_nonneg_matrix(M)
-    if not _support(M, zero_tol).all():
-        raise ValueError("closed-form coefficient requires strictly positive entries; use contraction_coeff")
+    _check_cone_preserving(pos := _support(M, zero_tol))
+    if not pos.all():
+        exc = ValueError("closed-form coefficient requires strictly positive entries; use contraction_coeff")
+        exc.entry = _first_argmax(~pos)
+        raise exc
     lo, hi = float(M.min()), float(M.max())
     if lo * lo < np.finfo(float).tiny or not math.isfinite(2.0 * hi * hi):
         raise ValueError("closed-form coefficient requires products of two entries, and their sums, in the normal double range; use contraction_coeff")

@@ -121,10 +121,10 @@ def _power(M: np.ndarray, p: np.ndarray, k: int) -> np.ndarray | None:
 
     For each set bit of ``k``, lowest first, the current power is applied and the image normalized; between bits the
     power is squared and rescaled to a largest entry of 1, so one n x n power is held at a time and no entry exceeds
-    ``n``.  ``floor(log2 k)`` squarings replace ``k`` steps.  ``P`` is C-ordered, so every layout of ``M`` gives the same
-    bits.
+    ``n``.  ``floor(log2 k)`` squarings replace ``k`` steps.  ``M`` must be C-ordered, as :func:`perron_iterate`'s zeroed
+    copy is, so that ``P`` and its squares are too and one matrix gives one result's bits.
     """
-    P = np.ascontiguousarray(M / M.max())
+    P = M / M.max()
     while True:
         if k & 1:
             q = P.dot(p)

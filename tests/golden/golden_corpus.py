@@ -196,6 +196,10 @@ def cli_cases():
     yield ["kernel", "--builtin", "gaussian", "--param", "sigma=0.05", "--n", "16"]
     yield ["kernel", "--builtin", "poly1xy", "--n", "6", "--rule", "trapezoid"]
     yield ["dist", "1,0,2", "2,1,0"]
+    # every subcommand refuses a dead column alike, ahead of --formula's positivity refusal
+    yield ["coeff", "dead.csv", "--formula"]
+    yield ["kernel", "--builtin", "constant", "--n", "3", "--zero-tol", "1"]
+    yield ["kernel", "--file", "grid.json", "--zero-tol", "1"]
 
 
 _ELAPSED = re.compile(r'"elapsed": [^,}]+')

@@ -234,12 +234,27 @@ def test_coeff_formula_refuses_products_beyond_the_double_range(tmp_path, capsys
     assert "normal double range" in payload["message"]
 
 
-def test_coeff_names_offending_column(tmp_path, capsys):
-    path = tmp_path / "m.csv"
-    path.write_text("1,0\n1,0\n")
-    payload = run_error(capsys, "coeff", str(path))
-    assert payload["code"] == "not_cone_preserving"
-    assert "column 1" in payload["message"]
+@pytest.mark.parametrize("argv, where, column", [
+    (["coeff", "M.csv"], "M.csv", 2),
+    (["coeff", "M.csv", "--formula"], "M.csv", 2),
+    (["perron", "M.csv"], "M.csv", 2),
+    (["kernel", "--file", "grid.json", "--zero-tol", "0.05"], "grid.json", 1),
+    (["kernel", "--builtin", "constant", "--n", "3", "--zero-tol", "1"], "kernel", 0),
+], ids=["coeff", "coeff --formula", "perron", "kernel --file", "kernel --builtin"])
+def test_coeff_names_offending_column(tmp_path, capsys, argv, where, column):
+    # column 2 of M.csv is dead, and its first zero, (0, 0), is --formula's positivity refusal: the dead column wins.
+    # Under --zero-tol 0.05 column 1 of the grid's values (0.01) vanishes, and (0, 2) is a pattern failure: the dead column wins.
+    (tmp_path / "M.csv").write_text("0,1,0\n1,1,0\n1,1,0\n")
+    grid = {"nodes": [0.1, 0.5, 0.9], "weights": [1 / 3] * 3, "values": [[1.0, 0.01, 0.0], [1.0, 0.01, 1.0], [1.0, 0.01, 1.0]]}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    path = {name: str(tmp_path / name) for name in ("M.csv", "grid.json")}
+    argv = [path.get(arg, arg) for arg in argv]
+    assert run_error(capsys, *argv) == {"code": "not_cone_preserving", "message": f"column {column} has no positive entry",
+                                        "location": f"{path.get(where, where)}: column {column}"}
+    if argv[0] != "kernel":  # a non-square file with a zero, here in a dead column, is refused for its shape first
+        (tmp_path / "M.csv").write_text("1,0,3\n4,0,6\n")
+        assert run_error(capsys, *argv) == {"code": "invalid_input", "message": "expected a square matrix, got shape (2, 3)",
+                                            "location": argv[0]}
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +501,7 @@ def test_kernel_cone_check_precedes_pattern_check(tmp_path, capsys):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(grid))
     payload = run_error(capsys, "kernel", "--file", str(path), "--zero-tol", "0.05")
-    assert payload["code"] == "invalid_input"
-    assert "column 1" in payload["message"]
+    assert payload == {"code": "not_cone_preserving", "message": "column 1 has no positive entry", "location": f"{path}: column 1"}
 
 
 def test_kernel_zero_tol_reads_the_values(capsys):
@@ -595,13 +609,14 @@ def test_flag_errors_come_from_the_parser(tmp_path, capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (["dist", "1,2", "1,2,3"], "dimension mismatch"),
     (["perron", "M.csv", "--start", "1,2,3"], "dimension mismatch"),
-    (["kernel", "--builtin", "constant", "--n", "8", "--zero-tol", "1"], "not cone-preserving"),
+    (["check", "NS.csv"], "expected a square matrix, got shape (1, 2)"),
     (["coeff", "NaN.csv"], "cannot serialize NaN"),
     (["perron", "M.csv", "--zero-tol", "1.5", "--start", "5,5"], "perron_iterate requires zero_tol < 1, got 1.5"),
 ])
 def test_library_errors_are_invalid_input_at_the_subcommand(tmp_path, capsys, argv, message):
     (tmp_path / "M.csv").write_text("2,1\n1,2\n")
     (tmp_path / "NaN.csv").write_text("1,1e-310,1e300,1e-310\n" * 4)  # c(M) is inf * 0
+    (tmp_path / "NS.csv").write_text("1,2\n")
     argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg for arg in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the NaN's overflow, a separate defect
@@ -704,12 +719,30 @@ def test_a_matrix_file_is_validated_once_per_library_call(tmp_path, capsys, monk
         validated.append(np.shape(M))
         return check(M)
 
-    for module in (cli, kernels, matrices, perron):
+    for module in (kernels, matrices, perron):
         monkeypatch.setattr(module, "as_nonneg_matrix", spy)
     path = tmp_path / "m.csv"
     path.write_text("2,1\n1,2\n")
     run_report(capsys, command, str(path))
     assert validated == [(2, 2)] * calls
+
+
+@pytest.mark.parametrize("argv, calls", [(["coeff", "M.csv"], 1), (["perron", "M.csv"], 1), (["kernel", "--builtin", "constant", "--n", "3"], 4)],
+                         ids=["coeff", "perron", "kernel"])
+def test_each_library_call_checks_for_a_dead_column_once(tmp_path, capsys, monkeypatch, argv, calls):
+    # the CLI runs no check of its own; kernel's four library calls are the grid, the certificate, c of the grid and of its values
+    checked = []
+    find = matrices._first_dead_column
+
+    def spy(pos):
+        checked.append(pos.shape)
+        return find(pos)
+
+    for module in (cli, kernels, matrices, perron):
+        monkeypatch.setattr(module, "_first_dead_column", spy, raising=False)
+    (tmp_path / "M.csv").write_text("2,1\n1,2\n")
+    run_report(capsys, *[str(tmp_path / arg) if arg == "M.csv" else arg for arg in argv])
+    assert len(checked) == calls
 
 
 def test_coeff_deterministic_modulo_elapsed(tmp_path, capsys):

@@ -19,6 +19,7 @@ from projcone import (
     KernelPatternError,
     UniformPositivityCertificate,
     certificate_is_valid,
+    contraction_coeff_formula,
     factorization_certificate,
     factorization_is_valid,
     is_strictly_contracting,
@@ -121,8 +122,20 @@ def test_zero_pattern_and_sandwich_match_reference_formulas():
         if dead is None:
             assert is_strictly_contracting(M, zt) == _ref_strictly_contracting(M, zt), label
         else:
-            with pytest.raises(ValueError, match="not cone-preserving"):
+            with pytest.raises(ValueError, match="not cone-preserving") as info:
                 is_strictly_contracting(M, zt)
+            assert info.value.column == dead, label
+        # the closed form refuses a dead column first, then names the first zero in row-major order
+        if dead is not None:
+            with pytest.raises(ValueError, match="not cone-preserving") as info:
+                contraction_coeff_formula(M, zt)
+            assert info.value.column == dead, label
+        elif (M <= zt).any():
+            with pytest.raises(ValueError, match="requires strictly positive entries") as info:
+                contraction_coeff_formula(M, zt)
+            assert info.value.entry == tuple(int(k) for k in np.argwhere(M <= zt)[0]), label
+        else:
+            assert 0.0 <= contraction_coeff_formula(M, zt) <= 1.0, label
 
         if dead is None and _ref_uniformly_positive(M, zt):
             ref = _ref_uniform_certificate(M, zt)
@@ -134,8 +147,9 @@ def test_zero_pattern_and_sandwich_match_reference_formulas():
                     uniform_positivity_certificate(M, zt)
                 unvalidated += 1
         else:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as info:
                 uniform_positivity_certificate(M, zt)
+            assert getattr(info.value, "column", None) == dead, label
 
         nodes, weights = uniform_grid(M.shape[0])
         dead_at_zero = _ref_dead_column(M, 0.0)
@@ -146,8 +160,9 @@ def test_zero_pattern_and_sandwich_match_reference_formulas():
         grid = KernelGrid(nodes=nodes, weights=weights, values=M)
         offender = _ref_offender(M, zt)
         if dead is not None:  # cone preservation first, as for the matrix certificate
-            with pytest.raises(ValueError, match=f"column {dead} has no positive entry"):
+            with pytest.raises(ValueError, match=f"column {dead} has no positive entry") as info:
                 factorization_certificate(grid, zt)
+            assert info.value.column == dead, label
         elif offender is not None:
             with pytest.raises(KernelPatternError) as info:
                 factorization_certificate(grid, zt)
