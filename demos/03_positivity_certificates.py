@@ -3,12 +3,14 @@
 
 A cone-preserving matrix has c(M) < 1 exactly when its zero entries are
 confined to all-zero rows, and exactly when every image M e_j is sandwiched
-between multiples of one fixed direction h:
+between multiples of one fixed direction h (Birkhoff's sandwich):
 
-    A**-1 * b[j] * h  <=  M e_j  <=  A * b[j] * h
+    b[j] * h  <=  M e_j  <=  A * b[j] * h
 
-This script builds such certificates, checks them, and compares the
-constructive constant A with the optimal one a* = psi_inverse(c).
+Every pair of columns is then within a factor A**2 of each other's ray,
+so c <= psi(A).  This script builds such certificates around the column
+of the largest entry, checks them, and compares the constructive
+constant A with the optimal one a* = psi_inverse(c): a* <= A <= a*^2.
 """
 
 import numpy as np
@@ -37,12 +39,18 @@ for M in [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[1.0, 1.0], [0.0, 0.0]])
         print(f"  certificate: h = {cert.h.tolist()}, b = {cert.b.tolist()}, A = {cert.A}")
         print("  sandwich validates:", certificate_is_valid(M, cert))
         print("  constructive A =", cert.A, ">= optimal a* =", a_star(M))
+        print("  c =", report.c, "<= psi(A) =", psi(cert.A))
         print("  psi(a*) recovers c:", psi(a_star(M)))
     print()
 
-print("On random positive matrices the constructive A tracks a* from above:")
+print("On random positive matrices the constructive A lies between a* and a*^2:")
 rng = np.random.default_rng(4)
 for _ in range(5):
     M = rng.uniform(0.1, 10.0, size=(4, 4))
     cert = uniform_positivity_certificate(M)
-    print(f"  a* = {a_star(M):8.4f}   constructive A = {cert.A:9.4f}")
+    print(f"  a* = {a_star(M):8.4f}   constructive A = {cert.A:9.4f}   a*^2 = {a_star(M) ** 2:9.4f}")
+
+print()
+print("A does not depend on the matrix's scale:")
+for s in (1e-3, 1.0, 1e3):
+    print(f"  s = {s:g}: A of s * [[2, 1], [1, 2]] = {uniform_positivity_certificate(s * np.array([[2.0, 1.0], [1.0, 2.0]])).A}")

@@ -4,9 +4,9 @@
 A kernel K(x, y) >= 0 drives the operator (Kf)(x) = integral K(x,y) f(y) dy.
 Sampling K on a quadrature grid gives a nonnegative matrix whose contraction
 coefficient does not depend on the (positive) weights at all. Strict
-contraction corresponds to a multiplicative sandwich
-A**-1 g1(x) g2(y) <= K(x,y) <= A g1(x) g2(y), built here from a reference
-row and column of the samples.
+contraction corresponds to Birkhoff's multiplicative sandwich
+g1(x) g2(y) <= K(x,y) <= A g1(x) g2(y), built here around the column of
+the largest sample; it certifies c <= psi(A).
 """
 
 import numpy as np

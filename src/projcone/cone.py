@@ -151,8 +151,8 @@ def phi(s: float) -> float:
 def psi(a: float) -> float:
     """Increasing bijection of [1, inf) onto [0, 1): ``psi(a) = phi(a**-2)``.
 
-    A symmetric sandwich with constant ``A`` (the certificates of the matrix
-    and kernel modules) certifies ``c <= psi(A**2)``, not ``c <= psi(A)``.
+    Birkhoff's sandwich with constant ``A`` (the certificates of the matrix
+    and kernel modules) certifies ``c <= psi(A)``.
     """
     if not (math.isfinite(a) and a >= 1.0):
         raise ValueError(f"psi requires a finite value >= 1, got {a}")
@@ -162,8 +162,8 @@ def psi(a: float) -> float:
 def psi_inverse(c: float) -> float:
     """Inverse of :func:`psi`: ``sqrt((1+c)/(1-c))``.
 
-    Gives ``a_star`` from a contraction coefficient ``c < 1``; a symmetric
-    sandwich's constant ``A`` satisfies ``A**2 >= psi_inverse(c)``.
+    Gives ``a_star`` from a contraction coefficient ``c < 1``; Birkhoff's
+    sandwich's constant ``A`` satisfies ``A >= psi_inverse(c)``.
     """
     if not 0.0 <= c < 1.0:
         raise ValueError(f"psi_inverse requires 0 <= c < 1, got {c}")

@@ -7,12 +7,12 @@ n-point quadrature grid it becomes the nonnegative matrix
 operator's.  The coefficient does not depend on the (positive) weights at
 all: rescaling columns fixes every ray.
 
-Strict contraction corresponds to a multiplicative factorization sandwich
+Strict contraction corresponds to Birkhoff's factorization sandwich
 
-    ``A**-1 * g1(x) * g2(y) <= K(x, y) <= A * g1(x) * g2(y)``
+    ``g1(x) * g2(y) <= K(x, y) <= A * g1(x) * g2(y)``
 
-which this module constructs directly from a reference row and column of the
-sampled values.
+which this module constructs around the column of the sampled values'
+largest entry; it certifies ``c <= psi(A)``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .cone import _support, psi
 from .matrices import ContractionReport, as_nonneg_matrix
-from .matrices import _check_cone_preserving, _contraction, _first_argmax, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
+from .matrices import _check_cone_preserving, _contraction, _first_dead_column, _first_pattern_offender, _sandwich, _sandwich_holds
 
 __all__ = [
     "FactorizationCertificate",
@@ -181,8 +181,8 @@ def discretize(grid: KernelGrid) -> np.ndarray:
 class FactorizationCertificate:
     """Grid functions ``g1``, ``g2`` and constant ``A`` sandwiching the kernel.
 
-    ``A**-1 * g1[k] * g2[j] <= values[k, j] <= A * g1[k] * g2[j]`` wherever
-    the product is positive; where it vanishes the kernel vanishes too.
+    ``g1[k] * g2[j] <= values[k, j] <= A * g1[k] * g2[j]`` at every grid
+    point, which certifies ``c <= psi(A)``.
     """
 
     g1: np.ndarray
@@ -197,18 +197,17 @@ def factorization_is_valid(values, cert: FactorizationCertificate, rtol: float =
     V = as_nonneg_matrix(values)
     if np.size(cert.g1) != V.shape[0] or np.size(cert.g2) != V.shape[1]:
         raise ValueError("certificate dimensions do not match the value grid")
-    return _sandwich_holds(np.where(_support(V, zero_tol), V, 0.0), np.outer(cert.g1, cert.g2), cert.A, rtol)
+    return _sandwich_holds(np.where(_support(V, zero_tol), V, 0.0), cert.g1, cert.g2, cert.A, rtol)
 
 
 def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> FactorizationCertificate:
-    """Construct the factorization sandwich from a reference row and column.
+    """Construct Birkhoff's factorization sandwich around the column of the grid maximum (:func:`projcone.matrices._pivot`).
 
     The reference point ``(k0, j0)`` is the grid maximum (ties broken in
-    row-major order); ``g1`` is the column of values through ``j0``, ``g2``
-    the row through ``k0`` scaled by the peak value, and ``A`` the smallest
-    constant closing the sandwich over all grid points with positive kernel
-    value.  A value at or below ``zero_tol`` is a zero, in the sandwich and
-    in its check.
+    row-major order); ``g1`` is the column of values through ``j0``,
+    ``g2[j]`` the largest multiple of ``g1`` below column ``j``, and ``A``
+    the smallest constant closing the sandwich for this ``g1``.  A value
+    at or below ``zero_tol`` is a zero, in the sandwich and in its check.
 
     A column with no value above ``zero_tol`` is a ``ValueError``.  The
     value grid's zeros must be confined to all-zero rows or columns;
@@ -221,11 +220,8 @@ def factorization_certificate(grid: KernelGrid, zero_tol: float = 0.0) -> Factor
     offender = _first_pattern_offender(pos)
     if offender is not None:
         raise KernelPatternError(*offender)
-    k0, j0 = _first_argmax(grid.values)
-    V = np.where(pos, grid.values, 0.0)
-    g1 = V[:, j0].copy()
-    g2 = V[k0, :] / grid.values[k0, j0]
-    return FactorizationCertificate(g1=g1, g2=g2, A=_sandwich(V, g1, g2, pos), reference_row=k0, reference_col=j0)
+    k0, j0, g1, g2, A = _sandwich(np.where(pos, grid.values, 0.0))
+    return FactorizationCertificate(g1=g1, g2=g2, A=A, reference_row=k0, reference_col=j0)
 
 
 def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> ContractionReport:
@@ -242,9 +238,8 @@ def kernel_contraction_estimate(grid: KernelGrid, zero_tol: float = 0.0) -> Cont
 def relate_certificate_to_coefficient(grid: KernelGrid, zero_tol: float = 0.0) -> tuple[float, float]:
     """Pair ``(psi(A), c)`` for the grid certificate and grid coefficient.
 
-    The symmetric sandwich certifies only ``c <= psi(A**2)``, so ``psi(A)``
-    is no bound: ``ArithmeticError`` where ``c`` exceeds it by more than
-    1e-10, as it does on some strictly positive grids.
+    The certificate bounds ``c <= psi(A)``; ``ArithmeticError`` where ``c``
+    exceeds it by more than 1e-10, the theorem's runtime guard.
     """
     cert = factorization_certificate(grid, zero_tol)
     report = kernel_contraction_estimate(grid, zero_tol)

@@ -12,10 +12,10 @@ are scanned in O(d^3): screened on exact int16 differences of balanced,
 quantized logs, then the few pairs left in float64.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
-all-zero rows, equivalently when ``M`` admits a sandwich certificate
-``A**-1 * b[j] * h <= M e_j <= A * b[j] * h`` around a single direction
-``h``.  It certifies ``c(M) <= psi(A**2)``, not ``c(M) <= psi(A)``: every
-valid ``A`` has ``A**2 >= a_star(M) = psi_inverse(c(M))``.
+all-zero rows, equivalently when ``M`` admits Birkhoff's sandwich
+``b[j] * h <= M e_j <= A * b[j] * h`` around a single direction ``h``.
+It certifies ``c(M) <= psi(A)``: every valid ``A`` has
+``A >= a_star(M) = psi_inverse(c(M))``.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ class ContractionReport:
     """Contraction coefficient of a matrix together with certificate data.
 
     ``is_strict`` is equivalent to ``c < 1``; ``a_star = psi_inverse(c)``,
-    at most ``A**2`` for every sandwich's ``A``, is present exactly then.
+    at most every sandwich's ``A``, is present exactly then.
     ``witness`` is the first column pair ``(i, j)``, ``i < j``, in
     row-major order at the largest distance ``c``.  Where the zero pattern
     settles ``c = 1`` it is the first pair whose exact ``m`` is 0; a
@@ -442,39 +442,49 @@ def is_strictly_contracting(M, zero_tol: float = 0.0) -> bool:
     return _first_pattern_offender(pos) is None
 
 
-def _sandwich_holds(V: np.ndarray, prod: np.ndarray, A: float, rtol: float) -> bool:
-    """``prod / A <= V <= A * prod`` at every entry, with slack ``rtol * max(V)``; ``A = inf`` certifies nothing and fails.
-
-    Over- and underflow are part of the verdict, not numpy warnings.
-    """
+def _sandwich_holds(V: np.ndarray, h, b, A: float, rtol: float) -> bool:
+    """``prod <= V <= A * prod``, ``prod = outer(h, b)``, with slack ``rtol * max(V)``; ``A = inf`` fails, and over- and underflow are part of the verdict, not numpy warnings."""
     slack = rtol * float(V.max())
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return math.isfinite(A) and bool(np.all(prod / A <= V + slack) and np.all(V <= A * prod + slack))
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = np.outer(h, b)
+        return math.isfinite(A) and bool(np.all(prod <= V + slack) and np.all(V <= A * prod + slack))
 
 
-def _sandwich(V: np.ndarray, h: np.ndarray, b: np.ndarray, pos: np.ndarray) -> float:
-    """Smallest ``A`` with ``h[k] * b[j] / A <= V[k, j] <= A * h[k] * b[j]`` on the support mask ``pos`` of ``V`` (Birkhoff).
+def _pivot(Z: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Birkhoff's sandwich ``(i0, j0, b, a)`` of the zeroed ``Z`` around ``h = Z[:, j0]``, ``(i0, j0)`` its first largest entry.
 
-    ``ArithmeticError`` when the sandwich fails :func:`_sandwich_holds` with
-    slack ``1e-9 * max(V)``, as it does when a ratio leaves the double range.
+    ``b[j] = aleph(h, Z e_j)`` and ``a[j] = aleph(Z e_j, h)``, so ``b[j] h <= Z e_j <= A b[j] h`` with
+    ``A = 1 / min(b * a)``, the least ``A`` for this ``h``.  Every column pair then has ``m >= A**-2``, so
+    ``c <= psi(A)`` and ``a_star <= A <= a_star**2``.  Under the caller's errstate, as ``_aleph`` requires.
+    """
+    i0, j0 = _first_argmax(Z)
+    h = Z[:, j0, None]
+    return i0, j0, _aleph(h, Z), _aleph(Z, h)
+
+
+def _sandwich(Z: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray, float]:
+    """The certificate ``(i0, j0, h, b, A)`` of :func:`_pivot` on the zeroed ``Z``; ``ArithmeticError`` where it fails :func:`_sandwich_holds` with slack ``1e-9 * max(Z)``.
+
+    ``A = inf`` where ``min(b * a)`` is 0 or NaN (an aleph that underflows times one that overflows).
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        prod = np.outer(h, b)
-        r = V[pos] / prod[pos]
-        A = float(max(r.max(), 1.0 / r.min()))  # fl(1/x) is monotone, so this is the largest 1/r without an n^2 temporary
-    if not _sandwich_holds(V, prod, A, 1e-9):
+        i0, j0, b, a = _pivot(Z)
+        m = float(np.minimum.reduce(b * a))
+        A = 1.0 / m if m > 0.0 else math.inf
+    h = Z[:, j0].copy()
+    if not _sandwich_holds(Z, h, b, A, 1e-9):
         raise ArithmeticError(f"the sandwich with A = {A} fails its check")
-    return A
+    return i0, j0, h, b, A
 
 
 @dataclass(frozen=True)
 class UniformPositivityCertificate:
     """Constructive sandwich around a single direction ``h``.
 
-    Certifies ``A**-1 * b[j] * h <= M @ e_j <= A * b[j] * h`` entrywise for
-    every basis vector ``e_j`` (and, by linearity, for every cone vector
-    with coefficient ``b @ f``).  ``h`` is column ``reference_col`` of the
-    matrix and ``b`` is row ``reference_row``.
+    Certifies ``b[j] * h <= M @ e_j <= A * b[j] * h`` entrywise for every
+    basis vector ``e_j`` (and, by linearity, for every cone vector with
+    coefficient ``b @ f``).  ``h`` is column ``reference_col`` of the
+    matrix, through its largest entry at row ``reference_row``.
     """
 
     h: np.ndarray
@@ -495,22 +505,18 @@ def certificate_is_valid(M, cert: UniformPositivityCertificate, rtol: float = 1e
     b = np.asarray(cert.b, dtype=float)
     if h.size != M.shape[0] or b.size != M.shape[1]:
         raise ValueError("certificate dimensions do not match the matrix")
-    return _sandwich_holds(np.where(_support(M, zero_tol), M, 0.0), np.outer(h, b), cert.A, rtol)
+    return _sandwich_holds(np.where(_support(M, zero_tol), M, 0.0), h, b, cert.A, rtol)
 
 
 def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivityCertificate:
-    """Build a sandwich certificate from a reference row and column.
+    """Build Birkhoff's sandwich certificate around the column of the largest entry (:func:`_pivot`).
 
     The reference indices are the row and column of the largest entry
-    (first occurrence in row-major order), which necessarily lie in a
-    nonzero row and column; ``h`` is the reference column, ``b`` the
-    reference row, both of the matrix with its entries at or below
-    ``zero_tol`` set to 0, and ``A`` the smallest constant making the sandwich hold
-    for this particular pair, scanned over all entries above ``zero_tol``
-    (once the pattern test passes, these are all entries in nonzero rows).
-
-    The sandwich certifies ``c(M) <= psi(A**2)``, so ``A**2`` is at least
-    :func:`a_star`; ``A`` itself may lie below it.
+    (first occurrence in row-major order) of the matrix with its entries
+    at or below ``zero_tol`` set to 0; ``h`` is that column, ``b[j]`` the
+    largest multiple of ``h`` below column ``j``, and ``A`` the smallest
+    constant closing the sandwich for this ``h``.  It certifies
+    ``c(M) <= psi(A)``, and ``a_star(M) <= A <= a_star(M)**2``.
     ``ArithmeticError`` when the sandwich fails its check (:func:`_sandwich`).
     """
     M = as_nonneg_matrix(M)
@@ -518,15 +524,12 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
     _check_cone_preserving(pos)
     if _first_pattern_offender(pos) is not None:
         raise ValueError("matrix is not uniformly positive: some zero entry lies in a nonzero row and a nonzero column")
-    Z = np.where(pos, M, 0.0)
-    i0, j0 = _first_argmax(Z)
-    h = Z[:, j0].copy()
-    b = Z[i0, :].copy()
-    return UniformPositivityCertificate(h=h, b=b, A=_sandwich(Z, h, b, pos), reference_row=i0, reference_col=j0)
+    i0, j0, h, b, A = _sandwich(np.where(pos, M, 0.0))
+    return UniformPositivityCertificate(h=h, b=b, A=A, reference_row=i0, reference_col=j0)
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:
-    """``psi_inverse(c(M))``, at most ``A**2`` for every sandwich certificate's ``A``.
+    """``psi_inverse(c(M))``, at most every sandwich certificate's ``A``.
 
     Defined only for strictly contracting matrices; raises when ``c = 1``
     (no finite constant exists).

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _aleph, _cone_vector, _support
-from .matrices import _check_cone_preserving, _contraction, _first_argmax, _listed_pair_distances, as_nonneg_matrix
+from .matrices import _check_cone_preserving, _contraction, _listed_pair_distances, _pivot, as_nonneg_matrix
 
 __all__ = [
     "PerronResult",
@@ -99,19 +99,19 @@ def _up(x: float, ulps: int = 1) -> float:
 def _pivot_constant(Z: np.ndarray) -> float:
     """Birkhoff's ``K = (1/m - 1) / 2`` of the pivot column, rounded upward; ``inf``, no bound, where ``m`` is 0 or ``tau`` rounds to 1.
 
-    ``m`` is the smallest ``aleph(h, Z e_j) * aleph(Z e_j, h)``, with ``h`` the column of ``Z``'s first largest entry.
-    Each aleph, their product and the fold move one ulp toward 0, so ``m`` is at most its exact value: an
-    ``aleph(Z e_j, h)`` that overflows (a column below ``h`` by the whole double range) becomes the largest double, and
-    no product is ``inf * 0`` or NaN.  Column ``h`` itself gives at most 1, as ``aleph(h, .)`` is at most 1 (``h``
-    holds ``max(Z)``), so no clamp is needed.  Under the caller's errstate, as ``_aleph`` requires.
+    ``m`` is the smallest ``b[j] * a[j]`` of :func:`projcone.matrices._pivot`, so ``K`` is ``(A - 1) / 2`` of the
+    certificate's ``A``, rounded outward.  Each aleph, their product and the fold move one ulp toward 0, so ``m`` is at
+    most its exact value: an ``a[j] = aleph(Z e_j, h)`` that overflows (a column below ``h`` by the whole double range)
+    becomes the largest double, and no product is ``inf * 0`` or NaN.  Column ``h`` itself gives at most 1, as ``b`` is
+    at most 1 (``h`` holds ``max(Z)``), so no clamp is needed.  Under the caller's errstate, as ``_pivot`` requires.
 
     Where ``tau = (1 - m) / (1 + m)`` rounds to 1 (``m`` below about ``2**-54``, ``K`` above about ``2**53``), a float
     step can stall far from the ray: on ``[[1, 1e-20], [2e-20, 1]]``, ``M @ [1, 1]`` rounds to ``[1, 1]``, a step of 0,
     while the Perron vector is near ``[0.707, 1]``.  Such a ``K`` times the step's rounding floor is not below 1, so it
     certifies nothing.  Below that cut the last step's rounding enters the bound as :func:`_error_bound`'s ``eps_H``.
     """
-    h = Z[:, _first_argmax(Z)[1], None]
-    products = np.nextafter(_aleph(h, Z), 0.0) * np.nextafter(_aleph(Z, h), 0.0)
+    _, _, b, a = _pivot(Z)
+    products = np.nextafter(b, 0.0) * np.nextafter(a, 0.0)
     m = math.nextafter(float(np.minimum.reduce(products)), 0.0)
     return _up((_up(1.0 / m) - 1.0) / 2.0) if m > 0.0 and (1.0 - m) / (1.0 + m) < 1.0 else math.inf
 

@@ -266,8 +266,8 @@ def test_check_positive_matrix(tmp_path, capsys):
     path.write_text("2,1\n1,2\n")
     res = run_report(capsys, "check", str(path))["results"]
     assert res["cone_preserving"] and res["uniformly_positive"] and res["strictly_contracting"]
-    assert res["certificate"]["A"] == 2.0
-    assert res["certificate"]["h"] == [2.0, 1.0]
+    assert res["certificate"]["A"] == 4.0
+    assert res["certificate"]["h"] == [2.0, 1.0] and res["certificate"]["b"] == [1.0, 0.5]
     assert res["certificate"]["i0"] == 0 and res["certificate"]["j0"] == 0
 
 
@@ -308,29 +308,49 @@ def test_check_certifies_a_matrix_whose_row_is_at_or_below_zero_tol(tmp_path, ca
     assert report["results"]["certificate"] == {"h": [1, 0], "b": [1, 1], "A": 1, "i0": 0, "j0": 0}
 
 
-@pytest.mark.parametrize("text, flags", [
-    ("1,1e-300\n1e-300,1e-300\n", []),  # the product h[1] * b[1] underflows to 0 under a positive entry
-    ("1e-310,1e-310\n1e-310,2e-310\n", []),  # subnormal entries
+@pytest.mark.parametrize("text", [
+    "1,1\n1,1e-310\n",  # 1 / 1e-310 overflows: A = 1e310 lies beyond the double range
+    "1e300,1e300\n1e300,1e-300\n",  # the column ratio 1e-600 underflows to 0
 ])
-def test_check_reports_a_failed_certificate(tmp_path, capsys, text, flags):
+def test_check_reports_a_failed_certificate(tmp_path, capsys, text):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = run_report(capsys, "check", str(path), *flags)
+        report = run_report(capsys, "check", str(path))
     res = report["results"]
     assert res["cone_preserving"] and res["uniformly_positive"] and res["strictly_contracting"]
     assert res["certificate"] is None
     assert report["warnings"] == ["certificate omitted: the constructed sandwich failed validation"]
 
 
-@pytest.mark.parametrize("text", [
-    "1e-310,1e-310\n1e-310,2e-310\n",
-    "1e300,1e300\n1e300,1e-300\n",
-    "1,1e-310,1e300,1e-310\n" * 4,
-    "1,1\n1,1e-310\n",  # 1 / 1e-310 overflows: the parent reported a certificate with A = inf
+@pytest.mark.parametrize("text, certificate", [
+    # h[1] * b[1] underflows to 0 under the entry 1e-300, within the check's slack 1e-9 * max(M); subnormal entries
+    ("1,1e-300\n1e-300,1e-300\n", {"h": [1, 1e-300], "b": [1, 1e-300], "A": 9.999999999999999e+299, "i0": 0, "j0": 0}),
+    ("1e-310,1e-310\n1e-310,2e-310\n", {"h": [1e-310, 2e-310], "b": [0.5, 1], "A": 2, "i0": 1, "j0": 1}),
+], ids=["underflowing-product", "subnormal"])
+def test_check_certifies_at_the_ends_of_the_double_range(tmp_path, capsys, text, certificate):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_report(capsys, "check", str(path))
+    assert report["results"]["certificate"] == certificate and report["warnings"] == []
+    cert = matrices.UniformPositivityCertificate(certificate["h"], certificate["b"], certificate["A"], 0, 0)
+    assert matrices.certificate_is_valid(read_matrix(str(path)), cert)
+
+
+_NO_CERTIFICATE = '"certificate": null},"warnings": ["certificate omitted: the constructed sandwich failed validation"]}\n'
+
+
+@pytest.mark.parametrize("text, tail", [
+    ("1e-310,1e-310\n1e-310,2e-310\n", '"certificate": {"h": [9.9999999999999694e-311,1.9999999999999939e-310],"b": [0.5,1],"A": 2,'
+                                         '"i0": 1,"j0": 1}},"warnings": []}\n'),
+    ("1e300,1e300\n1e300,1e-300\n", _NO_CERTIFICATE),
+    ("1,1e-310,1e300,1e-310\n" * 4, _NO_CERTIFICATE),
+    ("1,1\n1,1e-310\n", _NO_CERTIFICATE),  # 1 / 1e-310 overflows: the parent reported a certificate with A = inf
 ], ids=["subnormal", "1e300-1e-300", "1e300-1e-310", "inverse-ratio-overflow"])
-def test_check_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsys, text):
+def test_check_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsys, text, tail):
     path = tmp_path / "m.csv"
     path.write_text(text)
     with warnings.catch_warnings():
@@ -339,8 +359,7 @@ def test_check_raises_no_warning_at_the_ends_of_the_double_range(tmp_path, capsy
     assert code == 0 and err == ""
     assert out.replace(str(path), "FILE") == (
         '{"command": "check","inputs": {"file": "FILE","zero_tol": 0},"results": {"cone_preserving": true,'
-        '"uniformly_positive": true,"strictly_contracting": true,"certificate": null},'
-        '"warnings": ["certificate omitted: the constructed sandwich failed validation"]}\n'
+        '"uniformly_positive": true,"strictly_contracting": true,' + tail
     )
 
 
@@ -526,13 +545,23 @@ def test_kernel_certifies_a_grid_whose_row_is_at_or_below_zero_tol(tmp_path, cap
     assert res["c_grid"] == 0 and res["certificate"]["A"] == 1 and res["certificate"]["g1"] == [1, 0]
 
 
+def test_kernel_certifies_a_grid_whose_product_underflows_without_warnings(tmp_path, capsys):
+    # g1[1] * g2[1] underflows to 0 under the value 1e-300, within the check's slack 1e-9 * max(values)
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": [[1, 1e-300], [1e-300, 1e-300]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_report(capsys, "kernel", "--file", str(path))["results"]
+    assert res["certificate"] == {"A": 9.999999999999999e+299, "g1": [1, 1e-300], "g2": [1, 1e-300], "k0": 0, "j0": 0}
+    assert res["c_grid"] == res["psi_of_A"] == 1
+
+
 @pytest.mark.parametrize("values", [
-    [[1, 1e-300], [1e-300, 1e-300]],
     [[1e300, 1e-300], [1e-300, 1e300]],
     [[1, 1], [1, 1e-310]],
 ])
 def test_kernel_certificate_beyond_the_double_range_fails_without_warnings(tmp_path, capsys, values):
-    # a product g1 * g2 or a ratio leaves the double range, so A = inf, which certifies nothing
+    # a column ratio leaves the double range, so A = inf, which certifies nothing
     path = tmp_path / "grid.json"
     path.write_text(json.dumps({"nodes": [0.25, 0.75], "weights": [0.5, 0.5], "values": values}))
     with warnings.catch_warnings():

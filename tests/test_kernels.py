@@ -200,6 +200,9 @@ def test_factorization_is_valid_rejects_tampering():
     bad = FactorizationCertificate(g1=cert.g1, g2=cert.g2, A=1.0, reference_row=cert.reference_row,
                                    reference_col=cert.reference_col)
     assert not factorization_is_valid(grid.values, bad)
+    # g1 * g2 overflows: a verdict, with no raw RuntimeWarning
+    huge = FactorizationCertificate(g1=np.full(5, 1e200), g2=np.full(5, 1e200), A=2.0, reference_row=0, reference_col=0)
+    assert not factorization_is_valid(grid.values, huge)
 
 
 @pytest.mark.parametrize("g1, g2", [([1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0])])
@@ -320,12 +323,13 @@ def test_relate_certificate_to_coefficient():
         assert bound == psi(factorization_certificate(grid).A)
 
 
-def test_relate_certificate_to_coefficient_refuses_a_grid_beyond_psi_of_A():
-    # the symmetric sandwich certifies only c <= psi(A**2): this strictly positive grid exceeds psi(A)
+def test_relate_certificate_to_coefficient_returns_psi_of_A_above_c():
+    # a symmetric sandwich A**-1 g1 g2 <= V <= A g1 g2 around row k0 has psi(A) = 0.7241 < c here; the one-sided A is at least a_star
     values = [[3.0, 2.4, 1.5], [1.3, 2.6, 0.4], [2.2, 2.4, 2.4]]
     grid = KernelGrid(*uniform_grid(3), values)
-    with pytest.raises(ArithmeticError, match=r"^grid coefficient 0\.7333333333333334 exceeds psi\(A\) = 0\.7241379310344828$"):
-        relate_certificate_to_coefficient(grid)
+    bound, c = relate_certificate_to_coefficient(grid)
+    assert (bound, c) == (psi(factorization_certificate(grid).A), kernel_contraction_estimate(grid).c)
+    assert c == pytest.approx(0.73333, abs=1e-5) and bound == pytest.approx(0.85262, abs=1e-5) and c <= bound
 
 
 @st.composite
@@ -336,15 +340,40 @@ def positive_matrices(draw):
     return np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)))
 
 
+def _check_both_certificates_bound_c_by_psi_of_A(M, refusals=()):
+    # Birkhoff's sandwich b[j] h <= M e_j <= A b[j] h gives every column pair m >= A**-2: c <= psi(A), so A >= a_star
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the c(M) scan's raw warnings at the ends of the double range
+        report = contraction_coeff(M) if (M > 0.0).any(axis=0).all() else None
+    for certify, valid in ((uniform_positivity_certificate, certificate_is_valid),
+                           (lambda V: factorization_certificate(KernelGrid(*uniform_grid(len(V)), values=V)), factorization_is_valid)):
+        try:
+            cert = certify(M)
+        except refusals:
+            continue
+        assert valid(M, cert)
+        assert report.c <= psi(cert.A) + 1e-12
+        assert report.a_star is None or cert.A >= report.a_star - 1e-10
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(M=positive_matrices())
-@example(M=np.array([[3.0, 2.4, 1.5], [1.3, 2.6, 0.4], [2.2, 2.4, 2.4]]) / 3.0)  # psi(A) < c for both certificates
-def test_both_certificates_bound_c_by_psi_of_A_squared(M):
-    # the symmetric sandwich keeps each column ratio within a factor A**2 of b_i / b_j: m >= A**-4, so c <= psi(A**2)
-    cert = uniform_positivity_certificate(M)
-    assert certificate_is_valid(M, cert)
-    assert contraction_coeff(M).c <= psi(cert.A ** 2) + 1e-12
-    grid = KernelGrid(*uniform_grid(len(M)), values=M)
-    fcert = factorization_certificate(grid)
-    assert factorization_is_valid(M, fcert)
-    assert kernel_contraction_estimate(grid).c <= psi(fcert.A ** 2) + 1e-12
+@example(M=np.array([[3.0, 2.4, 1.5], [1.3, 2.6, 0.4], [2.2, 2.4, 2.4]]) / 3.0)  # a symmetric sandwich has psi(A) < c
+@example(M=np.array([[1.0, 5.0, 4.0], [4.0, 5.0, 1.0], [2.0, 5.0, 2.0]]))  # psi(A) == c == 15/17
+def test_both_certificates_bound_c_by_psi_of_A(M):
+    _check_both_certificates_bound_c_by_psi_of_A(M)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(M=st.integers(1, 4).flatmap(lambda n: st.lists(st.lists(st.sampled_from(ENTRIES), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_both_certificates_bound_c_by_psi_of_A_over_the_fuzz_entries(M):
+    # a dead column, a pattern offender or an A beyond the double range is refused; every certificate made is sound
+    _check_both_certificates_bound_c_by_psi_of_A(np.array(M, dtype=float), (ValueError, ArithmeticError))
+
+
+def test_both_certificates_attain_psi_of_A():
+    # pivot column [5, 5, 5] with b = [0.2, 1, 0.2] and A = 4: columns 0 and 2 are at m = 1/16 = A**-2, so c = psi(4) = 15/17
+    M = np.array([[1.0, 5.0, 4.0], [4.0, 5.0, 1.0], [2.0, 5.0, 2.0]])
+    grid = KernelGrid(*uniform_grid(3), values=M)
+    assert uniform_positivity_certificate(M).A == factorization_certificate(grid).A == 4.0
+    assert relate_certificate_to_coefficient(grid) == (psi(4.0), contraction_coeff(M).c) == (15 / 17, 15 / 17)

@@ -278,11 +278,12 @@ def test_certificate_examples():
     np.testing.assert_array_equal(cert.h, [1.0, 1.0])
     np.testing.assert_array_equal(cert.b, [1.0, 1.0])
 
+    # Birkhoff's one-sided sandwich: b[1] h = [1, 0.5] <= [1, 2] <= 4 b[1] h, and c = 0.6 <= psi(4) = 15/17
     cert = uniform_positivity_certificate([[2, 1], [1, 2]])
     assert (cert.reference_row, cert.reference_col) == (0, 0)
     np.testing.assert_array_equal(cert.h, [2.0, 1.0])
-    np.testing.assert_array_equal(cert.b, [2.0, 1.0])
-    assert cert.A == 2.0
+    np.testing.assert_array_equal(cert.b, [1.0, 0.5])
+    assert cert.A == 4.0
 
     cert = uniform_positivity_certificate([[1, 1], [0, 0]])
     np.testing.assert_array_equal(cert.h, [1.0, 0.0])
@@ -314,7 +315,7 @@ def test_certificate_sandwich_and_linearity():
         Mf = M @ f
         coeff = float(cert.b @ f)
         slack = 1e-9 * max(Mf.max(), 1.0)
-        assert np.all(coeff * cert.h / cert.A <= Mf + slack)
+        assert np.all(coeff * cert.h <= Mf + slack)
         assert np.all(Mf <= cert.A * coeff * cert.h + slack)
 
 
@@ -323,16 +324,31 @@ def test_certificate_is_valid_rejects_tampering():
     cert = uniform_positivity_certificate(M)
     bad = type(cert)(h=cert.h, b=cert.b, A=1.0, reference_row=0, reference_col=0)
     assert not certificate_is_valid(M, bad)
+    # the symmetric form A**-1 b[j] h <= M e_j <= A b[j] h holds here with h = b = [2, 1], A = 2, but b[j] h
+    # exceeds M e_j (4 > 2 at (0, 0)), so it is no one-sided sandwich
+    symmetric = type(cert)(h=np.array([2.0, 1.0]), b=np.array([2.0, 1.0]), A=2.0, reference_row=0, reference_col=0)
+    assert not certificate_is_valid(M, symmetric)
+    # h * b overflows: a verdict, with no raw RuntimeWarning
+    huge = type(cert)(h=np.array([1e200, 1e200]), b=np.array([1e200, 1e200]), A=2.0, reference_row=0, reference_col=0)
+    assert not certificate_is_valid(M, huge)
     longer = type(cert)(h=np.append(cert.h, 1.0), b=cert.b, A=cert.A, reference_row=0, reference_col=0)
     with pytest.raises(ValueError, match="^certificate dimensions do not match the matrix$"):
         certificate_is_valid(M, longer)
+
+
+def test_a_certificate_whose_pivot_product_is_0_times_inf_fails_as_A_inf():
+    # b[1] = 5e-324 / 2 underflows to 0 and a[1] = 2 / 5e-324 overflows: min(b * a) is NaN, and A = inf, never nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match=r"^the sandwich with A = inf fails its check$"):
+            uniform_positivity_certificate([[0.0, 0.0], [2.0, 5e-324]])
 
 
 def test_a_row_at_or_below_zero_tol_is_a_zero_row_of_the_certificate():
     M = [[1.0, 2.0], [0.3, 0.01]]
     assert is_strictly_contracting(M, 0.5) and contraction_coeff(M, 0.5).c == 0.0
     cert = uniform_positivity_certificate(M, 0.5)
-    assert (cert.A, cert.h.tolist(), cert.b.tolist()) == (2.0, [2.0, 0.0], [1.0, 2.0])
+    assert (cert.A, cert.h.tolist(), cert.b.tolist()) == (1.0, [2.0, 0.0], [0.5, 1.0])
     assert certificate_is_valid(M, cert, zero_tol=0.5)
     assert not certificate_is_valid(M, cert)  # at zero_tol 0, row 1 is no zero row
 

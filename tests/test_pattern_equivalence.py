@@ -2,12 +2,14 @@
 
 The library computes the zero pattern, the cone check and the sandwich
 constant once and shares them between matrices and kernels.  The reference
-formulas below are the separate per-function versions they replaced; every
-verdict, every offending grid point and every certificate must agree with
-them bit for bit.
+formulas below are separate per-function versions: the patterns by their
+definitions, and both certificates by public ``aleph`` per column around
+the first largest entry.  Every verdict, every offending grid point and
+every certificate must agree with them bit for bit.
 """
 
 import itertools
+import math
 import struct
 
 import numpy as np
@@ -18,6 +20,7 @@ from projcone import (
     KernelGrid,
     KernelPatternError,
     UniformPositivityCertificate,
+    aleph,
     certificate_is_valid,
     contraction_coeff_formula,
     factorization_certificate,
@@ -55,25 +58,23 @@ def _ref_offender(V, zt):
     return tuple(int(v) for v in np.argwhere(bad)[0]) if bad.any() else None
 
 
+def _ref_pivot(V):
+    """Birkhoff's sandwich of the zeroed ``V`` by public ``aleph``, column by column around its first largest entry."""
+    i0, j0 = (int(k) for k in np.unravel_index(int(np.argmax(V)), V.shape))
+    h = V[:, j0].copy()
+    b = np.array([aleph(h, V[:, j]) for j in range(V.shape[1])])
+    products = [float(b[j]) * aleph(V[:, j], h) for j in range(V.shape[1])]
+    A = 1.0 / min(products) if all(p > 0.0 for p in products) else math.inf
+    return i0, j0, h, b, A
+
+
 def _ref_uniform_certificate(M, zt):
-    M = np.where(M > zt, M, 0.0)
-    i0, j0 = (int(k) for k in np.unravel_index(int(np.argmax(M)), M.shape))
-    h = M[:, j0].copy()
-    b = M[i0, :].copy()
-    rows_pos = (M > zt).any(axis=1)
-    ratios = M[rows_pos, :] / np.outer(h[rows_pos], b)
-    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    i0, j0, h, b, A = _ref_pivot(np.where(M > zt, M, 0.0))
     return UniformPositivityCertificate(h=h, b=b, A=A, reference_row=i0, reference_col=j0)
 
 
 def _ref_factorization(V, zt):
-    pos = V > zt
-    V = np.where(pos, V, 0.0)
-    k0, j0 = (int(v) for v in np.unravel_index(int(np.argmax(V)), V.shape))
-    g1 = V[:, j0].copy()
-    g2 = V[k0, :] / V[k0, j0]
-    ratios = V[pos] / np.outer(g1, g2)[pos]
-    A = float(max(ratios.max(), (1.0 / ratios).max()))
+    k0, j0, g1, g2, A = _ref_pivot(np.where(V > zt, V, 0.0))
     return FactorizationCertificate(g1=g1, g2=g2, A=A, reference_row=k0, reference_col=j0)
 
 

@@ -22,6 +22,7 @@ from projcone import (
     perron_iterate,
     product_contraction_bound,
     pseudo_distance,
+    uniform_positivity_certificate,
 )
 
 import _exact
@@ -351,6 +352,24 @@ def test_pivot_constant_lies_between_its_exact_value_and_c_over_1_minus_c_on_ran
         finite += K < math.inf
         below_c += K < math.inf and Fraction(K) < (1 / _exact_m_min(M) - 1) / 2
     assert finite >= 400 and below_c >= 100
+
+
+def test_pivot_constant_is_the_certificates_A_minus_1_over_2_rounded_outward():
+    # Perron's pivot and check's certificate are one sandwich: K = (A - 1) / 2, moved outward by its alephs' rounding
+    rng = np.random.default_rng(45)
+    finite = 0
+    for k in range(600):
+        n = int(rng.integers(1, 8))
+        M = [rng.uniform(0.1, 3.0, size=(n, n)), 10.0 ** rng.uniform(-6.0, 6.0, size=(n, n))][k % 2]
+        if k % 3 == 0 and n > 1:
+            M[int(rng.integers(n))] = 0.0  # a zero row keeps M uniformly positive
+        A = uniform_positivity_certificate(M).A
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            K = perron._pivot_constant(M)
+        if K < math.inf:
+            assert (Fraction(A) - 1) / 2 <= Fraction(K) <= (Fraction(A) + 16 * Fraction(math.ulp(A)) - 1) / 2, M
+            finite += 1
+    assert finite >= 400
 
 
 def test_error_bound_is_at_least_the_exact_formula_at_the_reported_step():
