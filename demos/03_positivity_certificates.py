@@ -10,7 +10,8 @@ between multiples of one fixed direction h (Birkhoff's sandwich):
 Every pair of columns is then within a factor A**2 of each other's ray,
 so c <= psi(A).  This script builds such certificates around the column
 of the largest entry, checks them, and compares the constructive
-constant A with the optimal one a* = psi_inverse(c): a* <= A <= a*^2.
+constant A with the optimal one a* = m_min**-0.5, from the smallest
+column-pair product m_min (so psi(a*) = c): a* <= A <= a*^2.
 """
 
 import numpy as np

@@ -269,15 +269,15 @@ def cmd_coeff(args) -> dict:
     zt = args.zero_tol
     inputs = {"file": args.file, "formula": bool(args.formula), "zero_tol": zt}
     start = time.perf_counter()
-    if args.formula:
+    if args.formula:  # it accepts only positive matrices, which the theorem makes strictly contracting
         c = contraction_coeff_formula(M, zt)
-        witness, method, a_star = None, "closed_form", psi_inverse(c) if c < 1.0 else None
+        is_strict, witness, method, a_star = True, None, "closed_form", psi_inverse(c) if c < 1.0 else None
     else:
         report = contraction_coeff(M, zt)
-        c, witness, method, a_star = report.c, list(report.witness), report.method, report.a_star
+        c, is_strict, witness, method, a_star = report.c, report.is_strict, list(report.witness), report.method, report.a_star
     results = {
         "c": c,
-        "is_strict": c < 1.0,
+        "is_strict": is_strict,
         "witness": witness,
         "method": method,
         "elapsed": time.perf_counter() - start,

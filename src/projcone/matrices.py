@@ -5,17 +5,18 @@ the image of the j-th basis ray is the j-th column).  When no column is
 zero the action maps the cone into itself and induces a 1-Lipschitz map of
 rays for the bounded projective metric.  The least Lipschitz constant, the
 contraction coefficient ``c(M)``, equals the largest pairwise distance
-between column rays.  The zero pattern decides ``c(M) = 1`` first, in
-O(d^2): two columns with different supports are at the metric's bound 1.
-Otherwise all column pairs of the rows with support, which hold no zero,
-are scanned in O(d^3): screened on exact int16 differences of balanced,
-quantized logs, then the few pairs left in float64.
+between column rays, ``phi(m_min)`` of the smallest pair product
+``m = min(aleph(i, j) * aleph(j, i), 1)``.  The zero pattern decides
+``c(M) = 1`` first, in O(d^2): two columns with different supports have
+``m = 0``.  Otherwise all column pairs of the rows with support, which
+hold no zero, are scanned in O(d^3) for ``m_min``: screened on exact int16
+differences of balanced, quantized logs, then the few pairs left in float64.
 
 ``c(M) < 1`` holds exactly when the zero entries of ``M`` are confined to
 all-zero rows, equivalently when ``M`` admits Birkhoff's sandwich
 ``b[j] * h <= M e_j <= A * b[j] * h`` around a single direction ``h``.
 It certifies ``c(M) <= psi(A)``: every valid ``A`` has
-``A >= a_star(M) = psi_inverse(c(M))``.
+``A >= a_star(M) = m_min**-0.5``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cone import _aleph, _support, as_cone_vector, psi_inverse
+from .cone import _aleph, _support, as_cone_vector
 
 __all__ = [
     "ContractionReport",
@@ -114,14 +115,16 @@ def apply(M, f, zero_tol: float = 0.0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    """Contraction coefficient of a matrix together with certificate data.
+    """Contraction coefficient of a matrix together with certificate data, all from the smallest pair product ``m_min``.
 
-    ``is_strict`` is equivalent to ``c < 1``; ``a_star = psi_inverse(c)``,
-    at most every sandwich's ``A``, is present exactly then.
-    ``witness`` is the first column pair ``(i, j)``, ``i < j``, in
-    row-major order at the largest distance ``c``.  Where the zero pattern
-    settles ``c = 1`` it is the first pair whose exact ``m`` is 0; a
-    1x1 matrix has the witness ``(0, 0)``.
+    ``c = phi(m_min)``, rounded once.  ``is_strict`` is the paper's
+    theorem, :func:`is_strictly_contracting`'s zero-pattern test, also
+    where ``c`` rounds to 1.  ``a_star = m_min**-0.5``, at most every
+    sandwich's ``A``, is None where ``is_strict`` is false or the float
+    ``m_min`` is 0 or NaN (at the ends of the double range).  ``witness``
+    is the first column pair ``(i, j)``, ``i < j``, in row-major order at
+    ``m_min``: where the zero pattern settles ``c = 1``, the first pair
+    whose exact ``m`` is 0; a 1x1 matrix has the witness ``(0, 0)``.
     """
 
     c: float
@@ -133,9 +136,8 @@ class ContractionReport:
 
 # The one block of every pass of c(M) outside the n x n tables: rows of float64
 # M per step of the aleph scan (of the int16 log table, four times as many), and
-# columns of the pair table's row 0 and listed pairs per step.  The
-# scan takes max(1024 // n, 1) columns per step: each thread's buffer holds
-# 512 KB up to n = 1024 and 512 n bytes above.
+# listed pairs per step.  The scan takes max(1024 // n, 1) columns per step:
+# each thread's buffer holds 512 KB up to n = 1024 and 512 n bytes above.
 _SCAN_BLOCK_ROWS = 64
 
 
@@ -173,7 +175,7 @@ def _aleph_columns(M: np.ndarray, workers: int | None = None) -> np.ndarray:
     same correctly rounded division as in :func:`projcone.cone.aleph` on the
     column pair, and a minimum is exact in any grouping, so the result is
     bitwise identical to the scalar route.  For the int16 log table of
-    :func:`_screened_max_pair_distance` the quotient is the exact difference
+    :func:`_screened_min_pair_product` the quotient is the exact difference
     ``M[k, :] - M[k, i]``.
 
     The scan walks blocks of ``M``'s rows outside and groups of
@@ -217,47 +219,46 @@ def _aleph_columns(M: np.ndarray, workers: int | None = None) -> np.ndarray:
     return out
 
 
-def _pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bounded-metric distances ``phi(min(a * b, 1))`` of aleph pairs, elementwise."""
-    m = np.minimum(a * b, 1.0)
-    return (1.0 - m) / (1.0 + m)
+def _pair_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pair products ``min(a * b, 1)`` of aleph pairs, elementwise."""
+    return np.minimum(a * b, 1.0)
 
 
-def _listed_pair_distances(M: np.ndarray, i, j) -> np.ndarray:
-    """Distances of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's; ``M`` as :func:`projcone.cone._aleph` takes it."""
+def _listed_pair_products(M: np.ndarray, i, j) -> np.ndarray:
+    """Products of the column pairs ``(i, j)``, listed by two slices or two index lists, bit for bit the scan's; ``M`` as :func:`projcone.cone._aleph` takes it."""
     f, g = M[:, i], M[:, j]
-    return _pair_distances(_aleph(f, g), _aleph(g, f))
+    return _pair_products(_aleph(f, g), _aleph(g, f))
 
 
-def _first_farthest(blocks) -> tuple[float, tuple[int, int]]:
-    """Largest distance over ``(d, rows, cols)`` blocks listed in row-major order, and its first pair: every route of ``c(M)`` that reads distances picks it here.
+def _first_smallest(blocks) -> tuple[float, tuple[int, int]]:
+    """Smallest product over ``(m, rows, cols)`` blocks listed in row-major order, and its first pair: every route of ``c(M)`` that reads products picks it here.
 
-    ``d`` is a 1-d block of distances of the pairs ``(rows[k], cols[k])``,
-    ``rows`` and ``cols`` broadcasting to its length.  ``argmax`` within a
-    block and a strict ``>`` across blocks keep the first attaining pair.
-    A NaN distance (an ``inf * 0`` product at the ends of the double range)
-    wins where it first occurs, as under ``argmax``, and ends the reduction.
+    ``m`` is a 1-d block of products of the pairs ``(rows[k], cols[k])``,
+    ``rows`` and ``cols`` broadcasting to its length.  ``argmin`` within a
+    block and a strict ``<`` across blocks keep the first attaining pair.
+    A NaN product (``inf * 0`` at the ends of the double range) wins where
+    it first occurs, as under ``argmin``, and ends the reduction.
     """
-    best, pair = -1.0, (0, 1)
-    for d, rows, cols in blocks:
-        k = int(np.argmax(d))
-        v = float(d[k])
-        if v > best or math.isnan(v):
-            best, pair = v, tuple(int(ix[k]) for ix in np.broadcast_arrays(rows, cols, d)[:2])
+    best, pair = math.inf, (0, 1)
+    for m, rows, cols in blocks:
+        k = int(np.argmin(m))
+        v = float(m[k])
+        if v < best or math.isnan(v):
+            best, pair = v, tuple(int(ix[k]) for ix in np.broadcast_arrays(rows, cols, m)[:2])
             if math.isnan(v):
                 break
     return best, pair
 
 
-def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
-    """The float64 scan's ``(c, witness)`` on the rows ``P``, bit for bit, via an int16 log table; None where it does not split the pairs.
+def _screened_min_pair_product(P: np.ndarray, workers: int | None) -> tuple[float, tuple[int, int]] | None:
+    """The float64 scan's ``(m_min, witness)`` on the rows ``P``, bit for bit, via an int16 log table; None where it does not split the pairs.
 
     Under the guard of :func:`contraction_coeff`, at every size, on the
-    rows ``P`` of :func:`_contraction`, which hold no zero.  ``c(M)``
+    rows ``P`` of :func:`_contraction`, which hold no zero.  A pair's ``m``
     does not change under positive row or column scaling, and in ``log2``
-    space a pair's ``m`` is minus the range, over rows, of a column
-    difference.  So the float64 logs of ``P`` are balanced (each row's
-    minimum subtracted, then each column's) and quantized to
+    space it is minus the range, over rows, of a column difference.  So
+    the float64 logs of ``P`` are balanced (each row's minimum
+    subtracted, then each column's) and quantized to
     ``Q = rint(L / delta)`` in ``0..8191``, ``delta = max(L) / 8191``.
     :func:`_aleph_columns` builds ``T[i, j] = min_k (Q[k, j] - Q[k, i])``
     exactly.
@@ -272,18 +273,14 @@ def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[flo
     float64 ``m``, ``min(fl(a64 b64), 1)`` of correctly rounded alephs, is
     within a factor ``1 +- 2**-50`` of the exact one, give or take ``eta``
     for subnormal products, so the pair at ``R = r_max`` has a float64 ``m``
-    of at most ``m_hi = 2**((s - r_max) delta) (1 + 2**-50) + eta``.  And
-    :func:`_pair_distances` gives a strictly smaller distance to a float64
-    ``m`` larger by ``2**-51``: rounding is monotone, ``fl(1 - m)`` drops by
-    at least ``3 * 2**-53``, ``fl(1 + m)`` does not drop, and the quotient,
-    at most 1, drops by more than one ulp.  So a pair attaining the maximum
-    has a float64 ``m`` below ``m_hi + 2**-51`` and an exact ``m`` below
-    ``(m_hi + 2**-51 + eta) / (1 - 2**-50)`` (and at most 1), which bounds
-    its ``R`` from below in one closed form; the constants' room and the
-    ``- 1`` cover its own roundings.  The candidates, the pairs with ``R``
-    at or above that cut, are recomputed by
-    :func:`_listed_pair_distances` 64 at a time, in row-major order, for
-    :func:`_first_farthest`; more than ``n`` of them (ties) give None.
+    of at most ``m_hi = 2**((s - r_max) delta) (1 + 2**-50) + eta``.  So a
+    pair attaining the smallest float64 ``m`` has a float64 ``m`` of at most
+    ``m_hi`` and an exact ``m`` of at most ``(m_hi + eta) / (1 - 2**-50)``
+    (and at most 1), which bounds its ``R`` from below in one closed form;
+    the constants' room and the ``- 1`` cover its own roundings.  The
+    candidates, the pairs with ``R`` at or above that cut, are recomputed
+    by :func:`_listed_pair_products` 64 at a time, in row-major order, for
+    :func:`_first_smallest`; more than ``n`` of them (ties) give None.
     """
     n = P.shape[1]
     L = np.log2(P)
@@ -305,7 +302,7 @@ def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[flo
     # |fl(a) fl(b) - a b| is at most 3.01 u a b + 2**-1074 (a + b), and no aleph exceeds max(P) / min(P)
     eta = math.ldexp(1.0, math.ceil(log_hi - log_lo) - 1068)
     m_hi = 2.0 ** ((s - r_max) * delta) * (1.0 + 2.0**-50) + eta
-    cut = math.floor(-math.log2(min((m_hi + 2.0**-51 + eta) / (1.0 - 2.0**-50), 1.0)) / delta - s) - 1
+    cut = math.floor(-math.log2(min((m_hi + eta) / (1.0 - 2.0**-50), 1.0)) / delta - s) - 1
     hits = R >= cut
     np.fill_diagonal(hits, False)
     if np.count_nonzero(hits) > 2 * n:  # each pair twice, as (i, j) and (j, i)
@@ -314,7 +311,7 @@ def _screened_max_pair_distance(P: np.ndarray, workers: int | None) -> tuple[flo
     keep = rows < cols
     rows, cols = rows[keep], cols[keep]
     B = _SCAN_BLOCK_ROWS
-    return _first_farthest((_listed_pair_distances(P, rows[k:k + B], cols[k:k + B]), rows[k:k + B], cols[k:k + B])
+    return _first_smallest((_listed_pair_products(P, rows[k:k + B], cols[k:k + B]), rows[k:k + B], cols[k:k + B])
                            for k in range(0, rows.size, B))
 
 
@@ -322,20 +319,19 @@ def contraction_coeff(M, zero_tol: float = 0.0, workers: int | None = None) -> C
     """Contraction coefficient ``c(M)``: the best Lipschitz constant on rays.
 
     Computed definitionally as the maximum bounded-metric distance between
-    column rays, an entry at or below ``zero_tol`` counting as zero.  A
-    matrix whose zero pattern is not uniformly positive has ``c = 1``,
-    settled in O(d^2) (see :func:`_contraction`).  Otherwise all column
-    pairs are scanned in O(d^3) (see :func:`_aleph_columns`), then read
-    row by row over ``i < j`` in O(d) extra memory.  The witness follows
-    :class:`ContractionReport`'s rule: every route that reads distances
-    picks it with :func:`_first_farthest`.  When ``max(P) / min(P)`` is
-    finite over the rows ``P`` with support, no quotient of the scan
-    overflows and no distance is NaN, so the bound 1.0, where row 0 of the
-    pair table holds it (2 d^2 divisions, in 64-column blocks), is the
-    maximum and settles ``c = 1`` with the scan's witness.  Under the same guard,
-    at every d, :func:`_screened_max_pair_distance` screens pairs on an
-    int16 table of log differences and leaves the float64 scan only the
-    inputs it cannot split (ties).
+    column rays, ``phi(m_min)`` of the smallest pair product, an entry at
+    or below ``zero_tol`` counting as zero.  A matrix whose zero pattern
+    is not uniformly positive has ``c = 1``, settled in O(d^2) (see
+    :func:`_contraction`).  Otherwise all column pairs are scanned in
+    O(d^3) (see :func:`_aleph_columns`), then read row by row over
+    ``i < j`` in O(d) extra memory.  Every field follows from ``m_min`` by
+    :class:`ContractionReport`'s rules, and every route that reads
+    products picks it and its witness with :func:`_first_smallest`.  When
+    ``max(P) / min(P)`` is finite over the rows ``P`` with support, no
+    quotient of the scan overflows and no product is NaN; under that
+    guard, at every d, :func:`_screened_min_pair_product` screens pairs on
+    an int16 table of log differences and leaves the float64 scan only
+    the inputs it cannot split (ties).
 
     ``workers`` fans the scan over that many threads.  With ``None`` the
     scan uses every CPU the process may run on (its affinity set) from
@@ -361,26 +357,22 @@ def _contraction(M: np.ndarray, pos: np.ndarray, workers: int | None = None) -> 
     """
     _check_cone_preserving(pos)
     n = M.shape[1]
-    if n == 1:
-        return ContractionReport(c=0.0, is_strict=True, a_star=1.0, witness=(0, 0), method="definitional")
     differs = (pos != pos[:, :1]).any(axis=0)
     if differs.any():
         return ContractionReport(c=1.0, is_strict=False, a_star=None, witness=(0, int(np.argmax(differs))), method="definitional")
     used = pos[:, 0]
     P = M if used.all() else M[used]  # every row: M itself, no copy
-    B, col, farthest = _SCAN_BLOCK_ROWS, np.arange(n), None
     if workers is None and n >= _PARALLEL_SCAN_MIN_DIM:
         workers = _usable_cpus()
-    if _quotients_are_finite(P):  # the guard: row 0 of the pair table settles c = 1 where it holds the bound 1.0
-        farthest = _first_farthest((_listed_pair_distances(P, slice(0, 1), slice(j, j + B)), 0, col[j:j + B]) for j in range(1, n, B))
-        if farthest[0] < 1.0:
-            farthest = _screened_max_pair_distance(P, workers)
-    if farthest is None:
-        al = _aleph_columns(P, workers)
-        farthest = _first_farthest((_pair_distances(al[i, i + 1:], al[i + 1:, i]), i, col[i + 1:]) for i in range(n - 1))
-    c, witness = farthest
-    a = psi_inverse(c) if c < 1.0 else None
-    return ContractionReport(c=c, is_strict=c < 1.0, a_star=a, witness=witness, method="definitional")
+    # one column is one ray, m_min = 1; else the screen where the guard holds, and the float64 table where it gives None
+    smallest = (1.0, (0, 0)) if n == 1 else _screened_min_pair_product(P, workers) if _quotients_are_finite(P) else None
+    if smallest is None:
+        al, col = _aleph_columns(P, workers), np.arange(n)
+        smallest = _first_smallest((_pair_products(al[i, i + 1:], al[i + 1:, i]), i, col[i + 1:]) for i in range(n - 1))
+    m, witness = smallest
+    # phi is monotone under rounding, so phi(m_min) is the largest rounded distance, bit for bit
+    return ContractionReport(c=(1.0 - m) / (1.0 + m), is_strict=True, a_star=m**-0.5 if m > 0.0 else None, witness=witness,
+                             method="definitional")
 
 
 def contraction_coeff_formula(M, zero_tol: float = 0.0) -> float:
@@ -529,12 +521,17 @@ def uniform_positivity_certificate(M, zero_tol: float = 0.0) -> UniformPositivit
 
 
 def a_star(M, zero_tol: float = 0.0) -> float:
-    """``psi_inverse(c(M))``, at most every sandwich certificate's ``A``.
+    """``m_min**-0.5`` of :func:`contraction_coeff`, at most every sandwich certificate's ``A``.
 
-    Defined only for strictly contracting matrices; raises when ``c = 1``
-    (no finite constant exists).
+    Defined only for strictly contracting matrices: ``ValueError`` where
+    the zero pattern gives ``c = 1`` (no finite constant exists), and
+    ``ArithmeticError`` where the matrix is strict but the float ``m_min``
+    is 0 or NaN (at the ends of the double range), as :func:`_sandwich`
+    refuses on such input.
     """
     report = contraction_coeff(M, zero_tol)
     if not report.is_strict:
         raise ValueError("matrix is not strictly contracting (c = 1); no finite sandwich constant exists")
+    if report.a_star is None:
+        raise ArithmeticError("the smallest pair product m_min is 0 or NaN in double precision; a_star = m_min**-0.5 is not representable")
     return report.a_star

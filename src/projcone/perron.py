@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import _aleph, _cone_vector, _support
-from .matrices import _check_cone_preserving, _contraction, _listed_pair_distances, _pivot, as_nonneg_matrix
+from .matrices import _check_cone_preserving, _contraction, _listed_pair_products, _pivot, as_nonneg_matrix
 
 __all__ = [
     "PerronResult",
@@ -283,7 +283,8 @@ def perron_iterate(
                     refusal, k = exc, k - 1  # the refused image is no iterate
                     break
                 q /= tops[k]
-            steps = _listed_pair_distances(V[:, : k + 1], slice(None, -1), slice(1, None))
+            m = _listed_pair_products(V[:, : k + 1], slice(None, -1), slice(1, None))
+            steps = (1.0 - m) / (1.0 + m)
             hits = np.flatnonzero(steps <= tol)
             if not hits.size and refusal:
                 raise refusal  # where the step by step loop raises: no earlier step converged

@@ -1,9 +1,9 @@
-"""Shared random-corpus generators, a batched distance helper, the float64 pair reduction and a ``_support`` spy."""
+"""Shared random-corpus generators, a batched distance helper, the float64 pair reduction and its report fields, and a ``_support`` spy."""
 
 import numpy as np
 
 from projcone import cone, pseudo_distance
-from projcone.matrices import _first_farthest, _pair_distances
+from projcone.matrices import _first_smallest, _pair_products
 
 
 def random_cone_vector(rng, dim, zero_prob=0.0, log_uniform=False):
@@ -31,9 +31,15 @@ def random_cone_preserving_matrix(rng, dim, zero_prob=0.3):
 
 
 def farthest_pair(al):
-    """``(c, witness)`` of the float64 aleph table ``al``, read row by row over ``i < j`` by ``_first_farthest``."""
+    """``(m_min, witness)`` of the float64 aleph table ``al``: its smallest pair product and first pair at it, read row by row
+    over ``i < j`` by ``_first_smallest``."""
     n = al.shape[0]
-    return _first_farthest((_pair_distances(al[i, i + 1:], al[i + 1:, i]), i, np.arange(i + 1, n)) for i in range(n - 1))
+    return _first_smallest((_pair_products(al[i, i + 1:], al[i + 1:, i]), i, np.arange(i + 1, n)) for i in range(n - 1))
+
+
+def c_and_a_star(m):
+    """``(c, a_star)`` of a strict matrix whose smallest pair product is ``m``, as ``ContractionReport`` derives them."""
+    return (1.0 - m) / (1.0 + m), m**-0.5 if m > 0.0 else None
 
 
 def batch_pseudo_distance(F, G):

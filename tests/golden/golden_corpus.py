@@ -171,8 +171,8 @@ CLI_FILES = {
     "scale.csv": (_csv(["2000,1000", "1000,2000"]), None),
     "nan.csv": (_csv(["1,1e-310,1e300,1e-310"] * 4), "NaN coefficient and raw warnings (ROADMAP item 2)"),
     "overflow.csv": (_csv(["1e-300,0.3,0", "1e-300,1,2", "1e-310,0,1e-310"]), "raw overflow warning in the Perron step"),
-    "contradiction.csv": (_csv(["1e300,1e300", "1e300,1e-300"]), "coeff says c = 1 while check certifies strict contraction"),
-    "near_one.csv": (_csv(["1,1e-9", "1e-9,1"]), "c = 1 for m below about 1.1e-16"),
+    "contradiction.csv": (_csv(["1e300,1e300", "1e300,1e-300"]), "c rounds to 1 and m_min underflows, so no a_star (ROADMAP item 4)"),
+    "near_one.csv": (_csv(["1,1e-9", "1e-9,1"]), None),
     "subnormal.csv": (_csv(["1e-310,1e-310", "1e-310,2e-310"]), None),
     "lost.csv": (_csv(["1,1", "1,1e-310"]), "certificate A beyond the double range"),
     "dead.csv": (_csv(["1,0", "1,0"]), None),

@@ -214,6 +214,18 @@ def test_coeff_identity_has_no_a_star(tmp_path, capsys):
     assert res["c"] == 1.0 and res["is_strict"] is False and "a_star" not in res
 
 
+def test_coeff_reports_the_theorems_is_strict_where_c_rounds_to_1(tmp_path, capsys):
+    # m = 1e-18: c rounds to 1, but a positive matrix contracts strictly, with a_star = m**-0.5 = 1e9, as check says
+    path = tmp_path / "m.csv"
+    path.write_text("1,1e-9\n1e-9,1\n")
+    res = run_report(capsys, "coeff", str(path))["results"]
+    assert (res["c"], res["is_strict"]) == (1.0, True) and abs(res["a_star"] / 1e9 - 1) < 1e-15
+    assert run_report(capsys, "check", str(path))["results"]["strictly_contracting"] is True
+    # the closed form takes only positive matrices, all strict; its a_star = psi_inverse(c) needs c < 1
+    formula = run_report(capsys, "coeff", str(path), "--formula")["results"]
+    assert (formula["c"], formula["is_strict"]) == (1.0, True) and "a_star" not in formula
+
+
 def test_coeff_formula_flag(tmp_path, capsys):
     path = tmp_path / "m.csv"
     path.write_text("3,1\n1,3\n")

@@ -309,6 +309,24 @@ def test_poly_kernel_coefficient_stable_on_endpoint_grids():
     assert abs(c3 - c6) <= 0.1 * max(c3, c6)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 512, 1024])
+@pytest.mark.parametrize("sigma", [0.02, 0.05, 0.3, 1.0, 4.0, 20.0])
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+def test_gaussian_grid_meets_its_closed_form(rule, sigma, n):
+    # K(x, y) = exp(-(x - y)**2 / sigma) on nodes spanning s: columns d apart have m = exp(-2 s d / sigma), so the outermost
+    # pair (0, n - 1) alone attains m_min = exp(-2 s**2 / sigma), with a_star = exp(s**2 / sigma) and c = tanh(s**2 / sigma)
+    s = 1.0 if rule == "trapezoid" else 1.0 - 1.0 / n
+    grid = tabulate_kernel(builtin_kernel("gaussian", sigma=sigma), n, rule)
+    rep = kernel_contraction_estimate(grid)
+    a_star = math.exp(s * s / sigma)
+    assert rep.witness == (0, n - 1) and rep.is_strict
+    assert abs(rep.a_star - a_star) <= 4 * math.ulp(a_star), (rep.a_star, a_star)
+    assert abs(rep.c - math.tanh(s * s / sigma)) <= 1e-14
+    if n >= 512:
+        for workers in (1, 2):
+            assert contraction_coeff(discretize(grid), workers=workers) == rep, workers
+
+
 def test_relate_certificate_to_coefficient():
     bound, c = relate_certificate_to_coefficient(tabulate_kernel(builtin_kernel("separable"), 6))
     assert bound <= 1e-12 and c <= 1e-12

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from projcone import (
     a_star,
@@ -28,7 +28,6 @@ from projcone import (
     phi,
     pseudo_distance,
     psi,
-    psi_inverse,
     tabulate_kernel,
     uniform_positivity_certificate,
 )
@@ -36,7 +35,7 @@ from projcone import matrices
 from projcone.matrices import _LOG_STEPS, _SCAN_BLOCK_ROWS, _aleph_columns, _usable_cpus
 
 import _exact
-from _util import assert_batch_matches_scalar, batch_pseudo_distance, farthest_pair, random_cone_preserving_matrix, random_cone_vector
+from _util import assert_batch_matches_scalar, batch_pseudo_distance, c_and_a_star, farthest_pair, random_cone_preserving_matrix, random_cone_vector
 from test_cli_fuzz import ENTRIES
 
 
@@ -140,6 +139,39 @@ def test_a_pattern_that_is_not_strictly_contracting_has_c_1_and_a_witness_at_m_0
         assert _exact.m(M[:, i].tolist(), M[:, j].tolist(), zero_tol) == 0
 
 
+@st.composite
+def fuzz_and_random_matrices(draw):
+    """n x n matrices, n = 1..5, of the fuzz entries, of 10**U(-9, 9) entries, or of uniform(0, 1) entries and zeros."""
+    n = draw(st.integers(1, 5))
+    entries = draw(st.sampled_from([st.sampled_from(ENTRIES), st.floats(-9.0, 9.0).map(lambda e: 10.0**e), st.floats(0.0, 1.0) | st.just(0.0)]))
+    return np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)), dtype=float)
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(M=fuzz_and_random_matrices(), zero_tol=st.sampled_from([0.0, 0.5]))
+@example(M=np.array([[1.0, 1e-9], [1e-9, 1.0]]), zero_tol=0.0)
+def test_is_strict_is_the_zero_pattern_test_also_where_c_rounds_to_1(M, zero_tol):
+    # the paper's second result: a cone-preserving matrix contracts strictly exactly when it is uniformly positive
+    assume((M > zero_tol).any(axis=0).all())
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = contraction_coeff(M, zero_tol)
+    assert rep.is_strict == is_strictly_contracting(M, zero_tol), M.tolist()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(M=fuzz_and_random_matrices(), zero_tol=st.sampled_from([0.0, 0.5]))
+@example(M=np.array([[1.0, 1e-9], [1e-9, 1.0]]), zero_tol=0.0)
+def test_a_star_is_within_4_ulp_of_the_exact_m_min_to_the_minus_one_half(M, zero_tol):
+    # on guarded input whose exact m_min is a normal double, also where c rounds to 1
+    assume((M > zero_tol).any(axis=0).all() and is_strictly_contracting(M, zero_tol) and _quotients_are_finite(M, zero_tol))
+    cols = M.T.tolist()
+    m_min = min((_exact.m(f, g, zero_tol) for i, f in enumerate(cols) for g in cols[i + 1:]), default=Fraction(1))
+    assume(m_min >= Fraction(np.finfo(float).tiny))
+    want = float(m_min) ** -0.5
+    rep = contraction_coeff(M, zero_tol)
+    assert abs(rep.a_star - want) <= 4 * math.ulp(want), (M.tolist(), rep.a_star, want)
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_theorem_1_holds_exactly_on_the_fuzz_entries(data):
@@ -241,13 +273,13 @@ def test_is_strictly_contracting_examples():
 
 
 def test_extreme_dynamic_range_saturates_the_metric():
-    # mathematically c < 1 here, but once m drops below ~2e-17 the bounded
-    # distance (1-m)/(1+m) rounds to exactly 1.0 in double precision; the
-    # zero-pattern test works on exact entries and is not affected
+    # mathematically c < 1 here, but once m falls to ~5.6e-17 the bounded distance (1-m)/(1+m) rounds to exactly
+    # 1.0 in double precision; is_strict is the zero-pattern test, and a_star = m**-0.5 keeps m = 2.5e-31's digits
     M = np.array([[2.0, 1e-15], [1e-15, 2.0]])
     assert is_strictly_contracting(M)
     rep = contraction_coeff(M)
-    assert rep.c == 1.0 and not rep.is_strict
+    assert rep.c == 1.0 and rep.is_strict
+    assert rep.a_star == pytest.approx(2e15, rel=1e-15)
 
 
 def test_pattern_agrees_with_metric_fuzzed():
@@ -357,8 +389,14 @@ def test_a_star_examples():
     assert a_star([[2, 1], [1, 2]]) == pytest.approx(2.0, abs=1e-12)
     assert a_star([[1, 1], [1, 1]]) == 1.0
     assert a_star([[3, 1], [1, 3]]) == pytest.approx(3.0, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not strictly contracting"):
         a_star(np.eye(2))
+    # strict, but m = 1e-400 underflows to 0: the report keeps c = 1 and no a_star, and a_star() refuses
+    M = [[1.0, 1e-200], [1e-200, 1.0]]
+    rep = contraction_coeff(M)
+    assert (rep.c, rep.is_strict, rep.a_star) == (1.0, True, None)
+    with pytest.raises(ArithmeticError, match="m_min is 0 or NaN"):
+        a_star(M)
 
 
 def test_psi_roundtrip_on_random_matrices():
@@ -384,13 +422,12 @@ def _aleph_columns_per_row(M, zero_tol):
     return out
 
 
-def _max_pair_distance_dense(al):
-    """The n x n reduction: m, distance and argmax over the upper triangle."""
+def _min_pair_product_dense(al):
+    """The n x n reduction: m and argmin over the upper triangle."""
     m = np.minimum(al * al.T, 1.0)
-    dist = (1.0 - m) / (1.0 + m)
     rows, cols = np.triu_indices(al.shape[0], k=1)
-    vals = dist[rows, cols]
-    k = int(np.argmax(vals))
+    vals = m[rows, cols]
+    k = int(np.argmin(vals))
     return float(vals[k]), (int(rows[k]), int(cols[k]))
 
 
@@ -408,9 +445,9 @@ def _scan_corpus(rng, n):
     tiny = rng.uniform(0.0, 1e-310, size=(n, n))
     tiny[rng.random((n, n)) < 0.3] = 1.0
     tiny[0] = 5e-324
-    # pair (0, n - 1) alone has m near 1e-18, a distance of 1.0: the row-0 rule's witness, in row 0's last block
-    row_0 = rng.uniform(1.0, 2.0, size=(n, n))
-    row_0[0, 0] = row_0[-1, -1] = 1e-9
+    # pair (0, n - 1) alone has m near 1e-18, a distance of 1.0
+    saturated = rng.uniform(1.0, 2.0, size=(n, n))
+    saturated[0, 0] = saturated[-1, -1] = 1e-9
     return [
         ("dense", dense, 0.0),
         ("30% zeros", zeros, 0.0),
@@ -418,7 +455,7 @@ def _scan_corpus(rng, n):
         ("zero_tol 0.5", tol, 0.5),
         ("1e+-300", wide, 0.0),
         ("subnormal", tiny, 0.0),
-        ("row 0 at its last column", row_0, 0.0),
+        ("one saturated pair", saturated, 0.0),
         ("ties", rng.choice([1.0, 2.0, 3.0], size=(n, n)), 0.0),
     ]
 
@@ -429,7 +466,7 @@ def _same(a, b):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 @pytest.mark.parametrize("n", [1, 2, _SCAN_BLOCK_ROWS - 1, _SCAN_BLOCK_ROWS, _SCAN_BLOCK_ROWS + 1, 2 * _SCAN_BLOCK_ROWS + 2, 203, 256, 257])
-def test_blocked_scan_is_bitwise_the_per_row_formula(n, aleph_scans):
+def test_blocked_scan_is_bitwise_the_per_row_formula(n):
     # the table is built on the rows with support of a uniformly positive pattern, which hold no zero
     rng = np.random.default_rng(1000 + n)
     for label, M, zt in _scan_corpus(rng, n):
@@ -439,13 +476,14 @@ def test_blocked_scan_is_bitwise_the_per_row_formula(n, aleph_scans):
             P = M[pos.any(axis=1)]
             for workers in (1, 2):
                 assert np.array_equal(_aleph_columns(P, workers), al), (label, workers)
-        aleph_scans.clear()
         reports = [contraction_coeff(M, zt, workers=w) for w in (None, 1, 2, 3)]
-        if label == "row 0 at its last column":  # settled without a table
-            assert aleph_scans == [] and reports[0].c == float(n > 1)
+        if label == "one saturated pair":
+            assert reports[0].c == float(n > 1) and reports[0].is_strict
+        assert reports[0].is_strict == is_strictly_contracting(M, zt), label
         if n > 1:
-            c, witness = _max_pair_distance_dense(al)
-            assert _same(reports[0].c, c) and reports[0].witness == witness, label
+            m, witness = _min_pair_product_dense(al)
+            c, a = c_and_a_star(m)
+            assert _same(reports[0].c, c) and reports[0].witness == witness and reports[0].a_star == a, label
         for rep in reports[1:]:
             assert _same(rep.c, reports[0].c), label
             assert rep.witness == reports[0].witness, label
@@ -492,10 +530,10 @@ def test_blocked_scan_nan_distance_wins_at_first_occurrence():
     # the first NaN even though the finite pair (0, 1) comes earlier
     M = np.tile([1.0, 1e-310, 1e300, 1e-310], (4, 1))
     al = _aleph_columns_per_row(M, 0.0)
-    c, witness = _max_pair_distance_dense(al)
+    m, witness = _min_pair_product_dense(al)
     rep = contraction_coeff(M)
-    assert math.isnan(c) and witness == (1, 2)
-    assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None
+    assert math.isnan(m) and witness == (1, 2)
+    assert math.isnan(rep.c) and rep.witness == (1, 2) and rep.a_star is None and rep.is_strict
 
 
 @pytest.mark.parametrize("workers", [None, 2])
@@ -514,7 +552,7 @@ def test_scan_runs_under_the_callers_error_state(workers):
 
 
 # ---------------------------------------------------------------------------
-# c = 1 decided from row 0 of the pair table, against the full scan
+# c = 1 decided by the zero pattern, and saturated by rounding, against the full scan
 
 
 _SHORTCUT_VALUES = np.array([1e-310, 1e-300, 1e-15, 0.3, 1.0, 2.0, 1e15, 1e300])
@@ -563,21 +601,13 @@ def _quotients_are_finite(M, zero_tol):
     return lo > 0.0 and math.isfinite(float(M.max()) / lo)
 
 
-def _row_0_decides(P, al):
-    """Whether c(M) = 1 may be settled without the scan, read off the full aleph table ``al`` of the rows ``P`` with support."""
-    if not _quotients_are_finite(P, 0.0):
-        return False
-    m = np.minimum(al[0, 1:] * al[1:, 0], 1.0)
-    return bool(((1.0 - m) / (1.0 + m) == 1.0).any())
-
-
 def _rows_with_support(M, zero_tol):
     return M[(M > zero_tol).any(axis=1)]
 
 
 def test_pattern_shortcut_is_bitwise_the_full_scan(aleph_scans):
     rng = np.random.default_rng(2024)
-    patterns = row_0 = refused = 0
+    patterns = saturated = refused = 0
     for M, zt in _shortcut_corpus(rng, 600):
         scans = len(aleph_scans)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -588,19 +618,15 @@ def test_pattern_shortcut_is_bitwise_the_full_scan(aleph_scans):
             assert len(aleph_scans) == scans, label
             patterns += 1
             continue
-        P = _rows_with_support(M, zt)
         with np.errstate(over="ignore", invalid="ignore"):
-            al = _aleph_columns(P)
-            c, witness = farthest_pair(al)
-        assert _same(rep.c, c) and rep.witness == witness, label
-        assert rep.a_star == (psi_inverse(c) if c < 1.0 else None), label
-        decides = _row_0_decides(P, al)
-        assert (len(aleph_scans) == scans) == decides, label
-        row_0 += decides
+            m, witness = farthest_pair(_aleph_columns(_rows_with_support(M, zt)))
+        c, a = c_and_a_star(m)
+        assert _same(rep.c, c) and rep.witness == witness and rep.a_star == a and rep.is_strict, label
+        saturated += rep.c == 1.0
         refused += not _quotients_are_finite(M, zt)
-    # every route is exercised: the zero pattern, the row-0 rule on a distance saturated by rounding, and the
+    # every route is exercised: the zero pattern, a distance saturated by rounding on a strict pattern, and the
     # overflow guard
-    assert patterns >= 200 and row_0 >= 10 and refused >= 10, (patterns, row_0, refused)
+    assert patterns >= 200 and saturated >= 10 and refused >= 10, (patterns, saturated, refused)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
@@ -620,7 +646,7 @@ def test_pattern_shortcut_keeps_the_overflow_verdicts():
             try:
                 with np.errstate(over="raise"):
                     rep = route()
-                c, witness = rep if isinstance(rep, tuple) else (rep.c, rep.witness)
+                c, witness = (c_and_a_star(rep[0])[0], rep[1]) if isinstance(rep, tuple) else (rep.c, rep.witness)
                 verdicts.append((repr(c), witness))
             except FloatingPointError:
                 verdicts.append("overflow")
@@ -648,13 +674,14 @@ def test_pattern_shortcut_skips_the_scan_at_n_1024(aleph_scans):
     assert aleph_scans == [] and elapsed < 1.0, elapsed
 
 
-def test_row_0_rule_finds_a_distance_of_1_past_its_first_block(aleph_scans):
+def test_a_single_saturated_pair_is_the_witness_with_its_a_star():
+    # m is about 1e-18 on pair (0, 150) alone: c rounds to 1.0, and a_star = m**-0.5 is about 1e9
     M = np.random.default_rng(0).uniform(1.0, 2.0, size=(200, 200))
     M[3, 0] = M[7, 150] = 1e-9
     rep = contraction_coeff(M)
-    assert rep.c == 1.0 and rep.witness == (0, 150) and rep.a_star is None
-    assert aleph_scans == []
-    assert farthest_pair(_aleph_columns(M)) == (1.0, (0, 150))
+    assert rep.c == 1.0 and rep.is_strict and rep.witness == (0, 150) and 1e8 < rep.a_star < 1e10
+    m, witness = farthest_pair(_aleph_columns(M))
+    assert (c_and_a_star(m), witness) == ((rep.c, rep.a_star), rep.witness)
 
 
 def _route_matrix(rng, route):
@@ -675,7 +702,7 @@ def _route_matrix(rng, route):
     return M, 0.0
 
 
-# the int16 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the row-0 rule;
+# the int16 screen (one table, or two with the float64 fallback; at every n), the float64 scan, and the zero pattern;
 # both tables hold only the rows with support: 416 of 512 and 347 of 511 on the zero-row routes
 @pytest.mark.parametrize("route, scans", [
     ("dense", [(512, np.int16)]),
@@ -715,30 +742,25 @@ def _saturated_pair_matrix(rng, n):
     return M
 
 
-def test_permutations_leave_c_bitwise_unchanged(aleph_scans):
+def test_permutations_leave_c_bitwise_unchanged():
     rng = np.random.default_rng(2030)
-    routes = set()
     for count in range(60):
         n = int(rng.integers(3, 25))
         M = _saturated_pair_matrix(rng, n) if count % 2 else random_cone_preserving_matrix(rng, n, zero_prob=0.3)
         base = contraction_coeff(M)
         for _ in range(6):
             rows, cols = rng.permutation(n), rng.permutation(n)
-            scans = len(aleph_scans)
             rep = contraction_coeff(M[rows][:, cols])
-            routes.add((count % 2, len(aleph_scans) == scans))
             assert rep.c == base.c, (M.tolist(), rows, cols)
             i, j = rep.witness
             assert pseudo_distance(M[rows, cols[i]], M[rows, cols[j]]) == rep.c
-    # saturated pairs take the row-0 route under some permutations and the scan under others
-    assert {(1, True), (1, False)} <= routes, routes
 
 
-def test_narrow_gaussian_grid_runs_no_scan(aleph_scans):
+def test_narrow_gaussian_grid_saturates_c_on_its_farthest_pair():
+    # m = exp(-2 s**2 / sigma) with s = 1 - 1/512, about 5e-18: c rounds to 1.0 on the strict grid
     grid = tabulate_kernel(builtin_kernel("gaussian", sigma=0.05), 512)
-    assert kernel_contraction_estimate(grid).c == 1.0
-    assert contraction_coeff(grid.values).c == 1.0
-    assert aleph_scans == []
+    for rep in (kernel_contraction_estimate(grid), contraction_coeff(grid.values)):
+        assert (rep.c, rep.is_strict, rep.witness) == (1.0, True, (0, 511))
 
 
 # ---------------------------------------------------------------------------

@@ -567,19 +567,19 @@ def _batch_rule_cases():
 
 def _schedule(M, monkeypatch, **kwargs):
     """The batches and jumps of ``perron_iterate``, as ``_validating_run`` lists them: a batch's size is read off the
-    step distances the pair kernel measures after it, a jump's power off ``_power``."""
-    schedule, kernel, power = [], perron._listed_pair_distances, perron._power
+    step products the pair kernel measures after it, a jump's power off ``_power``."""
+    schedule, kernel, power = [], perron._listed_pair_products, perron._power
 
     def measured(W, i, j):
-        steps = kernel(W, i, j)
-        schedule.append(("batch", steps.size))
-        return steps
+        products = kernel(W, i, j)
+        schedule.append(("batch", products.size))
+        return products
 
     def jumped(M, p, k):
         schedule.append(("jump", k))
         return power(M, p, k)
 
-    monkeypatch.setattr(perron, "_listed_pair_distances", measured)
+    monkeypatch.setattr(perron, "_listed_pair_products", measured)
     monkeypatch.setattr(perron, "_power", jumped)
     res = perron_iterate(M, **kwargs)
     monkeypatch.undo()

@@ -1,13 +1,13 @@
 """The int16 log screen of the column-pair scan against the full float64 scan, and the routes contraction_coeff takes."""
 
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from projcone import builtin_kernel, contraction_coeff, discretize, is_strictly_contracting, kernel_contraction_estimate, psi_inverse, tabulate_kernel
-from projcone.matrices import _aleph_columns, _pair_distances, _quotients_are_finite, _screened_max_pair_distance
+from projcone import builtin_kernel, contraction_coeff, discretize, is_strictly_contracting, kernel_contraction_estimate, tabulate_kernel
+from projcone.matrices import _aleph_columns, _quotients_are_finite, _screened_min_pair_product
 
 import _exact
-from _util import farthest_pair
+from _util import c_and_a_star, farthest_pair
 from test_perron import _perron_loop_matrix
 
 
@@ -18,9 +18,9 @@ def _full_scan(P):
 
 
 def _screen(P, workers=1):
-    # under the guard, on these inputs, no quotient, product or distance of the screen overflows or underflows
+    # under the guard, on these inputs, no quotient or product of the screen overflows or underflows
     with np.errstate(over="raise", under="raise"):
-        return _screened_max_pair_distance(P, workers) if _quotients_are_finite(P) else None
+        return _screened_min_pair_product(P, workers) if _quotients_are_finite(P) else None
 
 
 def _near_rank_one(rng, n, eps=1e-9):
@@ -96,35 +96,20 @@ def screen_cases(draw):
 def test_screen_is_bitwise_the_full_float64_scan(P, workers):
     screened = _screen(P, workers)
     if screened is not None:
-        c, witness = _full_scan(P)
-        assert repr(screened[0]) == repr(c) and screened[1] == witness, P.tolist()
-
-
-@settings(max_examples=500, derandomize=True, database=None, deadline=None)
-@given(m=st.floats(0.0, 1.0 - 2.0**-51) | st.integers(1, 1074).map(lambda k: 2.0**-k))
-@example(m=0.0)
-@example(m=2.0**-1074)
-@example(m=2.0**-53)
-@example(m=0.5)
-@example(m=1.0 - 2.0**-51)
-def test_a_larger_m_by_2_pow_minus_51_gives_a_strictly_smaller_distance(m):
-    # the lemma behind the screen's cut: fl(1 - m) drops by at least 3 * 2**-53 and fl(1 + m) does not drop
-    larger = m + 2.0**-51
-    assert larger <= 1.0
-    near, far = _pair_distances(np.array([m, larger]), np.ones(2))
-    assert far < near, (m, near, far)
+        m, witness = _full_scan(P)
+        assert repr(screened[0]) == repr(m) and screened[1] == witness, P.tolist()
 
 
 def test_screen_applies_and_refuses_where_documented(aleph_scans):
     rng = np.random.default_rng(3101)
     # any range the guard admits, and distances near 1e-9, which the balanced logs resolve
     near = _near_rank_one(rng, 40)
-    assert 1e-10 < _full_scan(near)[0] < 1e-8
+    assert 1e-10 < c_and_a_star(_full_scan(near)[0])[0] < 1e-8
     with_zero = rng.uniform(0.1, 10.0, size=(40, 40))
     with_zero[3, 5] = 0.0
     for M in (rng.uniform(0.1, 10.0, size=(40, 40)), _spanning(rng, 40, 2.0**60), _spanning(rng, 40, 2.0**900), near):
-        (c, witness), screened = _full_scan(M), _screen(M)
-        assert (repr(screened[0]), screened[1]) == (repr(c), witness)
+        (m, witness), screened = _full_scan(M), _screen(M)
+        assert (repr(screened[0]), screened[1]) == (repr(m), witness)
     # an exact zero in a row with support: the zero pattern settles c = 1 before any table
     aleph_scans.clear()
     report = contraction_coeff(with_zero)
@@ -177,9 +162,10 @@ def test_an_entry_at_or_below_zero_tol_is_a_zero_of_the_pattern(aleph_scans):
 
 
 def _assert_is_the_full_scan(report, M):
-    c, witness = _full_scan(M)
-    assert np.array_equal(report.c, c, equal_nan=True) and report.witness == witness
-    assert report.a_star == (psi_inverse(c) if c < 1.0 else None)
+    m, witness = _full_scan(M)
+    c, a_star = c_and_a_star(m)
+    assert np.array_equal(report.c, c, equal_nan=True) and report.witness == witness and report.is_strict
+    assert report.a_star == a_star
 
 
 def test_dense_input_at_512_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
@@ -218,7 +204,9 @@ def test_narrow_gaussian_grid_of_cli_scan_runs_one_int16_pass_and_no_float64_sca
     grid = tabulate_kernel(builtin_kernel("gaussian", sigma=0.05518444732177106), 512, "midpoint")
     report = kernel_contraction_estimate(grid)
     assert aleph_scans == [(512, np.int16)]
-    assert (report.c, report.witness) == _full_scan(discretize(grid)) == (0.9999999999999996, (0, 508))
+    m, witness = _full_scan(discretize(grid))
+    # pairs (0, 508) to (0, 511) round to one distance, and (0, 511) alone has the smallest m
+    assert (report.c, report.witness) == (c_and_a_star(m)[0], witness) == (0.9999999999999996, (0, 511))
 
 
 def test_perron_loop_family_runs_one_int16_pass_and_no_float64_scan(aleph_scans):
