@@ -51,9 +51,9 @@ def as_nonneg_matrix(M) -> np.ndarray:
     arr = np.asarray(M, dtype=float, order="C")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite")
-    if np.any(arr < 0.0):
+    if (arr < 0.0).any():
         raise ValueError("matrix entries must be nonnegative")
     return arr
 

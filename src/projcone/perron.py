@@ -24,11 +24,12 @@ product, so ``K <= c / (1 - c)``.  For ``K >= 1``, ``tanh(K u) <= K tanh(u)``, s
 
 Eigenvalue estimates come from the extreme coordinate ratios
 ``(M p) / p``, which bracket the Perron eigenvalue at every iterate.
-A step is ``M.dot`` and ``argmax`` (on a C-ordered ``M``, ``dot`` gives ``matmul``'s bits at half
-its dispatch cost); steps are tested in batches sized by the observed rate, which changes no output.  Where the
-rate predicts a long run, the loop jumps instead: it applies ``M^k`` by binary powering, ``floor(log2 k)`` n x n
-products in place of ``k`` steps, and then steps on, so the reported iterate, step and bound always come from plain
-steps.
+A step is ``M.dot``, ``argmax`` and an in-place division, into a row of a C-ordered buffer (on a C-ordered ``M``,
+``dot`` gives ``matmul``'s bits at half its dispatch cost).  Steps are tested in batches, two steps, then as many as
+the rate needs, which changes no output.  An image is checked for refusal only where ``2 n max(M)`` overflows, the one
+case where it can be refused; there a batch's largest entries are scanned after it.  Where the rate predicts a long
+run, the loop jumps instead: it applies ``M^k`` by binary powering, ``floor(log2 k)`` n x n products in place of ``k``
+steps, and then steps on, so the reported iterate, step and bound always come from plain steps.
 """
 
 from __future__ import annotations
@@ -78,22 +79,23 @@ class PerronResult:
     no_bound_reason: str | None = None
 
 
-def _image(M: np.ndarray, p: np.ndarray, zero_tol: float, out: np.ndarray | None = None) -> tuple[np.ndarray, np.floating]:
-    """``M @ p`` (into ``out`` if given) and its largest entry, NaN if one is (the first, by ``argmax``): it alone decides :func:`as_cone_vector`'s refusals."""
-    q = M.dot(p, out)
+def _refusal(top: float, zero_tol: float) -> ValueError:
+    """:func:`as_cone_vector`'s refusal of an image whose largest entry is ``top``, NaN if one is, where ``top`` is not in ``(zero_tol, inf)``."""
+    return ValueError("cone vector entries must be finite" if not top < math.inf else "cone vector must have at least one positive entry")
+
+
+def _image(M: np.ndarray, p: np.ndarray, zero_tol: float) -> np.ndarray:
+    """``M @ p``, refused as :func:`as_cone_vector` refuses it: its largest entry (the first, by ``argmax``) alone decides."""
+    q = M.dot(p)
     top = q[q.argmax()]
-    if not top < math.inf:
-        raise ValueError("cone vector entries must be finite")
-    if not top > zero_tol:
-        raise ValueError("cone vector must have at least one positive entry")
-    return q, top
+    if not zero_tol < top < math.inf:
+        raise _refusal(top, zero_tol)
+    return q
 
 
-def _up(x: float, ulps: int = 1) -> float:
-    """``x`` moved ``ulps`` ulps toward ``inf``."""
-    for _ in range(ulps):
-        x = math.nextafter(x, math.inf)
-    return x
+def _up(x: float) -> float:
+    """``x`` moved one ulp toward ``inf``."""
+    return math.nextafter(x, math.inf)
 
 
 def _pivot_constant(Z: np.ndarray) -> float:
@@ -154,7 +156,7 @@ def _error_bound(K: float, M: np.ndarray, v: np.ndarray, p: np.ndarray, top: flo
     Every term is rounded upward; ``log``, ``log1p`` and ``tanh`` take two ulps.
     """
     n = p.size
-    m = math.nextafter(float(np.nextafter(_aleph(v, p), 0.0) * np.nextafter(_aleph(p, v), 0.0)), 0.0)
+    m = math.nextafter(math.nextafter(float(_aleph(v, p)), 0.0) * math.nextafter(float(_aleph(p, v)), 0.0), 0.0)
     support = p > 0.0
     if K == math.inf or not m > 0.0 or (not support.all() and (M.dot(v > 0.0) > 0.0)[~support].any()):
         return None
@@ -162,9 +164,9 @@ def _error_bound(K: float, M: np.ndarray, v: np.ndarray, p: np.ndarray, top: flo
     e = _up(gamma + _up(_up(_up(n * _up(2.0 ** -1074 / top)) + 2.0 ** -1074) / float(p[support].min())))  # no n / top to overflow
     if not e < 1.0:
         return None
-    eps = _up(math.log1p(_up(2.0 * e / math.nextafter(1.0 - e, 0.0))), 2)
-    x = _up(_up(K * _up(-math.log(m), 2)) + _up(_up(1.0 + K) * eps))
-    bound = _up(math.tanh(_up(x / 2.0)), 2)
+    eps = _up(_up(math.log1p(_up(2.0 * e / math.nextafter(1.0 - e, 0.0)))))
+    x = _up(_up(K * _up(_up(-math.log(m)))) + _up(_up(1.0 + K) * eps))
+    bound = _up(_up(math.tanh(_up(x / 2.0))))
     return bound if bound < 1.0 else None
 
 
@@ -172,16 +174,16 @@ def _eigenvalue_bracket(M: np.ndarray, p: np.ndarray, zero_tol: float) -> tuple[
     """Extreme ratios (Mp)/p over the support of ``p``, as computed, tolerant of boundary zeros; ``M @ p`` may overflow or vanish, so it is checked.
 
     ``M`` and ``p`` hold no ``-0.0``.  Where ``1/aleph(Mp, p)`` overflows or rounds below the lower end, the upper end is
-    the largest ratio itself, and both ends move one ulp outward.
+    the largest ratio itself, and both ends move one ulp outward.  Under the caller's errstate, which must ignore
+    overflow, division by zero and 0/0: an overflowed ratio puts the ends out of order, which the guard mends.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflowed ratio puts the ends out of order, which the guard mends
-        Mp, _ = _image(M, p, zero_tol)
-        lower = float(_aleph(p, Mp))
-        a = float(_aleph(Mp, p))
-        upper = math.inf if a == 0.0 else 1.0 / a
-        if not (lower <= upper):  # a > 0, so p is positive where Mp is, and fmax passes over the 0/0 elsewhere
-            upper = float(np.fmax.reduce(Mp / p))
-            lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
+    Mp = _image(M, p, zero_tol)
+    lower = float(_aleph(p, Mp))
+    a = float(_aleph(Mp, p))
+    upper = math.inf if a == 0.0 else 1.0 / a
+    if not (lower <= upper):  # a > 0, so p is positive where Mp is, and fmax passes over the 0/0 elsewhere
+        upper = float(np.fmax.reduce(Mp / p))
+        lower, upper = float(np.nextafter(lower, 0.0)), float(np.nextafter(upper, math.inf))
     return lower, upper
 
 
@@ -199,10 +201,11 @@ def collatz_wielandt(M, f, zero_tol: float = 0.0) -> tuple[float, float]:
     f, _ = _cone_vector(f, zero_tol)
     if f.size != M.shape[1]:
         raise ValueError(f"dimension mismatch: matrix is {M.shape[0]}x{M.shape[1]}, vector has {f.size} entries")
-    if np.any(f <= 0.0):
+    if (f <= 0.0).any():
         raise ValueError("collatz_wielandt requires a strictly positive vector")
     _check_cone_preserving(pos := _support(M, zero_tol))
-    return _eigenvalue_bracket(np.where(pos, M, 0.0), f, zero_tol)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return _eigenvalue_bracket(np.where(pos, M, 0.0), f, zero_tol)
 
 
 def perron_iterate(
@@ -237,15 +240,17 @@ def perron_iterate(
         largest entry of 1, and ``perron_iterate`` refuses an image whose
         largest entry is at or below ``zero_tol``.
 
-    Steps are tested in batches: one step, then as many as the rate of the
+    Steps are tested in batches: two steps, then as many as the rate of the
     last two steps needs to reach ``tol``, rounded down and clipped to [1, 128].
     A batch may step past its converging step when the rate quickens within
     it.  Where that rate is below 1 and its prediction ``size`` exceeds
     ``n * size.bit_length()``, so that ``floor(log2 size)`` n x n products
     cost less than ``size`` steps, the loop jumps ``min(size, max_iter -
-    iterations - 1)`` powers of ``M`` instead, and then tests steps one, one,
-    then by the rate again; a jump may pass the converging step too.  No
-    jump is taken where ``2 n max(M)`` overflows, so every refusal is raised
+    iterations - 1)`` powers of ``M`` instead, and then tests two steps,
+    then as many as the rate needs again; a jump may pass the converging
+    step too.  Refusals are checked only where ``2 n max(M)`` overflows, as
+    no image can be refused elsewhere: there the batch's largest entries are
+    scanned after it, and no jump is taken, so every refusal is raised
     where testing each step raises it; runs with no jump give the outputs
     of testing each step.
     """
@@ -263,46 +268,47 @@ def perron_iterate(
     if p.size != n:
         raise ValueError(f"dimension mismatch: matrix is {n}x{n}, start vector has {p.size} entries")
 
-    M = np.where(pos, M, 0.0)  # the matrix the bound is of; no -0.0 reaches an iterate
-    # Validated once above, a step checks only the image: it never vanishes (p has an entry 1, each column of M one
-    # above zero_tol) but may overflow, and an overflowed quotient is never an aleph's minimum, which is at most 1.
-    # A batch's iterates are the columns of V; its steps are measured after it, and the first within tol ends the loop.
-    V = np.empty((n, min(max_iter, _MAX_BATCH) + 1), order="F")
-    V[:, 0] = p
-    cols, tops = list(V.T), [math.nan] * V.shape[1]  # the contiguous columns, as views, and the images' largest entries
-    iterations, size, step, prev, refusal = 0, 1, math.nan, math.nan, None
+    M = M if pos.all() else np.where(pos, M, 0.0)  # the matrix the bound is of; no -0.0 reaches an iterate
+    # Validated once above, a step's image never vanishes (p has an entry 1, each column of M one above zero_tol) and is
+    # at most n max(M) (1 + gamma_{n-1}) < 2 n max(M), so where that is finite no image is refused.  Elsewhere the
+    # batch's tops are scanned after it, and its first refused image ends it there.  An overflowed quotient is never an
+    # aleph's minimum, which is at most 1.  A batch's iterates are the rows of V; its steps are measured after it, and
+    # the first within tol ends the loop.
+    V = np.empty((min(max_iter, _MAX_BATCH) + 1, n))
+    V[0] = p
+    tops = [math.nan] * V.shape[0]  # the images' largest entries
+    iterations, size = 0, min(2, max_iter)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         K = _pivot_constant(M)
-        # a step's image is at most n max(M) (1 + gamma_{n-1}) < 2 n max(M): where that is finite no step is refused
-        jumps = 2.0 * n * float(M.max()) < math.inf
+        safe = 2.0 * n * float(M.max()) < math.inf  # no image is refused, and the loop may jump
         while True:
+            q = V[0]
             for k in range(1, size + 1):
-                try:
-                    q, tops[k] = _image(M, cols[k - 1], zero_tol, cols[k])
-                except ValueError as exc:
-                    refusal, k = exc, k - 1  # the refused image is no iterate
-                    break
-                q /= tops[k]
-            m = _listed_pair_products(V[:, : k + 1], slice(None, -1), slice(1, None))
+                q = M.dot(q, V[k])
+                tops[k] = top = q[q.argmax()]
+                q /= top
+            if not safe:  # the refused image is no iterate
+                k = next((j - 1 for j in range(1, size + 1) if not zero_tol < tops[j] < math.inf), size)
+            m = _listed_pair_products(V[: k + 1].T, slice(None, -1), slice(1, None))
             steps = (1.0 - m) / (1.0 + m)
-            hits = np.flatnonzero(steps <= tol)
-            if not hits.size and refusal:
-                raise refusal  # where the step by step loop raises: no earlier step converged
+            hits = (steps <= tol).nonzero()[0]
+            if not hits.size and k < size:
+                raise _refusal(tops[k + 1], zero_tol)  # where the step by step loop raises: no earlier step converged
             k = int(hits[0]) + 1 if hits.size else k
             iterations += k
-            step, prev = float(steps[k - 1]), float(steps[k - 2]) if k > 1 else step
+            step, prev = float(steps[k - 1]), float(steps[k - 2]) if k > 1 else math.nan
             if hits.size or iterations == max_iter:
                 break
-            V[:, 0] = V[:, k]
-            rate = step / prev if prev > 0.0 else math.nan  # undefined after the first step, where a batch is 1 step
+            V[0] = V[k]
+            rate = step / prev if prev > 0.0 else math.nan
             size = 1 if not rate > 0.0 else _MAX_BATCH if rate >= 1.0 else math.floor(math.log(tol / step) / math.log(rate))
-            if jumps and rate < 1.0 and size > n * size.bit_length() and (jump := min(size, max_iter - iterations - 1)):
-                if (w := _power(M, V[:, 0], jump)) is not None:
-                    V[:, 0], iterations, size, step = w, iterations + jump, 1, math.nan  # the next step has no previous one
+            if safe and rate < 1.0 and size > n * size.bit_length() and (jump := min(size, max_iter - iterations - 1)):
+                if (w := _power(M, V[0], jump)) is not None:
+                    V[0], iterations, size = w, iterations + jump, 2  # the next rate needs two steps
             size = min(max(size, 1), _MAX_BATCH, max_iter - iterations)
-        p = V[:, k].copy()
-        bound = _error_bound(K, M, V[:, k - 1], p, float(tops[k]))
-    lower, upper = _eigenvalue_bracket(M, p, zero_tol)
+        p = V[k].copy()
+        bound = _error_bound(K, M, V[k - 1], p, float(tops[k]))
+        lower, upper = _eigenvalue_bracket(M, p, zero_tol)
     return PerronResult(eigenvector=p, eigenvalue_lower=lower, eigenvalue_upper=upper, iterations=iterations, final_step_distance=step,
                         error_bound=bound, converged=step <= tol,
                         no_bound_reason=None if bound is not None else

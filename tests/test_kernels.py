@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,27 @@ def test_gaussian_grid_meets_its_closed_form(rule, sigma, n):
     assert rep.witness == (0, n - 1) and rep.is_strict
     assert abs(rep.a_star - a_star) <= 4 * math.ulp(a_star), (rep.a_star, a_star)
     assert abs(rep.c - math.tanh(s * s / sigma)) <= 1e-14
+    if n >= 512:
+        for workers in (1, 2):
+            assert contraction_coeff(discretize(grid), workers=workers) == rep, workers
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 64, 512, 1024])
+@pytest.mark.parametrize("rule", ["midpoint", "trapezoid"])
+def test_poly1xy_grid_meets_its_closed_form(rule, n):
+    # K(x, y) = 1 + x y: the ratio of columns a < b, (1 + x b) / (1 + x a), rises with x, so the pair's alephs sit at the
+    # extreme nodes and m = (1 + a b)**2 / ((1 + a**2) (1 + b**2)), least for the outermost pair (0, n - 1);
+    # a_star = m**-0.5 and c = (1 - m) / (1 + m), which is 1/3 on the trapezoid rule's nodes 0 and 1
+    grid = tabulate_kernel(builtin_kernel("poly1xy"), n, rule)
+    rep = kernel_contraction_estimate(grid)
+    a, b = (Fraction(float(x)) for x in grid.nodes[[0, -1]])
+    m = (1 + a * b) ** 2 / ((1 + a * a) * (1 + b * b))
+    assert rep.witness == (0, n - 1) and rep.is_strict
+    assert abs(rep.c - float((1 - m) / (1 + m))) <= 1e-15, (rep.c, float((1 - m) / (1 + m)))
+    a_star = float(m) ** -0.5
+    assert abs(rep.a_star - a_star) <= 4 * math.ulp(a_star), (rep.a_star, a_star)
+    if rule == "trapezoid":
+        assert abs(rep.c - 1.0 / 3.0) <= math.ulp(1.0 / 3.0)
     if n >= 512:
         for workers in (1, 2):
             assert contraction_coeff(discretize(grid), workers=workers) == rep, workers

@@ -441,8 +441,8 @@ def _validating_run(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
     ``("batch", size)`` and ``("jump", power)``.
 
     ``zero_tol`` zeroes entries of ``M`` and ``f0`` and refuses an image whose largest entry is at or below it; the
-    iterates are measured as computed, at ``zero_tol = 0``.  The schedule is the library's: one step, one step, then
-    as many as the rate of the last two steps needs to reach ``tol``, clipped to [1, 128] and to the budget; where that
+    iterates are measured as computed, at ``zero_tol = 0``.  The schedule is the library's: two steps, then as many
+    as the rate of the last two steps needs to reach ``tol``, clipped to [1, 128] and to the budget; where that
     rate is below 1, ``2 n max(M)`` is finite and the prediction ``size`` exceeds ``n * size.bit_length()``, a jump of
     ``min(size, max_iter - iterations - 1)`` powers of ``M`` instead, after which the schedule starts again.
     """
@@ -451,7 +451,7 @@ def _validating_run(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
     p = normalize(_zeroed(as_cone_vector(np.ones(n) if f0 is None else f0, zero_tol), zero_tol))
     M = _zeroed(M, zero_tol)
     jumps = 2.0 * n * float(M.max()) < math.inf
-    v, top, iterations, size, steps, schedule = p, math.nan, 0, 1, [], []
+    v, top, iterations, size, steps, schedule = p, math.nan, 0, min(2, max_iter), [], []
     while True:
         schedule.append(("batch", size))
         for _ in range(size):
@@ -470,7 +470,7 @@ def _validating_run(M, f0=None, tol=1e-12, max_iter=10000, zero_tol=0.0):
         jump = min(size, max_iter - iterations - 1)
         if jumps and rate < 1.0 and size > n * size.bit_length() and jump > 0 and (w := _validating_power(M, p, jump)) is not None:
             schedule.append(("jump", jump))
-            p, iterations, size, steps = w, iterations + jump, 1, []
+            p, iterations, size, steps = w, iterations + jump, 2, []
         size = min(max(size, 1), perron._MAX_BATCH, max_iter - iterations)
     lower, upper = _validating_bracket(M, p, zero_tol)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -566,8 +566,8 @@ def _batch_rule_cases():
 
 
 def _schedule(M, monkeypatch, **kwargs):
-    """The batches and jumps of ``perron_iterate``, as ``_validating_run`` lists them: a batch's size is read off the
-    step products the pair kernel measures after it, a jump's power off ``_power``."""
+    """The batches and jumps of ``perron_iterate``, as ``_validating_run`` lists them, and its outcome: a batch's size is
+    read off the step products the pair kernel measures after it, a jump's power off ``_power``."""
     schedule, kernel, power = [], perron._listed_pair_products, perron._power
 
     def measured(W, i, j):
@@ -581,12 +581,12 @@ def _schedule(M, monkeypatch, **kwargs):
 
     monkeypatch.setattr(perron, "_listed_pair_products", measured)
     monkeypatch.setattr(perron, "_power", jumped)
-    res = perron_iterate(M, **kwargs)
+    res = _outcome(perron_iterate, M, **kwargs)
     monkeypatch.undo()
     return schedule, res
 
 
-def test_loop_is_bitwise_the_validating_route():
+def test_loop_is_bitwise_the_validating_route(monkeypatch):
     rng = np.random.default_rng(36)
     cases = [(f"slow n={n}", _slowly_mixing(rng, n), {}) for n in (2, 5, 16, 64)]
     M = rng.uniform(0.0, 1.0, size=(6, 6))
@@ -611,29 +611,33 @@ def test_loop_is_bitwise_the_validating_route():
     cases += _batch_rule_cases()
     M, f0 = 1e308 * np.array([[1.745, 0.056], [0.684, 1.28]]), [0.001, 0.98]  # images grow as the iterates align
     cases.append(("image overflows one step past convergence", M, {"f0": f0, "tol": _validating_route(M, f0=f0, max_iter=13).final_step_distance}))
+    # the refusal cut: where 2 n max(M) is finite no image is checked, a few ulps above it the batch's tops are scanned,
+    # and the scan finds an image that overflows at step 15, the thirteenth of the first rate-sized batch
+    slow = _perron_loop_matrix(8, 0.01)
+    edge = slow / slow.max() * (np.finfo(float).max / 16)
+    above = edge * (1.0 + 2.0 ** -50)
+    cases.append(("2 n max(M) just finite", edge, {}))
+    cases.append(("2 n max(M) a few ulps above the double range", above, {}))
+    cases.append(("image overflows at the thirteenth step of a rate-sized batch", M, {"f0": f0}))
     for label, M, kwargs in cases:
         assert _same_outcome(_outcome(perron_iterate, M, **kwargs), _reference_outcome(M, **kwargs)), label
     assert (tiny @ [1.0, 1e-20, 1e-30])[1] == 0.0
     assert _reference_outcome([[1e308, 1e308], [1e308, 1e308]]) == "cone vector entries must be finite"
-    assert _reference_outcome(M, f0=f0, max_iter=14) == "cone vector entries must be finite"
+    assert _reference_outcome(M, f0=f0, max_iter=14) == _reference_outcome(M, f0=f0) == "cone vector entries must be finite"
+    # the scan cuts the rate-sized batch at its thirteenth image, and the loop raises there, not at the bracket
+    assert _schedule(M, monkeypatch, f0=f0) == ([("batch", 2), ("batch", 12)], "cone vector entries must be finite")
+    assert 2.0 * 8 * float(edge.max()) < math.inf and 2.0 * 8 * float(above.max()) == math.inf
     assert not perron_iterate([[0.0, 1.0], [1.0, 0.0]], [1.0, 2.0], max_iter=37).converged
 
 
 def test_steps_and_jumps_pass_the_reported_iteration_by_less_than_the_last_batch(monkeypatch):
     # a jump of k powers counts as k steps; only the last batch may run past the step that ends the loop
-    image = perron._image
     jumped = 0
     for label, M, kwargs in _batch_rule_cases():
-        outs = []  # the images written into a given output: the loop's steps, not the bracket's product
-
-        def counting(M, p, zero_tol, out=None):
-            outs.append(out is not None)
-            return image(M, p, zero_tol, out)
-
-        monkeypatch.setattr(perron, "_image", counting)
         schedule, res = _schedule(M, monkeypatch, **kwargs)
+        steps = sum(k for kind, k in schedule if kind == "batch")  # a batch's measured steps are the steps it took
         powers = sum(k for kind, k in schedule if kind == "jump")
-        assert res.iterations <= sum(outs) + powers < res.iterations + schedule[-1][1], label
+        assert res.iterations <= steps + powers < res.iterations + schedule[-1][1], label
         jumped += powers > 0
     assert jumped >= 3
 
@@ -642,8 +646,8 @@ def test_batch_sizes_follow_the_observed_rate(monkeypatch):
     # steps that never shrink (rate 1) take the largest batch, B, and the budget cuts the last one
     B = perron._MAX_BATCH
     schedule, res = _schedule([[0.0, 1.0], [1.0, 0.0]], monkeypatch, f0=[1.0, 2.0], max_iter=3 * B + 4)
-    assert schedule == [("batch", k) for k in (1, 1, B, B, B, 2)] and res.iterations == 3 * B + 4
-    # converging runs: 1 step, 1 step, then floor(log(tol / step) / log(rate)) clipped to [1, B], or a jump where that
+    assert schedule == [("batch", k) for k in (2, B, B, B, 2)] and res.iterations == 3 * B + 4
+    # converging runs: 2 steps, then floor(log(tol / step) / log(rate)) clipped to [1, B], or a jump where that
     # prediction exceeds n times its bit length, after which the schedule starts again
     seen = set()
     for label, M, kwargs in _batch_rule_cases():
@@ -655,7 +659,7 @@ def test_batch_sizes_follow_the_observed_rate(monkeypatch):
     schedule = _schedule(slow, monkeypatch)[0]
     assert ("jump", 494) in schedule and len(schedule) < 20 < sum(k for _, k in schedule)
     # the budget cuts a jump so that one plain step is left, and at 1e308 scale, where a step could overflow, none is taken
-    assert _schedule(slow, monkeypatch, max_iter=60)[0] == [("batch", 1), ("batch", 1), ("jump", 57), ("batch", 1)]
+    assert _schedule(slow, monkeypatch, max_iter=60)[0] == [("batch", 2), ("jump", 57), ("batch", 1)]
     assert {kind for kind, _ in _schedule(1e308 * slow, monkeypatch)[0]} == {"batch"}
 
 
